@@ -21,7 +21,6 @@ from .electrostatics import (
 from .engine import (
     TRUTH_MARGIN,
     ClockConfig,
-    ClockShape,
     ConvergenceFailure,
     InputSchedule,
     Measurement,

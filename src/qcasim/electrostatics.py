@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import Cell, ChargeModel, GeometryParams, Layout, electron_positions
+from .model import Cell, ChargeModel, GeometryParams, Layout, electron_positions, pairs_within
 
 __all__ = [
     "COULOMB_K",
@@ -143,16 +143,13 @@ def circuit_kink_energy(layout: Layout) -> KinkReport:
     total_bare = 0.0
     total_neut = 0.0
     cells = layout.cells
-    for i, a in enumerate(cells):
-        for b in cells[i + 1 :]:
-            distance = math.hypot(b.x - a.x, b.y - a.y)
-            if distance > geometry.radius_of_effect:
-                continue
-            e_bare = kink_energy(a, b, bare_geom)
-            e_neut = kink_energy(a, b, neut_geom)
-            pairs.append(KinkPair(a.id, b.id, distance, e_bare, e_neut))
-            total_bare += e_bare
-            total_neut += e_neut
+    for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
+        a, b = cells[i], cells[j]
+        e_bare = kink_energy(a, b, bare_geom)
+        e_neut = kink_energy(a, b, neut_geom)
+        pairs.append(KinkPair(a.id, b.id, distance, e_bare, e_neut))
+        total_bare += e_bare
+        total_neut += e_neut
     return KinkReport(
         pairs=tuple(pairs),
         total_bare=total_bare,

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .electrostatics import kink_energy
-from .model import Cell, Layout, RoleKind
+from .model import Cell, Layout, RoleKind, pairs_within
 
 __all__ = [
     "TRUTH_MARGIN",
-    "ClockShape",
     "ClockConfig",
     "ConvergenceFailure",
     "NoOutputError",
@@ -70,10 +68,6 @@ class NoOutputError(ValueError):
     """The layout has no output cells to measure."""
 
 
-class ClockShape(Enum):
-    TRAPEZOID = "trapezoid"
-
-
 @dataclass(frozen=True)
 class ClockConfig:
     """Four-phase clock: barrier energies in joules, cycle length in samples."""
@@ -81,7 +75,6 @@ class ClockConfig:
     gamma_high: float = 9.8e-22  # barriers low, cell free to repolarize
     gamma_low: float = 3.8e-23   # barriers high, cell latched
     samples_per_cycle: int = 128
-    shape: ClockShape = ClockShape.TRAPEZOID
 
     def __post_init__(self) -> None:
         if not (self.gamma_high > self.gamma_low > 0):
@@ -125,10 +118,9 @@ class InputSchedule:
     @classmethod
     def exhaustive(cls, labels: Iterable[str]) -> "InputSchedule":
         """All 2^n assignments in binary order; first sorted label is the
-        most significant bit, with -1 as the 0 bit."""
+        most significant bit, with -1 as the 0 bit.  No labels give one
+        empty vector, so a layout driven only by fixed cells runs once."""
         names = tuple(sorted(labels))
-        if not names:
-            raise ValueError("need at least one input label")
         n = len(names)
         vectors = []
         for value in range(2 ** n):
@@ -165,16 +157,11 @@ def coupling_map(layout: Layout) -> tuple[tuple[tuple[int, float], ...], ...]:
     """Per-cell neighbor list: (neighbor index, kink energy J) within
     radius_of_effect, under the layout's configured charge model."""
     cells = layout.cells
-    radius = layout.geometry.radius_of_effect
     neighbors: list[list[tuple[int, float]]] = [[] for _ in cells]
-    for i, a in enumerate(cells):
-        for j in range(i + 1, len(cells)):
-            b = cells[j]
-            if math.hypot(b.x - a.x, b.y - a.y) > radius:
-                continue
-            e = kink_energy(a, b, layout.geometry)
-            neighbors[i].append((j, e))
-            neighbors[j].append((i, e))
+    for i, j, _ in pairs_within(cells, layout.geometry.radius_of_effect):
+        e = kink_energy(cells[i], cells[j], layout.geometry)
+        neighbors[i].append((j, e))
+        neighbors[j].append((i, e))
     return tuple(tuple(row) for row in neighbors)
 
 

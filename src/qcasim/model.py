@@ -14,7 +14,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "TOKEN_RE",
@@ -27,6 +27,7 @@ __all__ = [
     "Violation",
     "dot_positions",
     "electron_positions",
+    "pairs_within",
     "validate",
 ]
 
@@ -221,6 +222,23 @@ def electron_positions(
     return ((cell.x - h, cell.y + h), (cell.x + h, cell.y - h))
 
 
+def pairs_within(cells: Sequence[Cell], radius: float) -> Iterator[tuple[int, int, float]]:
+    """Yield (i, j, distance) for every cell pair i < j whose centers are at
+    most ``radius`` nm apart, i ascending, then j ascending.
+
+    This is the one pair enumeration: validation, kink reports and the
+    engine's coupling map all take their pairs from it, so they agree on
+    the inclusive cutoff and on the pair order, which fixes the summation
+    order of every total built from the pairs.
+    """
+    centers = [(c.x, c.y) for c in cells]
+    for i, (ax, ay) in enumerate(centers):
+        for j, (bx, by) in enumerate(centers[i + 1 :], i + 1):
+            distance = math.hypot(bx - ax, by - ay)
+            if distance <= radius:
+                yield i, j, distance
+
+
 @dataclass(frozen=True)
 class Violation:
     """One layout rule broken, naming the rule and the offending cells."""
@@ -263,16 +281,16 @@ def validate(layout: Layout) -> list[Violation]:
                 )
 
     min_gap = layout.geometry.cell_size
-    for i, a in enumerate(cells):
-        for b in cells[i + 1 :]:
-            if math.hypot(b.x - a.x, b.y - a.y) < min_gap:
-                out.append(
-                    Violation(
-                        "overlap",
-                        (a.id, b.id),
-                        f"cells {a.id} and {b.id} are closer than cell_size",
-                    )
+    for i, j, distance in pairs_within(cells, min_gap):
+        if distance < min_gap:
+            a, b = cells[i], cells[j]
+            out.append(
+                Violation(
+                    "overlap",
+                    (a.id, b.id),
+                    f"cells {a.id} and {b.id} are closer than cell_size",
                 )
+            )
 
     has_free = any(c.role.kind in (RoleKind.NORMAL, RoleKind.OUTPUT) for c in cells)
     has_driver = any(c.role.kind in (RoleKind.INPUT, RoleKind.FIXED) for c in cells)

@@ -12,7 +12,6 @@ from oracle import brute_fixed_point
 from qcasim import (
     Cell,
     ClockConfig,
-    ClockShape,
     ConvergenceFailure,
     GeometryParams,
     InputSchedule,
@@ -23,6 +22,7 @@ from qcasim import (
     Role,
     TRUTH_MARGIN,
     bistable_response,
+    circuit_kink_energy,
     coupling_map,
     gamma_at,
     gen_majority,
@@ -54,7 +54,6 @@ class TestClockConfig:
         assert CLOCK.gamma_high == 9.8e-22
         assert CLOCK.gamma_low == 3.8e-23
         assert CLOCK.samples_per_cycle == 128
-        assert CLOCK.shape is ClockShape.TRAPEZOID
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -149,8 +148,10 @@ class TestInputSchedule:
         assert sched.vectors[-1] == (("a", 1), ("b", 1), ("c", 1))
 
     def test_exhaustive_needs_labels(self):
-        with pytest.raises(ValueError):
-            InputSchedule.exhaustive([])
+        # no labels: one empty vector, so a fixed-driver-only layout runs once
+        sched = InputSchedule.exhaustive([])
+        assert sched.labels == ()
+        assert sched.vectors == ((),)
 
     def test_explicit_orders_labels_within_vectors(self):
         sched = InputSchedule.explicit(["b", "a"], [{"b": -1, "a": 1}])
@@ -197,6 +198,23 @@ class TestCouplingMap:
         )
         couplings = coupling_map(layout)
         assert [sorted(j for j, _ in row) for row in couplings] == [[1], [0, 2], [1]]
+
+    def test_pair_at_exact_radius_couples_and_is_reported(self):
+        # c0-c1 is a 3-4-5 offset exactly at the 65 nm radius; c0-c2 lies beyond it
+        layout = Layout(
+            GeometryParams(),
+            [
+                Cell("c0", 0.0, 0.0, Role.fixed(1)),
+                Cell("c1", 39.0, 52.0, Role.normal()),
+                Cell("c2", 0.0, 65.5, Role.normal()),
+            ],
+        )
+        couplings = coupling_map(layout)
+        assert [[j for j, _ in row] for row in couplings] == [[1], [0, 2], [1]]
+        report = circuit_kink_energy(layout)
+        assert [(p.id_a, p.id_b) for p in report.pairs] == [("c0", "c1"), ("c1", "c2")]
+        assert report.pairs[0].distance_nm == 65.0
+        assert report.pairs[0].neutralized == couplings[0][0][1]
 
 
 class TestRelax:

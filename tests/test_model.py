@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import inspect
+import itertools
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qcasim import (
     Cell,
@@ -17,6 +20,7 @@ from qcasim import (
     electron_positions,
     validate,
 )
+from qcasim.model import pairs_within
 
 
 def test_geometry_defaults():
@@ -174,6 +178,15 @@ def test_validate_overlap_threshold_is_cell_size():
     assert [v.rule for v in validate(bad)] == ["overlap"]
 
 
+def test_validate_overlap_threshold_off_axis():
+    # a 3-4-5 offset lands exactly on cell_size without lying on an axis
+    g = GeometryParams(cell_size=20.0)
+    ok = Layout(g, [Cell("a", 0.0, 0.0, Role.input("x")), Cell("b", 12.0, 16.0, Role.normal())])
+    bad = Layout(g, [Cell("a", 0.0, 0.0, Role.input("x")), Cell("b", 12.0, 15.9, Role.normal())])
+    assert validate(ok) == []
+    assert [v.rule for v in validate(bad)] == ["overlap"]
+
+
 def test_validate_duplicate_label():
     g = GeometryParams()
     lay = Layout(
@@ -234,3 +247,20 @@ def test_validate_is_deterministic():
         ],
     )
     assert validate(lay) == validate(lay)
+
+
+coordinate = st.floats(-200.0, 200.0, allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(coordinate, coordinate), max_size=12), st.floats(0.0, 150.0))
+def test_pairs_within_matches_brute_force(points, radius):
+    cells = [Cell(f"c{i}", x, y, Role.normal()) for i, (x, y) in enumerate(points)]
+    distances = [
+        (i, j, math.hypot(b.x - a.x, b.y - a.y))
+        for (i, a), (j, b) in itertools.combinations(enumerate(cells), 2)
+    ]
+    # the drawn radius, plus radii equal to some pair distances (the cutoff is inclusive)
+    for r in [radius] + [d for _, _, d in distances[:3]]:
+        found = pairs_within(cells, r)
+        assert inspect.isgenerator(found)
+        assert list(found) == [pair for pair in distances if pair[2] <= r]
