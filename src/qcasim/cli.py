@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .electrostatics import circuit_kink_energy
+from .electrostatics import ZeroDistanceError, circuit_kink_energy
 from .engine import (
     ClockConfig,
     ConvergenceFailure,
@@ -373,6 +373,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if argv[:1] == ["sweep"]:
+        # join "--extra -1..3": argparse would read the leading dash as an option
+        for at in reversed(range(1, len(argv) - 1)):
+            if len(argv[at]) > 2 and "--extra".startswith(argv[at]):
+                argv[at : at + 2] = [f"{argv[at]}={argv[at + 1]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -382,16 +388,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _CliError as err:
         print(f"error: {err.message}", file=sys.stderr)
         return err.code
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except NoOutputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ConvergenceFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except OSError as err:
+    except (ParseError, NoOutputError, ZeroDistanceError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -10,6 +10,7 @@ clock zone, and fixes the cell order that the relaxation engine sweeps in.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass
@@ -230,10 +231,27 @@ def pairs_within(cells: Sequence[Cell], radius: float) -> Iterator[tuple[int, in
     engine's coupling map all take their pairs from it, so they agree on
     the inclusive cutoff and on the pair order, which fixes the summation
     order of every total built from the pairs.
+
+    Grid buckets just wider than ``radius`` make it O(n*k) for k neighbours
+    in range, with the same sequence as the all-pairs scan, bit for bit.
     """
     centers = [(c.x, c.y) for c in cells]
+    if not centers or not radius >= 0.0:
+        return
+    farthest = max(max(abs(x), abs(y)) for x, y in centers)
+    side = max(radius * (1.0 + 2.0**-20), farthest * 2.0**-30, 2.0**-1022)
+    keys = [(math.floor(x / side), math.floor(y / side)) for x, y in centers]
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        buckets.setdefault(key, []).append(i)
+    around = {
+        (kx, ky): sorted(j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in buckets.get((kx + dx, ky + dy), ()))
+        for kx, ky in buckets
+    }
     for i, (ax, ay) in enumerate(centers):
-        for j, (bx, by) in enumerate(centers[i + 1 :], i + 1):
+        near = around[keys[i]]
+        for j in near[bisect.bisect_right(near, i) :]:
+            bx, by = centers[j]
             distance = math.hypot(bx - ax, by - ay)
             if distance <= radius:
                 yield i, j, distance

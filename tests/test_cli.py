@@ -219,6 +219,20 @@ class TestKink:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["kink", str(tmp_path / "gone.qcl")]) == 2
 
+    def test_coincident_dots_exit_2(self, tmp_path, capsys):
+        # b's bottom-left dot sits on a's top-right dot, with the centres
+        # farther apart than cell_size, so validate accepts the layout
+        cells = [Cell("a", 0.0, 0.0, Role.input("a")), Cell("b", 13.0, 13.0, Role.output("b"))]
+        for model in ChargeModel:
+            path = tmp_path / f"{model.value}.qcl"
+            path.write_text(serialize_qcl(Layout(GeometryParams(charge_model=model), cells)))
+            assert main(["kink", str(path)]) == 2
+            assert capsys.readouterr().err == "error: dots of two cells coincide\n"
+        # the coincident dot is empty at P = -1, so the bare coupling is defined
+        assert main(["sim", str(tmp_path / "bare.qcl")]) == 0
+        assert main(["sim", str(tmp_path / "neutralized.qcl")]) == 2
+        assert capsys.readouterr().err == "error: dots of two cells coincide\n"
+
 
 class TestSweep:
     def test_default_covers_three_to_six_cells(self, capsys):
@@ -233,7 +247,6 @@ class TestSweep:
         assert out.read_text() == sweep_csv(run_sweep(range(0, 4)))
 
     def test_extra_range_can_include_the_two_cell_variant(self, capsys):
-        # = form, since a leading dash would read as an option
         assert main(["sweep", "--extra=-1..0"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert [row.split()[0] for row in lines[1:]] == ["2", "3"]
@@ -244,6 +257,16 @@ class TestSweep:
         text = path.read_text()
         assert text == format_trend_comparison(run_sweep(range(0, 4)))
         assert "| 6 |" in text and "6.83800e-20" in text
+
+    def test_extra_value_with_a_leading_dash_needs_no_equals_sign(self, tmp_path, capsys):
+        outputs = []
+        forms = (["--extra=-1..3"], ["--extra", "-1..3"], ["--ext", "-1..3"], ["--extra", "0..1", "--extra", "-1..3"])
+        for form in forms:
+            csv, md = tmp_path / "sweep.csv", tmp_path / "trend.md"
+            assert main(["sweep", *form, "--out", str(csv), "--compare", str(md)]) == 0
+            outputs.append((capsys.readouterr().out, csv.read_bytes(), md.read_bytes()))
+        assert all(out == outputs[0] for out in outputs[1:])
+        assert [row.split()[0] for row in outputs[0][0].splitlines()[1:]] == ["2", "3", "4", "5", "6"]
 
     @pytest.mark.parametrize("extra", ["0..4", "-2..0", "junk", "3..1"])
     def test_rejects_bad_ranges(self, capsys, extra):

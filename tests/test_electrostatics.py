@@ -11,6 +11,7 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 import frozen
 from oracle import brute_kink_energy
@@ -303,3 +304,70 @@ class TestCircuitKinkEnergy:
             assert report.pairs[0].bare == report.pairs[0].neutralized  # mirror pair
             assert report.geometry == g
             assert report.radius_of_effect == 65.0
+
+
+class TestKernelMatchesReference:
+    """The shared-distance kernel against the pair_energy definition, off the grid."""
+
+    geometries = st.builds(
+        lambda size, dot_share, eps, model: GeometryParams(
+            cell_size=size,
+            dot_diameter=size * dot_share,
+            pitch=size,
+            relative_permittivity=eps,
+            charge_model=model,
+        ),
+        st.sampled_from([10.0, 18.0, 18.3, 25.5]),
+        st.sampled_from([0.05, 5.0 / 18.0, 0.5, 0.9]),
+        st.sampled_from([1.0, 2, 3.7, 12.9]),
+        st.sampled_from(list(ChargeModel)),
+    )
+    centre = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    offset = st.floats(-70.0, 70.0, allow_nan=False, allow_infinity=False)
+    jitter = st.floats(-0.9, 0.9, allow_nan=False, allow_infinity=False)
+
+    @given(geometries, centre, centre, offset, offset)
+    def test_kink_energy_is_the_pair_energy_difference(self, g, x, y, dx, dy):
+        a, b = cell(x, y, "a"), cell(x + dx, y + dy, "b")
+        try:
+            want = pair_energy(a, -1, b, +1, g) - pair_energy(a, -1, b, -1, g)
+        except ZeroDistanceError:
+            with pytest.raises(ZeroDistanceError):
+                kink_energy(a, b, g)
+            return
+        assert kink_energy(a, b, g) == want
+
+    @given(geometries, centre, centre, st.lists(st.tuples(jitter, jitter), min_size=2, max_size=9))
+    def test_report_pairs_equal_per_pair_kink_energy(self, g, x0, y0, jitters):
+        # a jittered 3-column block 2 nm wider than the cells: no two dots coincide
+        step = g.cell_size + 2.0
+        cells = [
+            cell(x0 + (k % 3) * step + jx, y0 + (k // 3) * step + jy, f"c{k}")
+            for k, (jx, jy) in enumerate(jitters)
+        ]
+        report = circuit_kink_energy(Layout(g, cells))
+        by_id = {c.id: c for c in cells}
+        bare_g = replace(g, charge_model=ChargeModel.BARE)
+        neut_g = replace(g, charge_model=ChargeModel.NEUTRALIZED)
+        assert report.pairs
+        for pair in report.pairs:
+            a, b = by_id[pair.id_a], by_id[pair.id_b]
+            assert pair.bare == kink_energy(a, b, bare_g)
+            assert pair.neutralized == kink_energy(a, b, neut_g)
+
+    def test_coincident_dots_raise_where_the_definition_does(self):
+        # the centres are 13*sqrt(2) nm apart, more than cell_size, so
+        # validate accepts both pairs; b's bottom-left dot sits on a's
+        # top-right dot, which is empty at P = -1 and carries no bare charge
+        a, b = cell(0, 0, "a"), cell(13, 13, "b")
+        with pytest.raises(ZeroDistanceError):
+            kink_energy(a, b, NEUT)
+        want = pair_energy(a, -1, b, +1, BARE) - pair_energy(a, -1, b, -1, BARE)
+        assert kink_energy(a, b, BARE) == want
+        with pytest.raises(ZeroDistanceError):
+            circuit_kink_energy(Layout(BARE, [a, b]))
+        # b's bottom-right dot sits on a's occupied top-left dot
+        c = cell(-13, 13, "c")
+        for g in (NEUT, BARE):
+            with pytest.raises(ZeroDistanceError):
+                kink_energy(a, c, g)

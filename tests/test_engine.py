@@ -429,6 +429,15 @@ class TestMeasure:
         with pytest.raises(KeyError):
             m.reading("zz", 0)
 
+    def test_reading_lookup_names_the_missing_key(self):
+        readings = (OutputReading("b", 0, 0.9, 0.95), OutputReading("b", 0, -0.9, 0.95))
+        m = Measurement(vectors=((("a", -1),),), readings=readings)
+        assert m.reading("b", 0) is readings[0]  # the first of a repeated key, as a scan finds
+        for key in (("b", 1), ("zz", 0)):
+            with pytest.raises(KeyError) as err:
+                m.reading(*key)
+            assert err.value.args == (key,)
+
 
 class TestTruthCheck:
     def run(self, layout, labels):

@@ -250,17 +250,25 @@ def test_validate_is_deterministic():
 
 
 coordinate = st.floats(-200.0, 200.0, allow_nan=False, allow_infinity=False)
+far_shift = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 
 
-@given(st.lists(st.tuples(coordinate, coordinate), max_size=12), st.floats(0.0, 150.0))
-def test_pairs_within_matches_brute_force(points, radius):
-    cells = [Cell(f"c{i}", x, y, Role.normal()) for i, (x, y) in enumerate(points)]
-    distances = [
-        (i, j, math.hypot(b.x - a.x, b.y - a.y))
-        for (i, a), (j, b) in itertools.combinations(enumerate(cells), 2)
-    ]
-    # the drawn radius, plus radii equal to some pair distances (the cutoff is inclusive)
-    for r in [radius] + [d for _, _, d in distances[:3]]:
-        found = pairs_within(cells, r)
-        assert inspect.isgenerator(found)
-        assert list(found) == [pair for pair in distances if pair[2] <= r]
+@given(
+    st.lists(st.tuples(coordinate, coordinate), max_size=12),
+    st.floats(0.0, 150.0),
+    far_shift,
+    far_shift,
+)
+def test_pairs_within_matches_brute_force(points, radius, shift_x, shift_y):
+    # the layout as drawn, and the same layout translated far from the origin
+    for sx, sy in ((0.0, 0.0), (shift_x, shift_y)):
+        cells = [Cell(f"c{i}", x + sx, y + sy, Role.normal()) for i, (x, y) in enumerate(points)]
+        distances = [
+            (i, j, math.hypot(b.x - a.x, b.y - a.y))
+            for (i, a), (j, b) in itertools.combinations(enumerate(cells), 2)
+        ]
+        # the drawn radius, plus radii equal to some pair distances (the cutoff is inclusive)
+        for r in [radius] + [d for _, _, d in distances[:3]]:
+            found = pairs_within(cells, r)
+            assert inspect.isgenerator(found)
+            assert list(found) == [pair for pair in distances if pair[2] <= r]
