@@ -137,7 +137,10 @@ def _builder_for_kind(kind: str) -> Callable[[GeometryParams], Layout]:
 def _schedule_for(args: argparse.Namespace, layout: Layout) -> InputSchedule:
     labels = layout.input_labels()
     if args.vectors == "exhaustive":
-        return InputSchedule.exhaustive(labels)
+        try:
+            return InputSchedule.exhaustive(labels)
+        except ValueError as err:
+            raise _CliError(2, f"{err}; name the vectors with --vectors FILE") from None
     try:
         text = Path(args.vectors).read_text(encoding="utf-8")
     except OSError as err:
@@ -204,19 +207,14 @@ class SweepRow:
     steady_p: tuple[float, ...]  # per vector, exhaustive order
 
 
-def run_sweep(
-    extras: Sequence[int],
-    geometry: GeometryParams | None = None,
-    clock: ClockConfig | None = None,
-) -> tuple[SweepRow, ...]:
-    """Simulate gen_minimal_inverter(k) for each k and collect the trend."""
-    clock = clock or ClockConfig()
+def run_sweep(extras: Sequence[int]) -> tuple[SweepRow, ...]:
+    """Simulate gen_minimal_inverter(k) for each k at the default geometry and clock."""
     rows = []
     for extra in extras:
-        layout = gen_minimal_inverter(extra, geometry)
+        layout = gen_minimal_inverter(extra)
         report = circuit_kink_energy(layout)
         schedule = InputSchedule.exhaustive(layout.input_labels())
-        measurement = measure(simulate(layout, clock, schedule), layout)
+        measurement = measure(simulate(layout, ClockConfig(), schedule), layout)
         readings = [measurement.reading("b", vi) for vi in range(len(schedule.vectors))]
         rows.append(
             SweepRow(

@@ -11,6 +11,7 @@ order, which keeps runs exactly reproducible.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
@@ -20,6 +21,7 @@ from .model import Cell, Layout, RoleKind, pairs_within
 
 __all__ = [
     "TRUTH_MARGIN",
+    "MAX_EXHAUSTIVE_INPUTS",
     "ClockConfig",
     "ConvergenceFailure",
     "NoOutputError",
@@ -43,7 +45,15 @@ __all__ = [
 # Minimum |steady polarization| for a logic level to count as resolved.
 TRUTH_MARGIN = 0.5
 
+# Exhaustive schedules stop here: 2^12 = 4,096 vectors of 128 samples each.
+MAX_EXHAUSTIVE_INPUTS = 12
+
+# relax's defaults, and what simulate relaxes every sample to.
+_TOLERANCE, _MAX_SWEEPS = 1e-7, 1000
+
 Vector = tuple[tuple[str, int], ...]  # ((label, +-1), ...) sorted by label
+Neighbours = tuple[tuple[int, float], ...]  # (neighbour index, kink energy J), ...
+Row = tuple[int, int, Neighbours]  # free cell (index, zone, neighbours)
 
 
 class ConvergenceFailure(RuntimeError):
@@ -119,15 +129,13 @@ class InputSchedule:
     def exhaustive(cls, labels: Iterable[str]) -> "InputSchedule":
         """All 2^n assignments in binary order; first sorted label is the
         most significant bit, with -1 as the 0 bit.  No labels give one
-        empty vector, so a layout driven only by fixed cells runs once."""
+        empty vector, so a layout driven only by fixed cells runs once.
+        More than MAX_EXHAUSTIVE_INPUTS labels raise ValueError."""
         names = tuple(sorted(labels))
         n = len(names)
-        vectors = []
-        for value in range(2 ** n):
-            bits = tuple(
-                (names[i], +1 if (value >> (n - 1 - i)) & 1 else -1) for i in range(n)
-            )
-            vectors.append(bits)
+        if n > MAX_EXHAUSTIVE_INPUTS:
+            raise ValueError(f"{n} inputs exceed the exhaustive limit of {MAX_EXHAUSTIVE_INPUTS}")
+        vectors = itertools.product(*(((name, -1), (name, +1)) for name in names))
         return cls(names, tuple(vectors))
 
     @classmethod
@@ -153,7 +161,7 @@ def bistable_response(x: float) -> float:
     return x / math.sqrt(1.0 + x * x)
 
 
-def coupling_map(layout: Layout) -> tuple[tuple[tuple[int, float], ...], ...]:
+def coupling_map(layout: Layout) -> tuple[Neighbours, ...]:
     """Per-cell neighbor list: (neighbor index, kink energy J) within
     radius_of_effect, under the layout's configured charge model."""
     cells = layout.cells
@@ -187,14 +195,45 @@ def _pinned_map(layout: Layout, assignments: Mapping[str, int]) -> dict[int, flo
     return pinned
 
 
+def _free_rows(
+    layout: Layout, couplings: Sequence[Neighbours], pinned: Mapping[int, float], p: list[float]
+) -> list[Row]:
+    """Write the pins into ``p``; return the free cells' rows in sweep order."""
+    for i, value in pinned.items():
+        p[i] = value
+    return [(i, c.zone, couplings[i]) for i, c in enumerate(layout.cells) if i not in pinned]
+
+
+def _sweep(
+    p: list[float], rows: list[Row], gammas: Sequence[float], tolerance: float, max_iters: int
+) -> int:
+    """The Gauss-Seidel loop: update the free rows of ``p`` in place until
+    the largest change in one sweep drops below ``tolerance``.  Returns the
+    sweeps used; raises ConvergenceFailure after ``max_iters`` sweeps."""
+    residual = 0.0
+    for sweep in range(1, max_iters + 1):
+        residual = 0.0
+        for i, zone, neighbours in rows:
+            total = 0.0
+            for j, e_kink in neighbours:
+                total += e_kink * p[j]
+            new = bistable_response(total / (2.0 * gammas[zone]))
+            delta = abs(new - p[i])
+            if delta > residual:
+                residual = delta
+            p[i] = new
+        if residual < tolerance:
+            return sweep
+    raise ConvergenceFailure(residual)
+
+
 def relax(
     layout: Layout,
     assignments: Mapping[str, int],
     gamma_per_zone: Sequence[float],
     initial_p: Sequence[float] | None = None,
-    tolerance: float = 1e-7,
-    max_iters: int = 1000,
-    couplings: tuple[tuple[tuple[int, float], ...], ...] | None = None,
+    tolerance: float = _TOLERANCE,
+    max_iters: int = _MAX_SWEEPS,
 ) -> tuple[list[float], int]:
     """Gauss-Seidel relaxation to a bistable fixed point at fixed gammas.
 
@@ -202,41 +241,17 @@ def relax(
     cells are pinned automatically).  Sweeps update free cells in layout
     order until the largest per-sweep change drops below ``tolerance``.
     Returns (polarizations, sweeps used); raises ConvergenceFailure if
-    ``max_iters`` sweeps are not enough.
+    ``max_iters`` sweeps are not enough.  Chained over a clock cycle via
+    ``initial_p`` from zeros, it reproduces ``simulate``'s trace exactly.
     """
-    cells = layout.cells
     if len(gamma_per_zone) != 4 or any(g <= 0 for g in gamma_per_zone):
         raise ValueError("gamma_per_zone must be four positive energies")
-    if couplings is None:
-        couplings = coupling_map(layout)
     pinned = _pinned_map(layout, assignments)
-
-    if initial_p is None:
-        p = [0.0] * len(cells)
-    else:
-        if len(initial_p) != len(cells):
-            raise ValueError("initial_p length must match cell count")
-        p = list(initial_p)
-    for i, value in pinned.items():
-        p[i] = value
-
-    free = [i for i in range(len(cells)) if i not in pinned]
-    residual = 0.0
-    for sweep in range(1, max_iters + 1):
-        residual = 0.0
-        for i in free:
-            total = 0.0
-            for j, e_kink in couplings[i]:
-                total += e_kink * p[j]
-            x = total / (2.0 * gamma_per_zone[cells[i].zone])
-            new = bistable_response(x)
-            delta = abs(new - p[i])
-            if delta > residual:
-                residual = delta
-            p[i] = new
-        if residual < tolerance:
-            return p, sweep
-    raise ConvergenceFailure(residual)
+    p = [0.0] * len(layout.cells) if initial_p is None else list(initial_p)
+    if len(p) != len(layout.cells):
+        raise ValueError("initial_p length must match cell count")
+    rows = _free_rows(layout, coupling_map(layout), pinned, p)
+    return p, _sweep(p, rows, gamma_per_zone, tolerance, max_iters)
 
 
 @dataclass(frozen=True)
@@ -273,33 +288,22 @@ def simulate(
     dwarfs even the lowered barrier energy, so state carried across a
     vector boundary would latch a stable domain wall against the flipped
     input instead of following it.  Per-vector annealing also makes the
-    vectors order independent.
+    vectors order independent.  Pins and free-cell neighbour rows are
+    built once per vector; each sample runs ``relax``'s loop on them.
     """
-    labels = set(layout.input_labels())
-    if set(schedule.labels) != labels:
+    if set(schedule.labels) != set(layout.input_labels()):
         raise ValueError(f"schedule labels {schedule.labels} do not match layout inputs")
     by_label = {c.role.label: c.id for c in layout.inputs()}
     couplings = coupling_map(layout)
-    n = len(layout.cells)
     samples: list[TraceSample] = []
     for vi, vector in enumerate(schedule.vectors):
-        p = [0.0] * n
-        assignments = {by_label[label]: value for label, value in vector}
+        pinned = _pinned_map(layout, {by_label[label]: value for label, value in vector})
+        p = [0.0] * len(layout.cells)
+        rows = _free_rows(layout, couplings, pinned, p)
         for s in range(clock.samples_per_cycle):
-            gammas = (
-                gamma_at(clock, 0, s),
-                gamma_at(clock, 1, s),
-                gamma_at(clock, 2, s),
-                gamma_at(clock, 3, s),
-            )
+            gammas = tuple(gamma_at(clock, zone, s) for zone in range(4))
             try:
-                p, iters = relax(
-                    layout,
-                    assignments,
-                    gammas,
-                    initial_p=p,
-                    couplings=couplings,
-                )
+                iters = _sweep(p, rows, gammas, _TOLERANCE, _MAX_SWEEPS)
             except ConvergenceFailure as fail:
                 raise ConvergenceFailure(fail.residual, vi, s) from None
             samples.append(TraceSample(vi, s, gammas, tuple(p), iters))

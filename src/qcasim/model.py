@@ -217,10 +217,8 @@ def electron_positions(
     """
     if p not in (-1, 1):
         raise ValueError("polarization must be -1 or +1")
-    h = geometry.dot_offset
-    if p == 1:
-        return ((cell.x + h, cell.y + h), (cell.x - h, cell.y - h))
-    return ((cell.x - h, cell.y + h), (cell.x + h, cell.y - h))
+    dots = dot_positions(cell, geometry)
+    return (dots[0], dots[2]) if p == 1 else (dots[1], dots[3])
 
 
 def pairs_within(cells: Sequence[Cell], radius: float) -> Iterator[tuple[int, int, float]]:

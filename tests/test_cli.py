@@ -186,6 +186,24 @@ class TestSim:
         assert main(["sim", str(path)]) == 0
         assert capsys.readouterr().out == "vector 0:  -> b=0.999985451\n"
 
+    def test_too_many_inputs_for_an_exhaustive_schedule(self, tmp_path, capsys):
+        # 13 inputs 100 nm apart, beyond each other's radius, and one output
+        cells = [Cell(f"c{k}", 100.0 * k, 0.0, Role.input(f"i{k:02d}")) for k in range(13)]
+        cells.append(Cell("out", 1300.0, 0.0, Role.output("z")))
+        path = tmp_path / "wide.qcl"
+        path.write_text(serialize_qcl(Layout(GeometryParams(), cells)))
+        assert main(["sim", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 13 inputs exceed the exhaustive limit of 12;"
+            " name the vectors with --vectors FILE\n"
+        )
+        vectors = tmp_path / "v.txt"
+        vectors.write_text(" ".join(f"i{k:02d}=1" for k in range(13)) + "\n")
+        assert main(["sim", str(path), "--vectors", str(vectors)]) == 0
+        assert capsys.readouterr().out.startswith("vector 0: i00=+1")
+
     def test_convergence_failure_exits_3(self, tmp_path, capsys):
         path = tmp_path / "stuck.qcl"
         path.write_text(_stuck_chain_doc())

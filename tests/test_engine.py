@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -21,10 +22,12 @@ from qcasim import (
     OutputReading,
     Role,
     TRUTH_MARGIN,
+    TraceSample,
     bistable_response,
     circuit_kink_energy,
     coupling_map,
     gamma_at,
+    gen_conventional_inverter,
     gen_majority,
     gen_minimal_inverter,
     gen_wire,
@@ -33,6 +36,7 @@ from qcasim import (
     simulate,
     truth_check,
 )
+from qcasim.engine import MAX_EXHAUSTIVE_INPUTS
 
 CLOCK = ClockConfig()
 GAMMA_LOW4 = (CLOCK.gamma_low,) * 4
@@ -153,6 +157,12 @@ class TestInputSchedule:
         assert sched.labels == ()
         assert sched.vectors == ((),)
 
+    def test_exhaustive_rejects_more_inputs_than_the_limit(self):
+        labels = [f"i{k:02d}" for k in range(MAX_EXHAUSTIVE_INPUTS + 1)]
+        assert len(InputSchedule.exhaustive(labels[:-1]).vectors) == 4096
+        with pytest.raises(ValueError, match="^13 inputs exceed the exhaustive limit of 12$"):
+            InputSchedule.exhaustive(labels)
+
     def test_explicit_orders_labels_within_vectors(self):
         sched = InputSchedule.explicit(["b", "a"], [{"b": -1, "a": 1}])
         assert sched.vectors == ((("a", 1), ("b", -1)),)
@@ -249,12 +259,6 @@ class TestRelax:
         p, sweeps = relax(gen_wire(20), {"c0": +1}, GAMMA_LOW4)
         assert sweeps <= 5
         assert all(v > 0.99 for v in p)
-
-    def test_precomputed_couplings_change_nothing(self):
-        layout = gen_wire(6)
-        baseline = relax(layout, {"c0": -1}, GAMMA_LOW4)
-        reused = relax(layout, {"c0": -1}, GAMMA_LOW4, couplings=coupling_map(layout))
-        assert reused == baseline
 
     def test_initial_p_must_match_length(self):
         with pytest.raises(ValueError):
@@ -381,6 +385,48 @@ class TestSimulate:
         assert exc.value.sample_index == 0
         assert exc.value.residual > 0.1
         assert "vector 0" in str(exc.value)
+
+
+def zoned_gaas_wire(n_cells: int) -> Layout:
+    """Wire at GaAs permittivity, cell i in clock zone (i // 16) % 4: the
+    clock really releases cells here, so samples take many sweeps."""
+    wire = gen_wire(n_cells, GeometryParams(relative_permittivity=12.9))
+    cells = [dataclasses.replace(c, zone=(i // 16) % 4) for i, c in enumerate(wire.cells)]
+    return Layout(wire.geometry, cells)
+
+
+class TestRelaxIsTheReference:
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: gen_wire(8), gen_majority, gen_conventional_inverter, lambda: zoned_gaas_wire(64)],
+        ids=["wire8", "majority", "conventional", "gaas_zoned64"],
+    )
+    def test_chained_relax_rebuilds_the_trace(self, build):
+        # simulate runs relax's loop sample by sample, from zeros per vector
+        layout = build()
+        schedule = InputSchedule.exhaustive(layout.input_labels())
+        by_label = {c.role.label: c.id for c in layout.inputs()}
+        chained = []
+        for vi, vector in enumerate(schedule.vectors):
+            assignments = {by_label[label]: value for label, value in vector}
+            p = [0.0] * len(layout.cells)
+            for s in range(CLOCK.samples_per_cycle):
+                gammas = tuple(gamma_at(CLOCK, z, s) for z in range(4))
+                p, iters = relax(layout, assignments, gammas, initial_p=p)
+                chained.append(TraceSample(vi, s, gammas, tuple(p), iters))
+        assert simulate(layout, CLOCK, schedule).samples == tuple(chained)
+
+    @pytest.mark.parametrize(
+        "build, total, most",
+        [(lambda: gen_wire(512), 466, 4), (lambda: zoned_gaas_wire(128), 4838, 44)],
+        ids=["wire512", "gaas_zoned128"],
+    )
+    def test_sweep_counts(self, build, total, most):
+        # the trace CSV leaves iterations out, so the sweep counts are pinned here
+        layout = build()
+        trace = simulate(layout, CLOCK, InputSchedule.exhaustive(layout.input_labels()))
+        iterations = [sample.iterations for sample in trace.samples]
+        assert (sum(iterations), max(iterations)) == (total, most)
 
 
 class TestMeasure:
