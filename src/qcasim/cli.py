@@ -84,7 +84,7 @@ def _write_bytes(path: str, text: str) -> None:
 def _load_layout(path: str) -> tuple[Layout, ClockConfig]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _CliError(2, f"cannot read {path}: {err}") from None
     layout, clock = parse_qcl(text)
     violations = validate(layout)
@@ -143,7 +143,7 @@ def _schedule_for(args: argparse.Namespace, layout: Layout) -> InputSchedule:
             raise _CliError(2, f"{err}; name the vectors with --vectors FILE") from None
     try:
         text = Path(args.vectors).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise _CliError(2, f"cannot read {args.vectors}: {err}") from None
     return InputSchedule.explicit(labels, parse_vectors(text, labels))
 

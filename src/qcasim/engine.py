@@ -11,6 +11,7 @@ order, which keeps runs exactly reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -275,6 +276,26 @@ class Trace:
     samples: tuple[TraceSample, ...]
 
 
+def _negation_is_exact(
+    layout: Layout, couplings: Sequence[Neighbours], cycle: Sequence[Sequence[float]]
+) -> bool:
+    """True when flipping every input flips the whole trace exactly, so a
+    complement's samples are its original's with each P replaced by 0.0 - P.
+
+    Fixed cells do not flip.  Otherwise the update is odd and rounding is
+    sign-symmetric, so every nonzero P flips exactly, and a field that sums
+    to zero gives +0.0 both ways, since every sum starts from +0.0.  What
+    breaks this is a nonzero field that rounds to a zero P carrying the
+    field's sign: total / (2 gamma) underflows (2 gamma > 1 J), or x * x
+    overflows in ``bistable_response`` (|x| above about 1.3e154).  The
+    bounds below rule both out, so every free zero is +0.0."""
+    if layout.fixed_cells():
+        return False
+    gammas = [g for sample in cycle for g in sample]
+    field = max((sum(abs(e) for _, e in row) for row in couplings), default=0.0)
+    return 2.0 * max(gammas) <= 1.0 and field / (2.0 * min(gammas)) < 1e150
+
+
 def simulate(
     layout: Layout,
     clock: ClockConfig,
@@ -290,18 +311,36 @@ def simulate(
     input instead of following it.  Per-vector annealing also makes the
     vectors order independent.  Pins and free-cell neighbour rows are
     built once per vector; each sample runs ``relax``'s loop on them.
+    The complement of a relaxed vector (every input flipped) reuses its
+    samples, negated, when ``_negation_is_exact`` holds: no fixed cells
+    and a clock that keeps the trace exactly odd in the inputs.
     """
     if set(schedule.labels) != set(layout.input_labels()):
         raise ValueError(f"schedule labels {schedule.labels} do not match layout inputs")
     by_label = {c.role.label: c.id for c in layout.inputs()}
     couplings = coupling_map(layout)
+    n = clock.samples_per_cycle
+    cycle = [tuple(gamma_at(clock, zone, s) for zone in range(4)) for s in range(n)]
+    mirror = _negation_is_exact(layout, couplings, cycle)
     samples: list[TraceSample] = []
+    relaxed: dict[Vector, int] = {}  # relaxed vector -> index of its first sample
     for vi, vector in enumerate(schedule.vectors):
         pinned = _pinned_map(layout, {by_label[label]: value for label, value in vector})
+        complement = tuple((label, -value) for label, value in vector)
+        start = relaxed.get(complement) if mirror else None
+        if start is not None:
+            for s in samples[start : start + n]:
+                flipped = [0.0 - v for v in s.polarizations]
+                for i, value in pinned.items():  # one float per pin, as when relaxed
+                    flipped[i] = value
+                samples.append(
+                    TraceSample(vi, s.sample_index, s.gammas, tuple(flipped), s.iterations)
+                )
+            continue
+        relaxed[vector] = len(samples)
         p = [0.0] * len(layout.cells)
         rows = _free_rows(layout, couplings, pinned, p)
-        for s in range(clock.samples_per_cycle):
-            gammas = tuple(gamma_at(clock, zone, s) for zone in range(4))
+        for s, gammas in enumerate(cycle):
             try:
                 iters = _sweep(p, rows, gammas, _TOLERANCE, _MAX_SWEEPS)
             except ConvergenceFailure as fail:
@@ -310,7 +349,7 @@ def simulate(
     return Trace(
         cell_ids=tuple(c.id for c in layout.cells),
         vectors=schedule.vectors,
-        samples_per_cycle=clock.samples_per_cycle,
+        samples_per_cycle=n,
         samples=tuple(samples),
     )
 
@@ -330,11 +369,17 @@ class Measurement:
     vectors: tuple[Vector, ...]
     readings: tuple[OutputReading, ...]
 
-    def reading(self, output: str, vector_index: int) -> OutputReading:
+    @functools.cached_property
+    def _by_key(self) -> dict[tuple[str, int], OutputReading]:
+        index: dict[tuple[str, int], OutputReading] = {}
         for r in self.readings:
-            if r.output == output and r.vector_index == vector_index:
-                return r
-        raise KeyError((output, vector_index))
+            index.setdefault((r.output, r.vector_index), r)
+        return index
+
+    def reading(self, output: str, vector_index: int) -> OutputReading:
+        """The first reading of ``output`` for ``vector_index``; KeyError
+        ((output, vector_index)) if there is none."""
+        return self._by_key[output, vector_index]
 
 
 def measure(trace: Trace, layout: Layout) -> Measurement:

@@ -148,6 +148,22 @@ class TestSim:
         assert main(["sim", str(tmp_path / "nope.qcl")]) == 2
         assert "cannot read" in capsys.readouterr().err
 
+    def test_layout_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "bad.qcl"
+        path.write_bytes(b"qcl 1\n\xff\xfe\n")
+        assert main(["sim", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {path}: 'utf-8' codec")
+
+    def test_vector_file_that_is_not_utf8(self, wire3, tmp_path, capsys):
+        vectors = tmp_path / "v.txt"
+        vectors.write_bytes(b"a=1\n\xff\n")
+        assert main(["sim", wire3, "--vectors", str(vectors)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read {vectors}: 'utf-8' codec")
+
     def test_invalid_layout(self, tmp_path, capsys):
         path = tmp_path / "bad.qcl"
         path.write_text(

@@ -34,8 +34,10 @@ from qcasim import (
     measure,
     relax,
     simulate,
+    trace_csv,
     truth_check,
 )
+from qcasim import engine
 from qcasim.engine import MAX_EXHAUSTIVE_INPUTS
 
 CLOCK = ClockConfig()
@@ -395,26 +397,66 @@ def zoned_gaas_wire(n_cells: int) -> Layout:
     return Layout(wire.geometry, cells)
 
 
+def and_gate_with_fixed_pin() -> Layout:
+    """The majority gate with input c replaced by a p=+1 fixed cell: flipping
+    both inputs does not flip the pin, so no vector mirrors another."""
+    cells = [
+        dataclasses.replace(c, role=Role.fixed(+1)) if c.id == "c2" else c
+        for c in gen_majority().cells
+    ]
+    return Layout(GeometryParams(), cells)
+
+
+def exhaustive(layout, clock=CLOCK):
+    return layout, clock, InputSchedule.exhaustive(layout.input_labels())
+
+
+def explicit(layout, vectors, clock=CLOCK):
+    return layout, clock, InputSchedule.explicit(layout.input_labels(), vectors)
+
+
+# (layout, clock, schedule) builders that simulate must reproduce exactly
+RUNS = {
+    "wire8": lambda: exhaustive(gen_wire(8)),
+    "majority": lambda: exhaustive(gen_majority()),
+    "conventional": lambda: exhaustive(gen_conventional_inverter()),
+    "gaas_zoned64": lambda: exhaustive(zoned_gaas_wire(64)),
+    "fixed_pin": lambda: exhaustive(and_gate_with_fixed_pin()),
+    # a vector, its complement, the vector again
+    "repeat": lambda: explicit(
+        gen_majority(),
+        [{"a": 1, "b": -1, "c": 1}, {"a": -1, "b": 1, "c": -1}, {"a": 1, "b": -1, "c": 1}],
+    ),
+    # free cells read +0.0 for a = +1 and -0.0 for a = -1: with 2 gamma > 1 J,
+    # total / (2 gamma) underflows; with tiny gammas, x * x overflows to inf
+    "gamma_underflow": lambda: explicit(
+        gen_wire(4), [{"a": 1}, {"a": -1}, {"a": 1}], ClockConfig(1e306, 1e305)
+    ),
+    "response_overflow": lambda: explicit(
+        gen_wire(4), [{"a": 1}, {"a": -1}], ClockConfig(1e-199, 1e-200)
+    ),
+}
+
+
 class TestRelaxIsTheReference:
-    @pytest.mark.parametrize(
-        "build",
-        [lambda: gen_wire(8), gen_majority, gen_conventional_inverter, lambda: zoned_gaas_wire(64)],
-        ids=["wire8", "majority", "conventional", "gaas_zoned64"],
-    )
-    def test_chained_relax_rebuilds_the_trace(self, build):
-        # simulate runs relax's loop sample by sample, from zeros per vector
-        layout = build()
-        schedule = InputSchedule.exhaustive(layout.input_labels())
+    @pytest.mark.parametrize("run", list(RUNS))
+    def test_chained_relax_rebuilds_the_trace(self, run):
+        # chained relax calls from zeros per vector never reuse a vector, so
+        # they check independently the samples simulate negates;
+        # repr tells -0.0 from 0.0, which == does not
+        layout, clock, schedule = RUNS[run]()
         by_label = {c.role.label: c.id for c in layout.inputs()}
         chained = []
         for vi, vector in enumerate(schedule.vectors):
             assignments = {by_label[label]: value for label, value in vector}
             p = [0.0] * len(layout.cells)
-            for s in range(CLOCK.samples_per_cycle):
-                gammas = tuple(gamma_at(CLOCK, z, s) for z in range(4))
+            for s in range(clock.samples_per_cycle):
+                gammas = tuple(gamma_at(clock, z, s) for z in range(4))
                 p, iters = relax(layout, assignments, gammas, initial_p=p)
                 chained.append(TraceSample(vi, s, gammas, tuple(p), iters))
-        assert simulate(layout, CLOCK, schedule).samples == tuple(chained)
+        samples = simulate(layout, clock, schedule).samples
+        assert samples == tuple(chained)
+        assert repr(samples) == repr(tuple(chained))
 
     @pytest.mark.parametrize(
         "build, total, most",
@@ -427,6 +469,60 @@ class TestRelaxIsTheReference:
         trace = simulate(layout, CLOCK, InputSchedule.exhaustive(layout.input_labels()))
         iterations = [sample.iterations for sample in trace.samples]
         assert (sum(iterations), max(iterations)) == (total, most)
+
+
+class TestReuse:
+    @pytest.mark.parametrize(
+        "run, calls",
+        [
+            ("wire8", 128),  # 2 vectors, the second mirrored
+            ("majority", 512),  # 8 vectors, 4 complementary pairs
+            ("fixed_pin", 4 * 128),  # a fixed cell: nothing mirrors
+            ("repeat", 2 * 128),  # the complement mirrored, the repeat relaxed
+            ("gamma_underflow", 3 * 128),  # nothing mirrors
+            ("response_overflow", 2 * 128),
+        ],
+    )
+    def test_each_vector_pair_relaxes_once(self, monkeypatch, run, calls):
+        count = 0
+        sweep = engine._sweep
+
+        def counted(*args):
+            nonlocal count
+            count += 1
+            return sweep(*args)
+
+        monkeypatch.setattr(engine, "_sweep", counted)
+        simulate(*RUNS[run]())
+        assert count == calls
+
+    def test_a_mirrored_block_shares_its_pin_floats(self):
+        # as in a relaxed block, each pin is one float object for the whole
+        # cycle, so a many-input trace takes no more memory when mirrored
+        trace = simulate(gen_wire(8), CLOCK, InputSchedule.exhaustive(["a"]))
+        n = CLOCK.samples_per_cycle
+        for block in (trace.samples[:n], trace.samples[n:]):
+            assert len({id(s.polarizations[0]) for s in block}) == 1
+
+    def test_uncoupled_cell_stays_positive_zero(self):
+        # the far cell is beyond radius_of_effect: its field is an empty sum,
+        # +0.0 for both vectors, and the negated copy must not print -0.0
+        layout = Layout(
+            GeometryParams(),
+            [
+                Cell("in", 0.0, 0.0, Role.input("a")),
+                Cell("out", 20.0, 0.0, Role.output("b")),
+                Cell("far", 500.0, 0.0, Role.normal()),
+            ],
+        )
+        trace = simulate(layout, CLOCK, InputSchedule.exhaustive(["a"]))
+        assert len(trace.samples) == 2 * CLOCK.samples_per_cycle
+        for sample in trace.samples:
+            far = sample.polarizations[2]
+            assert far == 0.0 and math.copysign(1.0, far) == 1.0
+        rows = trace_csv(trace).splitlines()[1:]
+        assert len(rows) == len(trace.samples)
+        assert all(row.split(",")[-1] == "0.000000000" for row in rows)
 
 
 class TestMeasure:
