@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from qcasim import (
@@ -219,6 +221,30 @@ class TestSim:
         vectors.write_text(" ".join(f"i{k:02d}=1" for k in range(13)) + "\n")
         assert main(["sim", str(path), "--vectors", str(vectors)]) == 0
         assert capsys.readouterr().out.startswith("vector 0: i00=+1")
+
+    def test_clock_above_the_ceiling_exits_2(self, wire3, tmp_path, capsys):
+        path = tmp_path / "hot.qcl"
+        text = Path(wire3).read_text()
+        path.write_text(text.replace("\ncell", "\nclock high=2e-18 low=1e-20\ncell", 1))
+        assert main(["sim", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "gamma_high <= 1e-18 J" in captured.err
+
+    def test_tiny_geometry_saturates_to_one(self, tmp_path, capsys):
+        # kink energies near 1e281 J make x * x overflow: the output reads +-1
+        path = tmp_path / "tiny.qcl"
+        path.write_text(
+            "qcl 1\n"
+            "geometry cell_size=1e-300 dot_diameter=1e-301 pitch=1e-300 radius=1e-299\n"
+            "cell id=a x=0 y=0 role=input label=a\n"
+            "cell id=m x=1e-300 y=0 role=normal\n"
+            "cell id=b x=2e-300 y=0 role=output label=b\n"
+        )
+        assert main(["sim", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "vector 0: a=-1 -> b=-1.000000000\nvector 1: a=+1 -> b=1.000000000\n"
+        )
 
     def test_convergence_failure_exits_3(self, tmp_path, capsys):
         path = tmp_path / "stuck.qcl"

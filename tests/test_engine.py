@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import builtins
 import dataclasses
+import io
 import math
+import re
+import tokenize
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +17,7 @@ import frozen
 from oracle import brute_fixed_point
 from qcasim import (
     Cell,
+    ChargeModel,
     ClockConfig,
     ConvergenceFailure,
     GeometryParams,
@@ -37,8 +43,8 @@ from qcasim import (
     trace_csv,
     truth_check,
 )
-from qcasim import engine
-from qcasim.engine import MAX_EXHAUSTIVE_INPUTS
+from qcasim import _sweepgen, engine
+from qcasim.engine import MAX_EXHAUSTIVE_INPUTS, MAX_GAMMA
 
 CLOCK = ClockConfig()
 GAMMA_LOW4 = (CLOCK.gamma_low,) * 4
@@ -76,6 +82,14 @@ class TestClockConfig:
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
             ClockConfig(**kwargs)
+
+    def test_rejects_gamma_above_the_ceiling(self):
+        # above 0.5 J, total / (2 gamma) would underflow to a zero that keeps
+        # the field's sign; the ceiling sits far below that
+        assert ClockConfig(MAX_GAMMA, 1e-19).gamma_high == 1e-18
+        for high in (math.nextafter(MAX_GAMMA, 1.0), 1e306, math.inf):
+            with pytest.raises(ValueError, match="gamma_high <= 1e-18 J"):
+                ClockConfig(high, 1e-20)
 
 
 class TestGammaAt:
@@ -134,6 +148,15 @@ class TestBistableResponse:
     def test_matches_closed_form_oracle(self):
         for x in (-50.0, -2.0, -0.3, 0.1, 1.0, 7.2, 1e4):
             assert bistable_response(x) == brute_fixed_point(x)
+
+    def test_saturates_exactly_where_x_squared_overflows(self):
+        edge = math.sqrt(1.7976931348623157e308)  # x * x is finite up to here
+        for x in (math.nextafter(edge, math.inf), 1.4e154, 1e300, math.inf):
+            assert repr(bistable_response(x)) == "1.0"
+            assert repr(bistable_response(-x)) == "-1.0"
+        for x in (edge / 2, 1e150, 1e-300):
+            assert bistable_response(x) == x / math.sqrt(1.0 + x * x)
+        assert math.isnan(bistable_response(math.nan))
 
 
 class TestInputSchedule:
@@ -367,6 +390,14 @@ class TestSimulate:
             assert sample.iterations >= 1
         assert [s.vector_index for s in trace.samples] == [0] * 128 + [1] * 128
 
+    def test_saturated_cells_read_exactly_one(self):
+        # at such a tiny barrier x * x overflows, and the response is +-1
+        trace = simulate(*exhaustive(gen_wire(4), ClockConfig(1e-199, 1e-200)))
+        for sample in trace.samples:
+            a = sample.polarizations[0]
+            assert [repr(v) for v in sample.polarizations] == [repr(a)] * 4
+            assert abs(a) == 1.0
+
     def test_is_deterministic(self):
         layout = gen_majority()
         sched = InputSchedule.exhaustive(["a", "b", "c"])
@@ -407,6 +438,14 @@ def and_gate_with_fixed_pin() -> Layout:
     return Layout(GeometryParams(), cells)
 
 
+def spaced_inputs(n_inputs: int) -> Layout:
+    """Inputs 100 nm apart, beyond each other's radius, and one output
+    20 nm right of the last: a single free cell."""
+    cells = [Cell(f"c{k}", 100.0 * k, 0.0, Role.input(f"i{k}")) for k in range(n_inputs)]
+    cells.append(Cell("out", 100.0 * n_inputs - 80.0, 0.0, Role.output("z")))
+    return Layout(GeometryParams(), cells)
+
+
 def exhaustive(layout, clock=CLOCK):
     return layout, clock, InputSchedule.exhaustive(layout.input_labels())
 
@@ -427,15 +466,42 @@ RUNS = {
         gen_majority(),
         [{"a": 1, "b": -1, "c": 1}, {"a": -1, "b": 1, "c": -1}, {"a": 1, "b": -1, "c": 1}],
     ),
-    # free cells read +0.0 for a = +1 and -0.0 for a = -1: with 2 gamma > 1 J,
-    # total / (2 gamma) underflows; with tiny gammas, x * x overflows to inf
+    # gammas at both ends of their range: the ceiling while released, the
+    # smallest subnormal while held, where x * x overflows and free cells
+    # read +-1; with the fixed pin, a vector, its complement, the vector again
     "gamma_underflow": lambda: explicit(
-        gen_wire(4), [{"a": 1}, {"a": -1}, {"a": 1}], ClockConfig(1e306, 1e305)
+        and_gate_with_fixed_pin(),
+        [{"a": 1, "b": -1}, {"a": -1, "b": 1}, {"a": 1, "b": -1}],
+        ClockConfig(MAX_GAMMA, 5e-324),
     ),
+    # with tiny gammas x * x overflows to inf, and free cells read exactly +-1
     "response_overflow": lambda: explicit(
         gen_wire(4), [{"a": 1}, {"a": -1}], ClockConfig(1e-199, 1e-200)
     ),
 }
+
+
+def record_tiers(monkeypatch) -> list[str]:
+    """Log "interpreted" or "compiled" for every sample simulate relaxes."""
+    log: list[str] = []
+    sweep, compile_sweep = engine._sweep, _sweepgen.compile_sweep
+
+    def interpreted(*args):
+        log.append("interpreted")
+        return sweep(*args)
+
+    def compiled(rows):
+        loop = compile_sweep(rows)
+
+        def run(*args):
+            log.append("compiled")
+            return loop(*args)
+
+        return run
+
+    monkeypatch.setattr(engine, "_sweep", interpreted)
+    monkeypatch.setattr(_sweepgen, "compile_sweep", compiled)
+    return log
 
 
 class TestRelaxIsTheReference:
@@ -479,22 +545,15 @@ class TestReuse:
             ("majority", 512),  # 8 vectors, 4 complementary pairs
             ("fixed_pin", 4 * 128),  # a fixed cell: nothing mirrors
             ("repeat", 2 * 128),  # the complement mirrored, the repeat relaxed
-            ("gamma_underflow", 3 * 128),  # nothing mirrors
-            ("response_overflow", 2 * 128),
+            ("gamma_underflow", 3 * 128),  # a fixed pin: nothing mirrors
+            ("response_overflow", 128),  # saturated at +-1: still odd
+            ("gaas_zoned64", 128),  # one vector, switching tiers partway
         ],
     )
     def test_each_vector_pair_relaxes_once(self, monkeypatch, run, calls):
-        count = 0
-        sweep = engine._sweep
-
-        def counted(*args):
-            nonlocal count
-            count += 1
-            return sweep(*args)
-
-        monkeypatch.setattr(engine, "_sweep", counted)
+        log = record_tiers(monkeypatch)
         simulate(*RUNS[run]())
-        assert count == calls
+        assert len(log) == calls
 
     def test_a_mirrored_block_shares_its_pin_floats(self):
         # as in a relaxed block, each pin is one float object for the whole
@@ -523,6 +582,142 @@ class TestReuse:
         rows = trace_csv(trace).splitlines()[1:]
         assert len(rows) == len(trace.samples)
         assert all(row.split(",")[-1] == "0.000000000" for row in rows)
+
+
+@st.composite
+def free_rows_and_state(draw):
+    """Free rows of a random off-grid layout with some fixed cells, a random
+    starting P and four gammas up to the ceiling, down to subnormal."""
+    n = draw(st.integers(2, 12))
+    jitter = st.floats(-0.9, 0.9)
+    cells = [
+        Cell(
+            f"c{k}",
+            20.0 * (k % 4) + draw(jitter),
+            20.0 * (k // 4) + draw(jitter),
+            Role.fixed(draw(st.sampled_from([-1, 1]))) if draw(st.booleans()) and k % 3 == 0
+            else Role.normal(),
+            zone=draw(st.integers(0, 3)),
+        )
+        for k in range(n)
+    ]
+    geometry = GeometryParams(
+        relative_permittivity=draw(st.sampled_from([1.0, 12.9])),
+        charge_model=draw(st.sampled_from(list(ChargeModel))),
+    )
+    layout = Layout(geometry, cells)
+    p = [draw(st.floats(-1.0, 1.0)) for _ in cells]
+    rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {}), p)
+    gammas = tuple(draw(st.floats(5e-324, MAX_GAMMA, exclude_min=False)) for _ in range(4))
+    return rows, p, gammas
+
+
+def outcome(loop, rows, p, gammas, tolerance, max_iters):
+    """(repr of the final P, sweeps used or the failure's residual)."""
+    p = list(p)
+    try:
+        result = ("sweeps", loop(p, rows, gammas, tolerance, max_iters))
+    except ConvergenceFailure as fail:
+        result = ("residual", repr(fail.residual))
+    return repr(p), result
+
+
+class TestCompiledSweep:
+    @given(
+        free_rows_and_state(),
+        st.sampled_from([(1e-7, 1000), (1e-7, 2), (0.0, 0), (0.0, 1), (0.0, 3)]),
+        st.sampled_from([1, 3, _sweepgen.ROWS_PER_PART]),
+    )
+    def test_matches_the_interpreted_loop(self, state, limits, rows_per_part):
+        rows, p, gammas = state
+        with mock.patch.object(_sweepgen, "ROWS_PER_PART", rows_per_part):
+            compiled = _sweepgen.compile_sweep(rows)
+        assert outcome(compiled, rows, p, gammas, *limits) == outcome(
+            engine._sweep, rows, p, gammas, *limits
+        )
+
+    def test_long_rows_split_across_lines(self):
+        # 99 neighbours per row, more than one expression of the source holds
+        cells = [
+            Cell(f"c{k}", 20.0 * (k % 10), 20.0 * (k // 10), Role.normal()) for k in range(100)
+        ]
+        cells[0] = dataclasses.replace(cells[0], role=Role.fixed(+1))
+        layout = Layout(GeometryParams(radius_of_effect=1000.0), cells)
+        p = [0.0] * 100
+        rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {}), p)
+        assert min(len(neighbours) for _, _, neighbours in rows) > _sweepgen.TERMS_PER_LINE
+        compiled = _sweepgen.compile_sweep(rows)
+        for gammas in (GAMMA_LOW4, (CLOCK.gamma_high,) * 4, (1e-300,) * 4):
+            assert outcome(compiled, rows, p, gammas, 1e-7, 1000) == outcome(
+                engine._sweep, rows, p, gammas, 1e-7, 1000
+            )
+
+    def test_switches_tiers_partway_through_a_vector(self, monkeypatch):
+        # one relaxed vector of 128 samples: the first ones interpreted, the
+        # rest compiled; test_chained_relax_rebuilds_the_trace checks the bytes
+        log = record_tiers(monkeypatch)
+        simulate(*RUNS["gaas_zoned64"]())
+        switch = log.index("compiled")
+        assert 0 < switch < 64
+        assert log == ["interpreted"] * switch + ["compiled"] * (128 - switch)
+
+    @pytest.mark.parametrize(
+        "build, interpreted",
+        [
+            (lambda: gen_majority(), 4 * 128),  # 938 sweeps x 2 rows
+            (lambda: gen_wire(512), 128),  # 233 sweeps x 511 rows
+            (lambda: zoned_gaas_wire(128), 23),  # 2,419 sweeps x 127 rows
+            # one free cell, 32 relaxed vectors: about 2 updates a sample
+            # never repay a compiled call's set-up
+            (lambda: spaced_inputs(6), 32 * 128),
+        ],
+        ids=["majority", "wire512", "gaas_zoned128", "one_row_many_vectors"],
+    )
+    def test_compiles_once_the_work_repays_it(self, monkeypatch, build, interpreted):
+        log = record_tiers(monkeypatch)
+        simulate(*exhaustive(build()))
+        assert log.count("interpreted") == interpreted
+        assert log[:interpreted] == ["interpreted"] * interpreted
+
+    def test_non_finite_kink_energy_stays_interpreted(self):
+        rows = [(1, 0, ((0, math.inf),)), (2, 0, ((1, 1e-21),))]
+        assert engine._compile_cost(rows) == math.inf
+        with pytest.raises(ValueError, match="finite"):
+            _sweepgen.compile_sweep(rows)
+
+    def test_source_holds_no_text_from_the_layout(self, monkeypatch):
+        # ids and labels that read as code; the generated source may hold
+        # only its fixed names, c<index>/g<zone> locals and number literals
+        hostile = ["__import__", "os.system", "exec:1", "eval+open", "breakpoint"]
+        wire = zoned_gaas_wire(64)
+        cells = [
+            dataclasses.replace(c, id=f"{hostile[i % 5]}.{i}") for i, c in enumerate(wire.cells)
+        ]
+        cells[0] = dataclasses.replace(cells[0], role=Role.input("globals"))
+        cells[-1] = dataclasses.replace(cells[-1], role=Role.output("getattr"))
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return builtins.compile(source, *args)
+
+        monkeypatch.setattr(_sweepgen, "compile", spy, raising=False)
+        simulate(*exhaustive(Layout(wire.geometry, cells)))
+        assert len(sources) == 2  # 63 free rows, in parts of 32
+        fixed = {
+            "def", "part", "p", "try", "while", "True", "residual", "x", "xx", "new",
+            "sqrt", "if", "else", "inf", "copysign", "d", "abs", "yield", "finally",
+        }
+        for source in sources:
+            for text in ["globals", "getattr", *hostile]:
+                assert text not in source
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                if token.type == tokenize.NAME:
+                    assert token.string in fixed or re.fullmatch(r"[cg][0-9]+", token.string)
+                elif token.type == tokenize.NUMBER:
+                    assert token.string == repr(float(token.string)) or token.string.isdigit()
+                elif token.type == tokenize.OP:
+                    assert token.string in "()[]:=+-*/,<>!=", token.string
 
 
 class TestMeasure:
