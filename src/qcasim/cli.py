@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -41,16 +40,9 @@ from .stdcells import (
     gen_minimal_inverter,
     gen_wire,
 )
+from .sweep import format_sweep_table, format_trend_comparison, run_sweep, sweep_csv
 
-__all__ = [
-    "REFERENCE_TREND",
-    "SweepRow",
-    "TRUTH_FUNCTIONS",
-    "format_trend_comparison",
-    "main",
-    "run_sweep",
-    "sweep_csv",
-]
+__all__ = ["TRUTH_FUNCTIONS", "main"]
 
 # name -> (input arity, truth function over {label: bool})
 TRUTH_FUNCTIONS: dict[str, tuple[int, Callable[[Mapping[str, bool]], bool]]] = {
@@ -59,22 +51,11 @@ TRUTH_FUNCTIONS: dict[str, tuple[int, Callable[[Mapping[str, bool]], bool]]] = {
     "maj": (3, lambda bits: sum(bits.values()) >= 2),
 }
 
-# Published reference points for the minimal inverter family (total kink
-# energy in J and |steady polarization| per cell count).  The geometry they
-# were measured at is not public; the trends are the comparison target.
-REFERENCE_TREND: tuple[tuple[int, float, float], ...] = (
-    (3, 6.838e-20, 0.950),
-    (4, 10.862e-20, 0.986),
-    (5, 14.986e-20, 0.994),
-    (6, 17.328e-20, 0.994),
-)
-
 
 class _CliError(Exception):
     def __init__(self, code: int, message: str) -> None:
         super().__init__(message)
         self.code = code
-        self.message = message
 
 
 def _write_bytes(path: str, text: str) -> None:
@@ -196,80 +177,6 @@ def _cmd_kink(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One minimal-inverter size: kink totals and output polarization."""
-
-    total_cells: int
-    kink_bare: float
-    kink_neut: float
-    max_abs_p: float
-    steady_p: tuple[float, ...]  # per vector, exhaustive order
-
-
-def run_sweep(extras: Sequence[int]) -> tuple[SweepRow, ...]:
-    """Simulate gen_minimal_inverter(k) for each k at the default geometry and clock."""
-    rows = []
-    for extra in extras:
-        layout = gen_minimal_inverter(extra)
-        report = circuit_kink_energy(layout)
-        schedule = InputSchedule.exhaustive(layout.input_labels())
-        measurement = measure(simulate(layout, ClockConfig(), schedule), layout)
-        readings = [measurement.reading("b", vi) for vi in range(len(schedule.vectors))]
-        rows.append(
-            SweepRow(
-                total_cells=len(layout.cells),
-                kink_bare=report.total_bare,
-                kink_neut=report.total_neutralized,
-                max_abs_p=max(r.max_abs for r in readings),
-                steady_p=tuple(r.steady for r in readings),
-            )
-        )
-    return tuple(rows)
-
-
-def sweep_csv(rows: Sequence[SweepRow]) -> str:
-    out = ["total_cells,kink_bare_J,kink_neut_J,max_abs_P,steady_P_v0,steady_P_v1"]
-    for row in rows:
-        out.append(
-            f"{row.total_cells},{format_energy(row.kink_bare)},{format_energy(row.kink_neut)},"
-            f"{format_polarization(row.max_abs_p)},"
-            f"{format_polarization(row.steady_p[0])},{format_polarization(row.steady_p[1])}"
-        )
-    return "\n".join(out) + "\n"
-
-
-def format_trend_comparison(rows: Sequence[SweepRow]) -> str:
-    """Markdown table comparing the computed sweep against REFERENCE_TREND."""
-    reference = {cells: (kink, pol) for cells, kink, pol in REFERENCE_TREND}
-    lines = [
-        "# Minimal inverter trend: computed vs reference",
-        "",
-        "Computed values use the default geometry (18 nm cells, 5 nm dots,",
-        "20 nm pitch, relative permittivity 1, neutralized charge model) and",
-        "the default four-phase clock.  The reference column reproduces",
-        "published totals for the same inverter family; the geometry behind",
-        "them is not public, so the comparison targets are the trends: total",
-        "kink energy grows with every added cell and stays in the 1e-20 J",
-        "decade, and output polarization saturates, changing by well under",
-        "0.005 between the five and six cell designs.",
-        "",
-        "| cells | kink bare (J) | kink neutralized (J) | max abs P | steady P (a=-1) | steady P (a=+1) | reference kink (J) | reference abs P |",
-        "|------:|--------------:|---------------------:|----------:|----------------:|----------------:|-------------------:|----------------:|",
-    ]
-    for row in rows:
-        ref_kink, ref_pol = reference.get(row.total_cells, (None, None))
-        ref_kink_s = format_energy(ref_kink) if ref_kink is not None else "-"
-        ref_pol_s = f"{ref_pol:.3f}" if ref_pol is not None else "-"
-        lines.append(
-            f"| {row.total_cells} | {format_energy(row.kink_bare)} |"
-            f" {format_energy(row.kink_neut)} | {format_polarization(row.max_abs_p)} |"
-            f" {format_polarization(row.steady_p[0])} | {format_polarization(row.steady_p[1])} |"
-            f" {ref_kink_s} | {ref_pol_s} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _parse_extra_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     try:
@@ -290,13 +197,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _write_bytes(args.out, sweep_csv(rows))
     if args.compare:
         _write_bytes(args.compare, format_trend_comparison(rows))
-    print("cells  kink_bare_J   kink_neut_J   max_abs_P    steady_v0     steady_v1")
-    for row in rows:
-        print(
-            f"{row.total_cells:>5}  {format_energy(row.kink_bare)}  {format_energy(row.kink_neut)}"
-            f"  {format_polarization(row.max_abs_p)}"
-            f"  {format_polarization(row.steady_p[0]):>12}  {format_polarization(row.steady_p[1]):>12}"
-        )
+    sys.stdout.write(format_sweep_table(rows))
     return 0
 
 
@@ -384,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except _CliError as err:
-        print(f"error: {err.message}", file=sys.stderr)
+        print(f"error: {err}", file=sys.stderr)
         return err.code
     except ConvergenceFailure as err:
         print(f"error: {err}", file=sys.stderr)

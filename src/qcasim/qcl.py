@@ -6,8 +6,8 @@ Fields are ``key=value`` tokens separated by whitespace; ``#`` starts a
 comment; blank lines are ignored.  Parsing either returns a layout or raises
 ParseError with a 1-based line number -- any text input must end in one of
 those two outcomes.  Serialization is canonical: fixed key order, shortest
-exact decimals for nm values, 6-significant-digit scientific notation for
-energies, so equal layouts produce byte-identical documents.
+exact decimals for nm values, clock energies in 6-digit scientific notation
+where that reads back exactly (else repr), so layout and clock round-trip.
 """
 
 from __future__ import annotations
@@ -212,14 +212,25 @@ def _format_length(value: float) -> str:
     return repr(value)
 
 
+# The number formats of every export, as %-specs so a CSV row is one template.
+ENERGY_FORMAT = "%.5e"
+POLARIZATION_FORMAT = "%.9f"
+
+
 def format_energy(value: float) -> str:
     """Scientific notation with 6 significant digits, for joule columns."""
-    return f"{value:.5e}"
+    return ENERGY_FORMAT % value
 
 
 def format_polarization(value: float) -> str:
     """Fixed point with 9 decimals, for polarization columns."""
-    return f"{value:.9f}"
+    return POLARIZATION_FORMAT % value
+
+
+def _format_clock_energy(value: float) -> str:
+    """The 6-digit form where it reads back as the same double, else repr."""
+    short = format_energy(value)
+    return short if float(short) == value else repr(value)
 
 
 def serialize_qcl(layout: Layout, clock: ClockConfig | None = None) -> str:
@@ -238,8 +249,8 @@ def serialize_qcl(layout: Layout, clock: ClockConfig | None = None) -> str:
     if clock is not None:
         lines.append(
             "clock"
-            f" high={format_energy(clock.gamma_high)}"
-            f" low={format_energy(clock.gamma_low)}"
+            f" high={_format_clock_energy(clock.gamma_high)}"
+            f" low={_format_clock_energy(clock.gamma_low)}"
             f" samples={clock.samples_per_cycle}"
         )
     for cell in layout.cells:
@@ -291,13 +302,11 @@ def parse_vectors(text: str, labels: Sequence[str]) -> list[dict[str, int]]:
 
 def kink_report_csv(report: KinkReport) -> str:
     """Pair table with a trailing TOTAL row, energies in 6-digit scientific."""
+    energies = f"{ENERGY_FORMAT},{ENERGY_FORMAT}"
+    row = "%s,%s,%.6g," + energies
     rows = ["id_a,id_b,distance_nm,ekink_bare_J,ekink_neut_J"]
-    for pair in report.pairs:
-        rows.append(
-            f"{pair.id_a},{pair.id_b},{pair.distance_nm:.6g},"
-            f"{format_energy(pair.bare)},{format_energy(pair.neutralized)}"
-        )
-    rows.append(f"TOTAL,,,{format_energy(report.total_bare)},{format_energy(report.total_neutralized)}")
+    rows.extend(row % (p.id_a, p.id_b, p.distance_nm, p.bare, p.neutralized) for p in report.pairs)
+    rows.append(("TOTAL,,," + energies) % (report.total_bare, report.total_neutralized))
     return "\n".join(rows) + "\n"
 
 
@@ -305,21 +314,18 @@ def trace_csv(trace: Trace) -> str:
     """One row per sample: vector, sample, the four zone gammas, every cell's P."""
     header = ["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3"]
     header.extend(trace.cell_ids)
+    row = ",".join(["%d,%d"] + [ENERGY_FORMAT] * 4 + [POLARIZATION_FORMAT] * len(trace.cell_ids))
     rows = [",".join(header)]
-    for sample in trace.samples:
-        cols = [str(sample.vector_index), str(sample.sample_index)]
-        cols.extend(format_energy(g) for g in sample.gammas)
-        cols.extend(format_polarization(p) for p in sample.polarizations)
-        rows.append(",".join(cols))
+    rows.extend(
+        row % (s.vector_index, s.sample_index, *s.gammas, *s.polarizations)
+        for s in trace.samples
+    )
     return "\n".join(rows) + "\n"
 
 
 def measurement_csv(measurement: Measurement) -> str:
     """One row per (output, vector): steady and peak polarization."""
+    row = f"%s,%d,{POLARIZATION_FORMAT},{POLARIZATION_FORMAT}"
     rows = ["output,vector,steady_P,max_abs_P"]
-    for r in measurement.readings:
-        rows.append(
-            f"{r.output},{r.vector_index},"
-            f"{format_polarization(r.steady)},{format_polarization(r.max_abs)}"
-        )
+    rows.extend(row % (r.output, r.vector_index, r.steady, r.max_abs) for r in measurement.readings)
     return "\n".join(rows) + "\n"

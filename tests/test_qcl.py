@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import frozen
 from qcasim import (
@@ -29,6 +29,7 @@ from qcasim import (
     simulate,
     trace_csv,
 )
+from qcasim.engine import MAX_GAMMA, Measurement, OutputReading, Trace, TraceSample
 from qcasim.qcl import format_energy, format_polarization
 
 MINIMAL_DOC = """\
@@ -43,6 +44,15 @@ geometry cell_size=18 dot_diameter=5 pitch=20 epsilon_r=1 charge_model=neutraliz
 cell id=c0 x=0 y=0 role=input label=a zone=0
 cell id=c1 x=20 y=0 role=output label=b zone=0
 """
+
+
+# CSV cell values: -0.0, subnormals, +-1.0, values half way between two
+# 9-decimal readings, and any other float.
+CSV_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]),
+    st.integers(-10**9, 10**9).map(lambda k: (k + 0.5) / 1e9),
+    st.floats(),
+)
 
 
 def err(text: str) -> ParseError:
@@ -217,6 +227,26 @@ class TestSerialize:
         assert parse_qcl(serialize_qcl(layout)) == (layout, None)
         assert parse_qcl(serialize_qcl(layout, ClockConfig())) == (layout, ClockConfig())
 
+    @given(
+        st.floats(min_value=0.0, max_value=MAX_GAMMA, exclude_min=True),
+        st.floats(min_value=0.0, max_value=MAX_GAMMA, exclude_min=True),
+        st.integers(2, 64),
+    )
+    @example(9.876543e-22, 3.8e-23, 32)
+    @example(2.000001e-22, 2.0e-22, 32)
+    @example(MAX_GAMMA, 5e-324, 2)
+    @settings(max_examples=200)
+    def test_clock_round_trip(self, a, b, quarter):
+        assume(a != b)
+        clock = ClockConfig(max(a, b), min(a, b), 4 * quarter)
+        text = serialize_qcl(gen_wire(2), clock)
+        assert parse_qcl(text) == (gen_wire(2), clock)
+        line = text.splitlines()[2]
+        for key, value in (("high", clock.gamma_high), ("low", clock.gamma_low)):
+            short = format_energy(value)
+            written = short if float(short) == value else repr(value)
+            assert f" {key}={written} " in line
+
     def test_round_trip_awkward_floats(self):
         g = GeometryParams(
             cell_size=18.25,
@@ -343,6 +373,38 @@ class TestCsvExports:
             f"b,0,-{follower},{follower}\n"
             f"b,1,{follower},{follower}\n"
         )
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_writers_match_per_value_formatting(self, data):
+        cell_ids = data.draw(st.lists(st.sampled_from(["c0", "n.1", "x_9"]), min_size=1, unique=True))
+        indices = data.draw(st.lists(st.tuples(st.integers(0, 4095), st.integers(0, 127)), max_size=6))
+
+        def values(n):
+            return tuple(data.draw(st.lists(CSV_VALUES, min_size=n, max_size=n)))
+
+        samples = [TraceSample(vi, si, values(4), values(len(cell_ids)), 1) for vi, si in indices]
+        readings = [OutputReading(label, vi, *values(2)) for label, (vi, _) in zip(cell_ids, indices)]
+
+        rows = [",".join(["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3", *cell_ids])]
+        for s in samples:
+            cols = [str(s.vector_index), str(s.sample_index)]
+            cols.extend(format_energy(g) for g in s.gammas)
+            cols.extend(format_polarization(p) for p in s.polarizations)
+            rows.append(",".join(cols))
+        trace = Trace(tuple(cell_ids), (), 128, tuple(samples))
+        assert trace_csv(trace) == "\n".join(rows) + "\n"
+
+        rows = ["output,vector,steady_P,max_abs_P"]
+        for r in readings:
+            steady, peak = format_polarization(r.steady), format_polarization(r.max_abs)
+            rows.append(f"{r.output},{r.vector_index},{steady},{peak}")
+        assert measurement_csv(Measurement((), tuple(readings))) == "\n".join(rows) + "\n"
+
+        # and each formatter agrees with format() at the same precision
+        for s in samples:
+            assert [format_energy(g) for g in s.gammas] == [f"{g:.5e}" for g in s.gammas]
+            assert [format_polarization(p) for p in s.polarizations] == [f"{p:.9f}" for p in s.polarizations]
 
     def test_formatters(self):
         assert format_energy(1.408885558268613e-20) == "1.40889e-20"
