@@ -24,6 +24,7 @@ from .engine import (
 )
 from .model import ChargeModel, GeometryParams, Layout, validate
 from .qcl import (
+    GEOMETRY_FIELDS,
     ParseError,
     format_energy,
     format_polarization,
@@ -62,12 +63,16 @@ def _write_bytes(path: str, text: str) -> None:
     Path(path).write_bytes(text.encode("utf-8"))
 
 
-def _load_layout(path: str) -> tuple[Layout, ClockConfig]:
+def _read_text(path: str) -> str:
+    """The file as text; a leading byte-order mark is dropped."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as err:
         raise _CliError(2, f"cannot read {path}: {err}") from None
-    layout, clock = parse_qcl(text)
+
+
+def _load_layout(path: str) -> tuple[Layout, ClockConfig]:
+    layout, clock = parse_qcl(_read_text(path))
     violations = validate(layout)
     if violations:
         lines = [f"{path}: invalid layout"]
@@ -77,15 +82,12 @@ def _load_layout(path: str) -> tuple[Layout, ClockConfig]:
 
 
 def _geometry_from_args(args: argparse.Namespace) -> GeometryParams:
+    given = vars(args)
+    fields = {name: given[key] for key, (name, _, _) in GEOMETRY_FIELDS.items() if key in given}
+    if "charge_model" in fields:
+        fields["charge_model"] = ChargeModel(fields["charge_model"])
     try:
-        return GeometryParams(
-            cell_size=args.cell_size,
-            dot_diameter=args.dot_diameter,
-            pitch=args.pitch,
-            relative_permittivity=args.epsilon_r,
-            charge_model=ChargeModel(args.charge_model),
-            radius_of_effect=args.radius,
-        )
+        return GeometryParams(**fields)
     except ValueError as err:
         raise _CliError(2, f"bad geometry: {err}") from None
 
@@ -122,11 +124,7 @@ def _schedule_for(args: argparse.Namespace, layout: Layout) -> InputSchedule:
             return InputSchedule.exhaustive(labels)
         except ValueError as err:
             raise _CliError(2, f"{err}; name the vectors with --vectors FILE") from None
-    try:
-        text = Path(args.vectors).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as err:
-        raise _CliError(2, f"cannot read {args.vectors}: {err}") from None
-    return InputSchedule.explicit(labels, parse_vectors(text, labels))
+    return InputSchedule.explicit(labels, parse_vectors(_read_text(args.vectors), labels))
 
 
 def _format_vector(vector: Sequence[tuple[str, int]]) -> str:
@@ -235,12 +233,13 @@ def _build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a standard circuit as .qcl")
     gen.add_argument("kind", help="wire:N | majority | inverter:conventional | inverter:K (K cells, 2..6)")
     gen.add_argument("--out", help="write the document here instead of stdout")
-    gen.add_argument("--cell-size", type=float, default=18.0)
-    gen.add_argument("--dot-diameter", type=float, default=5.0)
-    gen.add_argument("--pitch", type=float, default=20.0)
-    gen.add_argument("--epsilon-r", type=float, default=1.0)
-    gen.add_argument("--charge-model", choices=["bare", "neutralized"], default="neutralized")
-    gen.add_argument("--radius", type=float, default=65.0)
+    # one flag per .qcl geometry key; a flag left out keeps the GeometryParams default
+    for key, (name, _, _) in GEOMETRY_FIELDS.items():
+        if name == "charge_model":
+            options = {"choices": [model.value for model in ChargeModel]}
+        else:
+            options = {"type": float}
+        gen.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS, **options)
     gen.set_defaults(func=_cmd_gen)
 
     sim = sub.add_parser("sim", help="simulate a layout over input vectors")

@@ -131,6 +131,15 @@ class InputSchedule:
     labels: tuple[str, ...]
     vectors: tuple[Vector, ...]
 
+    def __post_init__(self) -> None:
+        if not self.vectors:
+            raise ValueError("need at least one vector")
+        for i, vector in enumerate(self.vectors):
+            if tuple(label for label, _ in vector) != tuple(self.labels):
+                raise ValueError(f"vector {i} must assign exactly the labels {self.labels}")
+            if any(value not in (-1, 1) for _, value in vector):
+                raise ValueError(f"vector {i}: values must be -1 or +1")
+
     @classmethod
     def exhaustive(cls, labels: Iterable[str]) -> "InputSchedule":
         """All 2^n assignments in binary order; first sorted label is the
@@ -149,17 +158,7 @@ class InputSchedule:
         cls, labels: Iterable[str], vectors: Iterable[Mapping[str, int]]
     ) -> "InputSchedule":
         """A caller-chosen vector list; every vector must assign every label."""
-        names = tuple(sorted(labels))
-        rows: list[Vector] = []
-        for i, vec in enumerate(vectors):
-            if set(vec) != set(names):
-                raise ValueError(f"vector {i} must assign exactly the labels {names}")
-            if any(v not in (-1, 1) for v in vec.values()):
-                raise ValueError(f"vector {i}: values must be -1 or +1")
-            rows.append(tuple((name, vec[name]) for name in names))
-        if not rows:
-            raise ValueError("need at least one vector")
-        return cls(names, tuple(rows))
+        return cls(tuple(sorted(labels)), tuple(tuple(sorted(vec.items())) for vec in vectors))
 
 
 def bistable_response(x: float) -> float:

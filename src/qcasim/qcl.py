@@ -13,7 +13,7 @@ where that reads back exactly (else repr), so layout and clock round-trip.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Mapping, Sequence
+from typing import Any, Callable, Container, Iterator, Sequence
 
 from .engine import ClockConfig, Measurement, Trace
 from .electrostatics import KinkReport
@@ -41,8 +41,6 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-_GEOMETRY_KEYS = ("cell_size", "dot_diameter", "pitch", "epsilon_r", "charge_model", "radius")
-_CLOCK_KEYS = ("high", "low", "samples")
 _CELL_KEYS = ("id", "x", "y", "role", "label", "p", "zone")
 _ROLE_NAMES = {kind.value: kind for kind in RoleKind}
 
@@ -54,7 +52,7 @@ def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
             yield number, line
 
 
-def _key_values(tokens: Sequence[str], line: int, allowed: Sequence[str]) -> dict[str, str]:
+def _key_values(tokens: Sequence[str], line: int, allowed: Container[str]) -> dict[str, str]:
     pairs: dict[str, str] = {}
     for token in tokens:
         key, sep, value = token.partition("=")
@@ -68,58 +66,34 @@ def _key_values(tokens: Sequence[str], line: int, allowed: Sequence[str]) -> dic
     return pairs
 
 
-def _number(pairs: Mapping[str, str], key: str, line: int, default: float) -> float:
-    if key not in pairs:
-        return default
+def _number(key: str, text: str, line: int) -> float:
     try:
-        value = float(pairs[key])
+        value = float(text)
     except ValueError:
-        raise ParseError(line, f"bad number for {key!r}: {pairs[key]!r}") from None
+        raise ParseError(line, f"bad number for {key!r}: {text!r}") from None
     if not math.isfinite(value):
         raise ParseError(line, f"{key!r} must be finite")
     return value
 
 
-def _integer(pairs: Mapping[str, str], key: str, line: int, default: int) -> int:
-    if key not in pairs:
-        return default
+def _integer(key: str, text: str, line: int) -> int:
     try:
-        return int(pairs[key], 10)
+        return int(text, 10)
     except ValueError:
-        raise ParseError(line, f"bad integer for {key!r}: {pairs[key]!r}") from None
+        raise ParseError(line, f"bad integer for {key!r}: {text!r}") from None
 
 
-def _parse_geometry(tokens: Sequence[str], line: int) -> GeometryParams:
-    pairs = _key_values(tokens, line, _GEOMETRY_KEYS)
-    defaults = GeometryParams()
-    model = defaults.charge_model
-    if "charge_model" in pairs:
-        try:
-            model = ChargeModel(pairs["charge_model"])
-        except ValueError:
-            raise ParseError(line, f"unknown charge_model {pairs['charge_model']!r}") from None
+def _charge_model(key: str, text: str, line: int) -> ChargeModel:
     try:
-        return GeometryParams(
-            cell_size=_number(pairs, "cell_size", line, defaults.cell_size),
-            dot_diameter=_number(pairs, "dot_diameter", line, defaults.dot_diameter),
-            pitch=_number(pairs, "pitch", line, defaults.pitch),
-            relative_permittivity=_number(pairs, "epsilon_r", line, defaults.relative_permittivity),
-            charge_model=model,
-            radius_of_effect=_number(pairs, "radius", line, defaults.radius_of_effect),
-        )
-    except ValueError as err:
-        raise ParseError(line, str(err)) from None
+        return ChargeModel(text)
+    except ValueError:
+        raise ParseError(line, f"unknown {key} {text!r}") from None
 
 
-def _parse_clock(tokens: Sequence[str], line: int) -> ClockConfig:
-    pairs = _key_values(tokens, line, _CLOCK_KEYS)
-    defaults = ClockConfig()
+def _construct(line: int, cls: Callable[..., Any], **fields: Any) -> Any:
+    """``cls(**fields)``, its ValueError reported as a ParseError on ``line``."""
     try:
-        return ClockConfig(
-            gamma_high=_number(pairs, "high", line, defaults.gamma_high),
-            gamma_low=_number(pairs, "low", line, defaults.gamma_low),
-            samples_per_cycle=_integer(pairs, "samples", line, defaults.samples_per_cycle),
-        )
+        return cls(**fields)
     except ValueError as err:
         raise ParseError(line, str(err)) from None
 
@@ -143,65 +117,19 @@ def _parse_cell(tokens: Sequence[str], line: int) -> Cell:
     if kind is RoleKind.FIXED:
         if "p" not in pairs:
             raise ParseError(line, "role 'fixed' requires p=")
-        polarization = _integer(pairs, "p", line, 0)
+        polarization = _integer("p", pairs["p"], line)
     elif "p" in pairs:
         raise ParseError(line, f"role {role_name!r} takes no p")
-    try:
-        role = Role(kind, label=label, polarization=polarization)
-        return Cell(
-            id=pairs["id"],
-            x=_number(pairs, "x", line, 0.0),
-            y=_number(pairs, "y", line, 0.0),
-            role=role,
-            zone=_integer(pairs, "zone", line, 0),
-        )
-    except ParseError:
-        raise
-    except ValueError as err:
-        raise ParseError(line, str(err)) from None
-
-
-def parse_qcl(text: str) -> tuple[Layout, ClockConfig | None]:
-    """Parse a .qcl document into (layout, clock-or-None).
-
-    The geometry and clock lines are optional (defaults apply) but must
-    appear at most once each and before any cell line.
-    """
-    lines = _significant_lines(text)
-    try:
-        line, header = next(lines)
-    except StopIteration:
-        raise ParseError(1, "empty document, expected 'qcl 1' header") from None
-    if header.split() != ["qcl", "1"]:
-        raise ParseError(line, f"expected 'qcl 1' header, got {header!r}")
-
-    geometry: GeometryParams | None = None
-    clock: ClockConfig | None = None
-    cells: list[Cell] = []
-    ids: set[str] = set()
-    for line, content in lines:
-        directive, *tokens = content.split()
-        if directive == "geometry":
-            if geometry is not None:
-                raise ParseError(line, "duplicate geometry line")
-            if cells:
-                raise ParseError(line, "geometry line must precede cell lines")
-            geometry = _parse_geometry(tokens, line)
-        elif directive == "clock":
-            if clock is not None:
-                raise ParseError(line, "duplicate clock line")
-            if cells:
-                raise ParseError(line, "clock line must precede cell lines")
-            clock = _parse_clock(tokens, line)
-        elif directive == "cell":
-            cell = _parse_cell(tokens, line)
-            if cell.id in ids:
-                raise ParseError(line, f"duplicate cell id {cell.id!r}")
-            ids.add(cell.id)
-            cells.append(cell)
-        else:
-            raise ParseError(line, f"unknown directive {directive!r}")
-    return Layout(geometry or GeometryParams(), cells), clock
+    role = _construct(line, Role, kind=kind, label=label, polarization=polarization)
+    return _construct(
+        line,
+        Cell,
+        id=pairs["id"],
+        x=_number("x", pairs["x"], line),
+        y=_number("y", pairs["y"], line),
+        role=role,
+        zone=_integer("zone", pairs.get("zone", "0"), line),
+    )
 
 
 def _format_length(value: float) -> str:
@@ -233,26 +161,87 @@ def _format_clock_energy(value: float) -> str:
     return short if float(short) == value else repr(value)
 
 
+# One row per key of the geometry and clock lines, in canonical order:
+# .qcl key -> (dataclass field, parser(key, text, line), formatter).
+_Field = tuple[str, Callable[[str, str, int], Any], Callable[[Any], str]]
+GEOMETRY_FIELDS: dict[str, _Field] = {
+    "cell_size": ("cell_size", _number, _format_length),
+    "dot_diameter": ("dot_diameter", _number, _format_length),
+    "pitch": ("pitch", _number, _format_length),
+    "epsilon_r": ("relative_permittivity", _number, _format_length),
+    "charge_model": ("charge_model", _charge_model, lambda model: model.value),
+    "radius": ("radius_of_effect", _number, _format_length),
+}
+CLOCK_FIELDS: dict[str, _Field] = {
+    "high": ("gamma_high", _number, _format_clock_energy),
+    "low": ("gamma_low", _number, _format_clock_energy),
+    "samples": ("samples_per_cycle", _integer, str),
+}
+# directive -> (dataclass, fields); keys a line leaves out keep the defaults
+_CONFIG_LINES = {
+    "geometry": (GeometryParams, GEOMETRY_FIELDS),
+    "clock": (ClockConfig, CLOCK_FIELDS),
+}
+
+
+def _parse_fields(
+    cls: Callable[..., Any], fields: dict[str, _Field], tokens: Sequence[str], line: int
+) -> Any:
+    pairs = _key_values(tokens, line, fields)
+    values = {
+        name: parse(key, pairs[key], line)
+        for key, (name, parse, _) in fields.items()
+        if key in pairs
+    }
+    return _construct(line, cls, **values)
+
+
+def _format_fields(directive: str, fields: dict[str, _Field], config: object) -> str:
+    tokens = [f"{key}={fmt(getattr(config, name))}" for key, (name, _, fmt) in fields.items()]
+    return " ".join([directive, *tokens])
+
+
+def parse_qcl(text: str) -> tuple[Layout, ClockConfig | None]:
+    """Parse a .qcl document into (layout, clock-or-None).
+
+    The geometry and clock lines are optional (defaults apply) but must
+    appear at most once each and before any cell line.
+    """
+    lines = _significant_lines(text)
+    try:
+        line, header = next(lines)
+    except StopIteration:
+        raise ParseError(1, "empty document, expected 'qcl 1' header") from None
+    if header.split() != ["qcl", "1"]:
+        raise ParseError(line, f"expected 'qcl 1' header, got {header!r}")
+
+    configs: dict[str, Any] = {}
+    cells: list[Cell] = []
+    ids: set[str] = set()
+    for line, content in lines:
+        directive, *tokens = content.split()
+        if directive in _CONFIG_LINES:
+            if directive in configs:
+                raise ParseError(line, f"duplicate {directive} line")
+            if cells:
+                raise ParseError(line, f"{directive} line must precede cell lines")
+            configs[directive] = _parse_fields(*_CONFIG_LINES[directive], tokens, line)
+        elif directive == "cell":
+            cell = _parse_cell(tokens, line)
+            if cell.id in ids:
+                raise ParseError(line, f"duplicate cell id {cell.id!r}")
+            ids.add(cell.id)
+            cells.append(cell)
+        else:
+            raise ParseError(line, f"unknown directive {directive!r}")
+    return Layout(configs.get("geometry") or GeometryParams(), cells), configs.get("clock")
+
+
 def serialize_qcl(layout: Layout, clock: ClockConfig | None = None) -> str:
     """Canonical text form; parse(serialize(layout)) reproduces the layout."""
-    g = layout.geometry
-    lines = [
-        "qcl 1",
-        "geometry"
-        f" cell_size={_format_length(g.cell_size)}"
-        f" dot_diameter={_format_length(g.dot_diameter)}"
-        f" pitch={_format_length(g.pitch)}"
-        f" epsilon_r={_format_length(g.relative_permittivity)}"
-        f" charge_model={g.charge_model.value}"
-        f" radius={_format_length(g.radius_of_effect)}",
-    ]
+    lines = ["qcl 1", _format_fields("geometry", GEOMETRY_FIELDS, layout.geometry)]
     if clock is not None:
-        lines.append(
-            "clock"
-            f" high={_format_clock_energy(clock.gamma_high)}"
-            f" low={_format_clock_energy(clock.gamma_low)}"
-            f" samples={clock.samples_per_cycle}"
-        )
+        lines.append(_format_fields("clock", CLOCK_FIELDS, clock))
     for cell in layout.cells:
         parts = [
             f"cell id={cell.id}",

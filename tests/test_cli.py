@@ -95,6 +95,8 @@ class TestGen:
     def test_geometry_flags_flow_into_the_document(self, capsys):
         argv = [
             "gen", "wire:2",
+            "--cell-size", "10",
+            "--dot-diameter", "2",
             "--pitch", "40",
             "--epsilon-r", "12.9",
             "--charge-model", "bare",
@@ -103,6 +105,8 @@ class TestGen:
         assert main(argv) == 0
         doc = capsys.readouterr().out
         wanted = GeometryParams(
+            cell_size=10.0,
+            dot_diameter=2.0,
             pitch=40.0,
             relative_permittivity=12.9,
             charge_model=ChargeModel.BARE,
@@ -165,6 +169,22 @@ class TestSim:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read {vectors}: 'utf-8' codec")
+
+    def test_layout_file_with_a_byte_order_mark(self, wire3, tmp_path, capsys):
+        path = tmp_path / "bom.qcl"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(wire3).read_bytes())
+        assert main(["sim", wire3]) == 0
+        plain = capsys.readouterr()
+        assert main(["sim", str(path)]) == 0
+        assert capsys.readouterr() == plain
+
+    def test_vector_file_with_a_byte_order_mark(self, wire3, tmp_path, capsys):
+        vectors = tmp_path / "v.txt"
+        vectors.write_bytes(b"\xef\xbb\xbfa=1\n")
+        assert main(["sim", wire3, "--vectors", str(vectors)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("vector 0: a=+1 -> b=0.99")
 
     def test_invalid_layout(self, tmp_path, capsys):
         path = tmp_path / "bad.qcl"

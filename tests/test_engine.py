@@ -205,6 +205,21 @@ class TestInputSchedule:
         with pytest.raises(ValueError):
             InputSchedule.explicit(["a", "b"], vectors)
 
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [
+            ((), "need at least one vector"),
+            (((("z", 1),),), "vector 0 must assign exactly the labels ('a', 'b')"),
+            (((("b", 1), ("a", 1)),), "vector 0 must assign exactly the labels ('a', 'b')"),
+            (((("a", 1), ("b", 1)), (("a", 2), ("b", 1))), "vector 1: values must be -1 or +1"),
+        ],
+    )
+    def test_construction_checks_the_vectors(self, vectors, message):
+        # a hand-built schedule gets the same checks as explicit(), before simulate sees it
+        with pytest.raises(ValueError) as exc:
+            InputSchedule(("a", "b"), vectors)
+        assert str(exc.value) == message
+
 
 class TestCouplingMap:
     def test_wire_neighbor_lists(self):

@@ -138,6 +138,8 @@ class TestParse:
             ("geometry pitch=inf", 2, "finite"),
             ("geometry pitch=10", 2, "pitch"),
             ("geometry charge_model=ionic", 2, "charge_model"),
+            # two bad fields: the first in canonical key order is reported
+            ("geometry cell_size=x charge_model=ionic", 2, "bad number for 'cell_size'"),
             ("clock high=1e-23 low=9e-22", 2, "gamma_high"),
             ("clock samples=50", 2, "samples_per_cycle"),
             ("clock samples=12.5", 2, "bad integer"),
@@ -158,6 +160,17 @@ class TestParse:
         e = err("qcl 1\n" + body + "\n")
         assert e.line == line
         assert fragment in e.reason
+        assert not e.reason.startswith("line ")
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("geometry pitch=fast", "line 2: bad number for 'pitch': 'fast'"),
+            ("clock low=nan", "line 2: 'low' must be finite"),
+        ],
+    )
+    def test_bad_field_message_names_the_line_once(self, body, message):
+        assert str(err("qcl 1\n" + body + "\n")) == message
 
     def test_error_lines_count_comments_and_blanks(self):
         doc = "# one\n\nqcl 1\n# four\ncell id=c0 x=0 y=0 role=wat\n"
