@@ -46,7 +46,8 @@ _ROLE_NAMES = {kind.value: kind for kind in RoleKind}
 
 
 def _significant_lines(text: str) -> Iterator[tuple[int, str]]:
-    for number, raw in enumerate(text.splitlines(), start=1):
+    text = text.replace("\r\n", "\n").replace("\r", "\n")  # lines end at \r\n, \r or \n only
+    for number, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield number, line

@@ -1,9 +1,12 @@
 """Generators for the standard test circuits.
 
-All generators are pure: same arguments, same layout.  Cells are listed in
-signal-flow order (drivers first), which is also the engine's sweep order.
-Ids are c0, c1, ... in that order; inputs are labeled a (then b, c), the
-output is labeled b for two-terminal circuits and m for the majority gate.
+All generators are pure: same arguments, same layout.  Each circuit is a
+list of (column, row, role) spots on the pitch grid: the cell sits at
+(column * pitch, row * pitch), +x is the signal direction and +y is up.
+Spots are listed in signal-flow order (drivers first), which is also the
+engine's sweep order.  Ids are c0, c1, ... in that order; inputs are
+labeled a (then b, c), the output is labeled b for two-terminal circuits
+and m for the majority gate.
 """
 
 from __future__ import annotations
@@ -17,18 +20,27 @@ __all__ = [
     "gen_minimal_inverter",
 ]
 
+_NORMAL = Role.normal()
+
+
+def _grid_layout(geometry: GeometryParams | None, spots: list[tuple[int, int, Role]]) -> Layout:
+    """Number the spots c0, c1, ... in order and scale them by the pitch."""
+    geometry = geometry or GeometryParams()
+    pitch = geometry.pitch
+    cells = [
+        Cell(f"c{i}", col * pitch, row * pitch, role)
+        for i, (col, row, role) in enumerate(spots)
+    ]
+    return Layout(geometry, cells)
+
 
 def gen_wire(n: int, geometry: GeometryParams | None = None) -> Layout:
     """Straight horizontal wire of ``n`` >= 2 cells along +x."""
     if n < 2:
         raise ValueError("a wire needs at least 2 cells")
-    geometry = geometry or GeometryParams()
-    step = geometry.pitch
-    cells = [Cell("c0", 0.0, 0.0, Role.input("a"))]
-    for i in range(1, n - 1):
-        cells.append(Cell(f"c{i}", i * step, 0.0, Role.normal()))
-    cells.append(Cell(f"c{n - 1}", (n - 1) * step, 0.0, Role.output("b")))
-    return Layout(geometry, cells)
+    interior = [(col, 0, _NORMAL) for col in range(1, n - 1)]
+    spots = [(0, 0, Role.input("a")), *interior, (n - 1, 0, Role.output("b"))]
+    return _grid_layout(geometry, spots)
 
 
 def gen_majority(geometry: GeometryParams | None = None) -> Layout:
@@ -36,16 +48,12 @@ def gen_majority(geometry: GeometryParams | None = None) -> Layout:
 
     Output follows the majority of inputs a, b, c.
     """
-    geometry = geometry or GeometryParams()
-    step = geometry.pitch
-    cells = [
-        Cell("c0", -step, 0.0, Role.input("a")),
-        Cell("c1", 0.0, step, Role.input("b")),
-        Cell("c2", 0.0, -step, Role.input("c")),
-        Cell("c3", 0.0, 0.0, Role.normal()),
-        Cell("c4", step, 0.0, Role.output("m")),
+    spots = [
+        (-1, 0, Role.input("a")), (0, 1, Role.input("b")), (0, -1, Role.input("c")),
+        (0, 0, _NORMAL),
+        (1, 0, Role.output("m")),
     ]
-    return Layout(geometry, cells)
+    return _grid_layout(geometry, spots)
 
 
 def gen_conventional_inverter(geometry: GeometryParams | None = None) -> Layout:
@@ -56,22 +64,14 @@ def gen_conventional_inverter(geometry: GeometryParams | None = None) -> Layout:
     anti-aligning coupling performs the single inversion; a final cell reads
     it out.
     """
-    geometry = geometry or GeometryParams()
-    s = geometry.pitch
-    cells = [
-        Cell("c0", 0.0, 0.0, Role.input("a")),
-        Cell("c1", s, 0.0, Role.normal()),
-        Cell("c2", 2 * s, 0.0, Role.normal()),
-        Cell("c3", 2 * s, s, Role.normal()),
-        Cell("c4", 3 * s, s, Role.normal()),
-        Cell("c5", 4 * s, s, Role.normal()),
-        Cell("c6", 2 * s, -s, Role.normal()),
-        Cell("c7", 3 * s, -s, Role.normal()),
-        Cell("c8", 4 * s, -s, Role.normal()),
-        Cell("c9", 5 * s, 0.0, Role.normal()),
-        Cell("c10", 6 * s, 0.0, Role.output("b")),
+    spots = [
+        (0, 0, Role.input("a")), (1, 0, _NORMAL), (2, 0, _NORMAL),  # input wire
+        (2, 1, _NORMAL), (3, 1, _NORMAL), (4, 1, _NORMAL),  # upper branch
+        (2, -1, _NORMAL), (3, -1, _NORMAL), (4, -1, _NORMAL),  # lower branch
+        (5, 0, _NORMAL),  # convergence cell
+        (6, 0, Role.output("b")),
     ]
-    return Layout(geometry, cells)
+    return _grid_layout(geometry, spots)
 
 
 def gen_minimal_inverter(extra: int, geometry: GeometryParams | None = None) -> Layout:
@@ -86,21 +86,7 @@ def gen_minimal_inverter(extra: int, geometry: GeometryParams | None = None) -> 
     """
     if extra < -1:
         raise ValueError("extra must be at least -1")
-    geometry = geometry or GeometryParams()
-    s = geometry.pitch
-    if extra == -1:
-        cells = [
-            Cell("c0", 0.0, 0.0, Role.input("a")),
-            Cell("c1", 2 * s, s, Role.output("b")),
-        ]
-        return Layout(geometry, cells)
-    cells = [
-        Cell("c0", 0.0, 0.0, Role.input("a")),
-        Cell("c1", s, 0.0, Role.normal()),
-        Cell("c2", 2 * s, s, Role.normal()),
-    ]
-    for i in range(extra):
-        cells.append(Cell(f"c{3 + i}", (3 + i) * s, s, Role.normal()))
-    last = cells.pop()
-    cells.append(Cell(last.id, last.x, last.y, Role.output("b"), last.zone))
-    return Layout(geometry, cells)
+    coupler = [(1, 0, _NORMAL)] if extra >= 0 else []
+    last = 2 + max(extra, 0)
+    offset_row = [(col, 1, _NORMAL) for col in range(2, last)] + [(last, 1, Role.output("b"))]
+    return _grid_layout(geometry, [(0, 0, Role.input("a")), *coupler, *offset_row])

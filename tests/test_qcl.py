@@ -176,6 +176,25 @@ class TestParse:
         doc = "# one\n\nqcl 1\n# four\ncell id=c0 x=0 y=0 role=wat\n"
         assert err(doc).line == 5
 
+    @pytest.mark.parametrize("mark, word", [("\f", "break"), ("\u2028", "here")])
+    def test_only_newlines_end_a_comment(self, mark, word):
+        doc = f"qcl 1\n# page{mark}{word}\ncell id=c0 x=0 y=0 role=wat\n"
+        assert str(err(doc)) == "line 3: unknown role 'wat'"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_universal_newlines_end_lines(self, end):
+        doc = end.join(["qcl 1", "# two", "cell id=c0 x=0 y=0 role=wat", ""])
+        assert str(err(doc)) == "line 3: unknown role 'wat'"
+
+    def test_vertical_tab_separates_fields(self):
+        layout, _ = parse_qcl("qcl 1\ncell id=c0\vx=0 y=0 role=input label=a\n")
+        assert layout.cells == (Cell("c0", 0.0, 0.0, Role.input("a")),)
+
+    def test_next_line_character_does_not_end_the_header(self):
+        e = err("qcl 1\x85cell id=c0 x=0 y=0 role=input label=a\n")
+        assert e.line == 1
+        assert "expected 'qcl 1' header" in e.reason
+
     def test_structural_ordering_rules(self):
         cell = "cell id=c0 x=0 y=0 role=normal\n"
         assert err("qcl 1\ngeometry pitch=20\ngeometry pitch=20\n").line == 3
@@ -334,6 +353,9 @@ class TestParseVectors:
             parse_vectors(text, ["a", "b"])
         assert exc.value.line == line
         assert fragment in exc.value.reason
+
+    def test_form_feed_stays_inside_a_comment(self):
+        assert parse_vectors("# a\fb=1\na=1\n", ["a"]) == [{"a": 1}]
 
     def test_feeds_explicit_schedules(self):
         rows = parse_vectors("a=-1\na=1\n", ["a"])

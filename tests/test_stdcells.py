@@ -5,15 +5,21 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcasim import (
+    Cell,
+    ChargeModel,
     GeometryParams,
+    Layout,
+    Role,
     RoleKind,
     gen_conventional_inverter,
     gen_majority,
     gen_minimal_inverter,
     gen_wire,
     kink_energy,
+    serialize_qcl,
     validate,
 )
 
@@ -28,6 +34,81 @@ GENERATORS = [
     lambda: gen_minimal_inverter(0),
     lambda: gen_minimal_inverter(3),
 ]
+
+
+# Valid geometries at any float pitch; only the pitch moves a generated cell.
+GEOMETRIES = st.builds(
+    lambda pitch, fill, eps, model: GeometryParams(
+        cell_size=pitch * fill,
+        dot_diameter=pitch * fill / 4,
+        pitch=pitch,
+        relative_permittivity=eps,
+        charge_model=model,
+        radius_of_effect=3 * pitch,
+    ),
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.floats(min_value=0.5, max_value=1.0),
+    st.floats(min_value=1.0, max_value=20.0),
+    st.sampled_from(ChargeModel),
+)
+
+
+def reference_layouts(n, g):
+    """Every standard layout written out one Cell per cell, as pitch
+    multiples and literal zeros: (generated, reference) pairs."""
+    s = g.pitch
+    a, b, normal = Role.input("a"), Role.output("b"), Role.normal()
+    wire = [Cell("c0", 0.0, 0.0, a)]
+    wire += [Cell(f"c{i}", i * s, 0.0, normal) for i in range(1, n - 1)]
+    wire.append(Cell(f"c{n - 1}", (n - 1) * s, 0.0, b))
+    majority = [
+        Cell("c0", -s, 0.0, a),
+        Cell("c1", 0.0, s, Role.input("b")),
+        Cell("c2", 0.0, -s, Role.input("c")),
+        Cell("c3", 0.0, 0.0, normal),
+        Cell("c4", s, 0.0, Role.output("m")),
+    ]
+    conventional = [
+        Cell("c0", 0.0, 0.0, a),
+        Cell("c1", s, 0.0, normal),
+        Cell("c2", 2 * s, 0.0, normal),
+        Cell("c3", 2 * s, s, normal),
+        Cell("c4", 3 * s, s, normal),
+        Cell("c5", 4 * s, s, normal),
+        Cell("c6", 2 * s, -s, normal),
+        Cell("c7", 3 * s, -s, normal),
+        Cell("c8", 4 * s, -s, normal),
+        Cell("c9", 5 * s, 0.0, normal),
+        Cell("c10", 6 * s, 0.0, b),
+    ]
+    pairs = [
+        (gen_wire(n, g), wire),
+        (gen_majority(g), majority),
+        (gen_conventional_inverter(g), conventional),
+        (gen_minimal_inverter(-1, g), [Cell("c0", 0.0, 0.0, a), Cell("c1", 2 * s, s, b)]),
+    ]
+    for extra in range(5):
+        minimal = [Cell("c0", 0.0, 0.0, a), Cell("c1", s, 0.0, normal)]
+        minimal += [Cell(f"c{2 + i}", (2 + i) * s, s, normal) for i in range(extra)]
+        minimal.append(Cell(f"c{2 + extra}", (2 + extra) * s, s, b))
+        pairs.append((gen_minimal_inverter(extra, g), minimal))
+    return [(built, Layout(g, cells)) for built, cells in pairs]
+
+
+@given(st.integers(min_value=2, max_value=12), GEOMETRIES)
+@example(2, GeometryParams())
+@example(12, GeometryParams(cell_size=18.25, dot_diameter=5.5, pitch=20.125))
+@settings(max_examples=150)
+def test_generators_match_the_per_cell_reference_at_any_pitch(n, geometry):
+    for built, reference in reference_layouts(n, geometry):
+        assert repr(built) == repr(reference)
+
+
+def test_int_pitch_matches_the_reference_by_value():
+    # The grid gives int 0 where the reference writes 0.0: equal values, same text.
+    for built, reference in reference_layouts(5, GeometryParams(pitch=20)):
+        assert built == reference
+        assert serialize_qcl(built) == serialize_qcl(reference)
 
 
 def positions(layout):
