@@ -112,7 +112,8 @@ class Role:
             if self.polarization is not None:
                 raise ValueError(f"{self.kind.value} role takes no polarization")
         elif self.kind is RoleKind.FIXED:
-            if self.polarization not in (-1, 1):
+            # an int, not a bool or float: the text form writes it with %+d
+            if type(self.polarization) is not int or self.polarization not in (-1, 1):
                 raise ValueError("fixed role needs polarization -1 or +1")
             if self.label is not None:
                 raise ValueError("fixed role takes no label")
@@ -154,7 +155,8 @@ class Cell:
             raise ValueError(f"cell {self.id}: position must be finite")
         if not isinstance(self.role, Role):
             raise ValueError(f"cell {self.id}: role must be a Role")
-        if self.zone not in (0, 1, 2, 3):
+        # an int, not a bool or float, so the text form reads it back
+        if type(self.zone) is not int or self.zone not in (0, 1, 2, 3):
             raise ValueError(f"cell {self.id}: clock zone must be 0..3")
 
 

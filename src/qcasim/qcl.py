@@ -100,28 +100,16 @@ def _construct(line: int, cls: Callable[..., Any], **fields: Any) -> Any:
 
 
 def _parse_cell(tokens: Sequence[str], line: int) -> Cell:
+    """Convert a cell line's text; Role and Cell decide which values are valid."""
     pairs = _key_values(tokens, line, _CELL_KEYS)
     for key in ("id", "x", "y", "role"):
         if key not in pairs:
             raise ParseError(line, f"cell line missing required key {key!r}")
-    role_name = pairs["role"]
-    if role_name not in _ROLE_NAMES:
-        raise ParseError(line, f"unknown role {role_name!r}")
-    kind = _ROLE_NAMES[role_name]
-    label = pairs.get("label")
-    if kind in (RoleKind.INPUT, RoleKind.OUTPUT):
-        if label is None:
-            raise ParseError(line, f"role {role_name!r} requires label=")
-    elif label is not None:
-        raise ParseError(line, f"role {role_name!r} takes no label")
-    polarization = None
-    if kind is RoleKind.FIXED:
-        if "p" not in pairs:
-            raise ParseError(line, "role 'fixed' requires p=")
-        polarization = _integer("p", pairs["p"], line)
-    elif "p" in pairs:
-        raise ParseError(line, f"role {role_name!r} takes no p")
-    role = _construct(line, Role, kind=kind, label=label, polarization=polarization)
+    kind = _ROLE_NAMES.get(pairs["role"])
+    if kind is None:
+        raise ParseError(line, f"unknown role {pairs['role']!r}")
+    polarization = _integer("p", pairs["p"], line) if "p" in pairs else None
+    role = _construct(line, Role, kind=kind, label=pairs.get("label"), polarization=polarization)
     return _construct(
         line,
         Cell,

@@ -203,6 +203,12 @@ class TestSim:
         assert main(["sim", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_cell_line_error_names_the_line(self, tmp_path, capsys):
+        path = tmp_path / "nolabel.qcl"
+        path.write_text("qcl 1\ncell id=c0 x=0 y=0 role=input\n")
+        assert main(["sim", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 2: input role needs a token label\n"
+
     def test_layout_without_outputs(self, tmp_path, capsys):
         path = tmp_path / "noout.qcl"
         path.write_text(

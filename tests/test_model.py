@@ -76,6 +76,10 @@ def test_role_factories_and_validation():
         Role(RoleKind.INPUT, label="a", polarization=1)
     with pytest.raises(ValueError):
         Role(RoleKind.NORMAL, label="a")
+    # the text form writes a pin as an integer, so a bool or float one does not build
+    for pin in (1.0, True):
+        with pytest.raises(ValueError, match=r"^fixed role needs polarization -1 or \+1$"):
+            Role.fixed(pin)
 
 
 def test_cell_validation():
@@ -88,6 +92,9 @@ def test_cell_validation():
         Cell("c", float("nan"), 0.0, Role.normal())
     with pytest.raises(ValueError):
         Cell("c", 0.0, 0.0, Role.normal(), zone=4)
+    for zone in (2.0, True):  # likewise a zone
+        with pytest.raises(ValueError, match=r"^cell c: clock zone must be 0\.\.3$"):
+            Cell("c", 0.0, 0.0, Role.normal(), zone=zone)
 
 
 def test_electron_positions_default_conventions():

@@ -146,9 +146,9 @@ class TestParse:
             ("cell id=c0 x=0 y=0", 2, "missing required key 'role'"),
             ("cell x=0 y=0 role=normal", 2, "missing required key 'id'"),
             ("cell id=c0 x=0 y=0 role=driver", 2, "unknown role"),
-            ("cell id=c0 x=0 y=0 role=input", 2, "requires label"),
+            ("cell id=c0 x=0 y=0 role=input", 2, "needs a token label"),
             ("cell id=c0 x=0 y=0 role=normal label=a", 2, "takes no label"),
-            ("cell id=c0 x=0 y=0 role=fixed", 2, "requires p"),
+            ("cell id=c0 x=0 y=0 role=fixed", 2, "needs polarization"),
             ("cell id=c0 x=0 y=0 role=fixed p=0", 2, "p"),
             ("cell id=c0 x=0 y=0 role=input label=a p=1", 2, "takes no p"),
             ("cell id=c0 x=0 y=0 role=normal zone=4", 2, "zone"),
@@ -167,6 +167,26 @@ class TestParse:
         [
             ("geometry pitch=fast", "line 2: bad number for 'pitch': 'fast'"),
             ("clock low=nan", "line 2: 'low' must be finite"),
+            # cell lines: Role makes the role-shape errors, the parser adds the line
+            ("cell id=c0 x=0 y=0 role=input", "line 2: input role needs a token label"),
+            ("cell id=c0 x=0 y=0 role=output", "line 2: output role needs a token label"),
+            (
+                "cell id=c0 x=0 y=0 role=normal label=a",
+                "line 2: normal role takes no label or polarization",
+            ),
+            (
+                "cell id=c0 x=0 y=0 role=normal p=1",
+                "line 2: normal role takes no label or polarization",
+            ),
+            ("cell id=c0 x=0 y=0 role=fixed", "line 2: fixed role needs polarization -1 or +1"),
+            (
+                "cell id=c0 x=0 y=0 role=input label=a p=1",
+                "line 2: input role takes no polarization",
+            ),
+            ("cell id=c0 x=0 y=0 role=fixed label=x p=1", "line 2: fixed role takes no label"),
+            ("cell id=c0 x=0 y=0 role=input p=x", "line 2: bad integer for 'p': 'x'"),
+            ("cell id=c0 x=0 y=0 role=fixed p=0", "line 2: fixed role needs polarization -1 or +1"),
+            ("cell id=c0 x=0 y=0 role=driver", "line 2: unknown role 'driver'"),
         ],
     )
     def test_bad_field_message_names_the_line_once(self, body, message):
@@ -304,25 +324,32 @@ class TestSerialize:
             max_size=6,
             unique=True,
         ),
-        st.lists(st.sampled_from(["normal", "fixed+", "fixed-", "output"]), max_size=6),
-        st.lists(st.integers(0, 3), max_size=6),
+        st.lists(st.sampled_from(["normal", "fixed", "output"]), max_size=6),
+        # pins and zones as a caller may pass them: ints, bools and floats
+        st.lists(st.sampled_from([1, -1, True, 1.0, -1.0]), max_size=6),
+        st.lists(st.sampled_from([0, 1, 2, 3, True, False, 2.0, 0.0]), max_size=6),
     )
+    @example([(0, 0), (1, 0)], ["normal"], [], [0, 2.0])
+    @example([(0, 0), (1, 0)], ["normal"], [], [0, True])
+    @example([(0, 0), (1, 0)], ["fixed"], [1.0], [])
     @settings(max_examples=100)
-    def test_round_trip_property(self, grid, kinds, zones):
-        cells = []
-        for i, (gx, gy) in enumerate(grid):
-            if i == 0:
-                role = Role.input("a")
-            else:
-                kind = kinds[(i - 1) % len(kinds)] if kinds else "normal"
-                role = {
-                    "normal": Role.normal(),
-                    "fixed+": Role.fixed(1),
-                    "fixed-": Role.fixed(-1),
-                    "output": Role.output(f"o{i}"),
-                }[kind]
-            zone = zones[i % len(zones)] if zones else 0
-            cells.append(Cell(f"n{i}", gx * 20.0, gy * 20.0, role, zone))
+    def test_round_trip_property(self, grid, kinds, pins, zones):
+        # a cell that cannot round-trip must not build
+        try:
+            cells = []
+            for i, (gx, gy) in enumerate(grid):
+                if i == 0:
+                    role = Role.input("a")
+                else:
+                    kind = kinds[(i - 1) % len(kinds)] if kinds else "normal"
+                    if kind == "fixed":
+                        role = Role.fixed(pins[i % len(pins)] if pins else 1)
+                    else:
+                        role = Role.output(f"o{i}") if kind == "output" else Role.normal()
+                zone = zones[i % len(zones)] if zones else 0
+                cells.append(Cell(f"n{i}", gx * 20.0, gy * 20.0, role, zone))
+        except ValueError:
+            return
         layout = Layout(GeometryParams(), cells)
         assert parse_qcl(serialize_qcl(layout)) == (layout, None)
 
