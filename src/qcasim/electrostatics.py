@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Cell, ChargeModel, GeometryParams, Layout, dot_positions, electron_positions, pairs_within
 
@@ -38,8 +38,7 @@ class ZeroDistanceError(ValueError):
     """Two point charges coincide; the 1/r energy is undefined."""
 
 
-@dataclass(frozen=True)
-class PointCharge:
+class PointCharge(NamedTuple):
     """A point charge at (x, y) nm; ``charge`` is in units of e."""
 
     x: float
@@ -140,8 +139,7 @@ def _neutralized_kink(d: list[float]) -> float:
     return -equal - equal
 
 
-@dataclass(frozen=True)
-class KinkPair:
+class KinkPair(NamedTuple):
     """Kink energies of one unordered cell pair under both charge models."""
 
     id_a: str
@@ -151,8 +149,7 @@ class KinkPair:
     neutralized: float
 
 
-@dataclass(frozen=True)
-class KinkReport:
+class KinkReport(NamedTuple):
     """All in-range pair kink energies of a layout, plus their totals."""
 
     pairs: tuple[KinkPair, ...]

@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .electrostatics import kink_energy
 from .model import Cell, Layout, RoleKind, pairs_within
@@ -281,8 +281,7 @@ def relax(
     return p, _sweep(p, rows, gamma_per_zone, tolerance, max_iters)
 
 
-@dataclass(frozen=True)
-class TraceSample:
+class TraceSample(NamedTuple):
     """State after relaxing one clock sample of one vector."""
 
     vector_index: int
@@ -292,8 +291,7 @@ class TraceSample:
     iterations: int
 
 
-@dataclass(frozen=True)
-class Trace:
+class Trace(NamedTuple):
     """Full per-sample history of a simulation run."""
 
     cell_ids: tuple[str, ...]
@@ -371,8 +369,7 @@ def simulate(
     )
 
 
-@dataclass(frozen=True)
-class OutputReading:
+class OutputReading(NamedTuple):
     """Steady and peak polarization of one output during one vector."""
 
     output: str
@@ -422,16 +419,14 @@ def measure(trace: Trace, layout: Layout) -> Measurement:
     return Measurement(vectors=trace.vectors, readings=tuple(readings))
 
 
-@dataclass(frozen=True)
-class OutputVerdict:
+class OutputVerdict(NamedTuple):
     output: str
     expected: bool
     steady: float
     passed: bool  # sign matches expectation and |steady| >= TRUTH_MARGIN
 
 
-@dataclass(frozen=True)
-class VectorVerdict:
+class VectorVerdict(NamedTuple):
     vector_index: int
     inputs: Vector
     outputs: tuple[OutputVerdict, ...]
@@ -441,8 +436,7 @@ class VectorVerdict:
         return all(o.passed for o in self.outputs)
 
 
-@dataclass(frozen=True)
-class TruthResult:
+class TruthResult(NamedTuple):
     verdicts: tuple[VectorVerdict, ...]
 
     @property

@@ -15,7 +15,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "TOKEN_RE",
@@ -106,8 +106,10 @@ class Role:
     polarization: int | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.kind, RoleKind):
+            raise ValueError("role kind must be a RoleKind")
         if self.kind in (RoleKind.INPUT, RoleKind.OUTPUT):
-            if self.label is None or not TOKEN_RE.match(self.label):
+            if not isinstance(self.label, str) or not TOKEN_RE.match(self.label):
                 raise ValueError(f"{self.kind.value} role needs a token label")
             if self.polarization is not None:
                 raise ValueError(f"{self.kind.value} role takes no polarization")
@@ -151,7 +153,7 @@ class Cell:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not TOKEN_RE.match(self.id):
             raise ValueError(f"cell id {self.id!r} is not a valid token")
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
+        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (self.x, self.y)):
             raise ValueError(f"cell {self.id}: position must be finite")
         if not isinstance(self.role, Role):
             raise ValueError(f"cell {self.id}: role must be a Role")
@@ -172,8 +174,13 @@ class Layout:
     cells: tuple[Cell, ...]
 
     def __init__(self, geometry: GeometryParams, cells: Iterable[Cell]) -> None:
+        cells = tuple(cells)
+        if not isinstance(geometry, GeometryParams):
+            raise ValueError("layout geometry must be a GeometryParams")
+        if not all(isinstance(c, Cell) for c in cells):
+            raise ValueError("layout cells must be Cells")
         object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "cells", tuple(cells))
+        object.__setattr__(self, "cells", cells)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -190,12 +197,6 @@ class Layout:
     def input_labels(self) -> tuple[str, ...]:
         """Input labels in sorted order (the vector bit order)."""
         return tuple(sorted(c.role.label for c in self.inputs()))
-
-    def find(self, cell_id: str) -> Cell | None:
-        for cell in self.cells:
-            if cell.id == cell_id:
-                return cell
-        return None
 
 
 def dot_positions(cell: Cell, geometry: GeometryParams) -> tuple[tuple[float, float], ...]:
@@ -257,8 +258,7 @@ def pairs_within(cells: Sequence[Cell], radius: float) -> Iterator[tuple[int, in
                 yield i, j, distance
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One layout rule broken, naming the rule and the offending cells."""
 
     rule: str

@@ -3,8 +3,7 @@ cell count, and its three tables (CSV, reference comparison, terminal)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .electrostatics import circuit_kink_energy
 from .engine import ClockConfig, InputSchedule, measure, simulate
@@ -31,8 +30,7 @@ REFERENCE_TREND: tuple[tuple[int, float, float], ...] = (
 )
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One minimal-inverter size: kink totals and output polarization."""
 
     total_cells: int

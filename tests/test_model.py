@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import itertools
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -97,6 +98,28 @@ def test_cell_validation():
             Cell("c", 0.0, 0.0, Role.normal(), zone=zone)
 
 
+# A wrongly typed field gives the same ValueError as a bad value, not a
+# TypeError from the check itself or a role that only fails on serialization.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Cell("c", "0", 0.0, Role.normal()), "cell c: position must be finite"),
+        (lambda: Cell("c", 0.0, None, Role.normal()), "cell c: position must be finite"),
+        (lambda: Role.input(5), "input role needs a token label"),
+        (lambda: Role.output(b"q"), "output role needs a token label"),
+        (lambda: Role("output"), "role kind must be a RoleKind"),
+        (lambda: Role("fixed", polarization=1), "role kind must be a RoleKind"),
+        (lambda: Layout("geometry", []), "layout geometry must be a GeometryParams"),
+        (lambda: Layout(GeometryParams(), [("c", 0.0, 0.0)]), "layout cells must be Cells"),
+    ],
+    ids=["x-str", "y-none", "input-label-int", "output-label-bytes", "kind-str", "fixed-kind-str",
+         "layout-geometry-str", "layout-cell-tuple"],
+)
+def test_wrongly_typed_fields_raise_value_error(build, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        build()
+
+
 def test_electron_positions_default_conventions():
     g = GeometryParams()
     c = Cell("c", 0.0, 0.0, Role.normal())
@@ -152,8 +175,6 @@ def test_layout_accessors():
     assert [c.id for c in lay.outputs()] == ["o"]
     assert [c.id for c in lay.fixed_cells()] == ["f"]
     assert lay.input_labels() == ("a", "b")  # sorted, not layout order
-    assert lay.find("n").x == 40.0
-    assert lay.find("nope") is None
     assert lay.cells == tuple(cells)  # order preserved
 
 

@@ -115,6 +115,10 @@ def positions(layout):
     return [(c.x, c.y) for c in layout.cells]
 
 
+def by_id(layout):
+    return {c.id: c for c in layout.cells}
+
+
 def pitch_neighbors(layout, cell):
     p = layout.geometry.pitch
     return [
@@ -175,13 +179,14 @@ class TestMajority:
 
     def test_device_cell_sees_all_four_arms(self):
         layout = gen_majority()
-        device = layout.find("c3")
+        device = by_id(layout)["c3"]
         assert {c.id for c in pitch_neighbors(layout, device)} == {"c0", "c1", "c2", "c4"}
 
     def test_terminals_touch_only_the_device_cell(self):
         layout = gen_majority()
+        cells = by_id(layout)
         for cid in ("c0", "c1", "c2", "c4"):
-            arm = layout.find(cid)
+            arm = cells[cid]
             assert [c.id for c in pitch_neighbors(layout, arm)] == ["c3"]
 
 
@@ -206,18 +211,18 @@ class TestConventionalInverter:
         assert layout.cells[10].role.kind is RoleKind.OUTPUT
 
     def test_branches_mirror_about_the_axis(self):
-        layout = gen_conventional_inverter()
+        cells = by_id(gen_conventional_inverter())
         for upper, lower in (("c3", "c6"), ("c4", "c7"), ("c5", "c8")):
-            u, d = layout.find(upper), layout.find(lower)
+            u, d = cells[upper], cells[lower]
             assert (u.x, u.y) == (d.x, -d.y)
 
     def test_convergence_cell_antialigns_with_both_branch_ends(self):
-        layout = gen_conventional_inverter()
-        conv = layout.find("c9")
+        cells = by_id(gen_conventional_inverter())
+        conv = cells["c9"]
         for end in ("c5", "c8"):
-            assert kink_energy(conv, layout.find(end), NEUT) < 0
+            assert kink_energy(conv, cells[end], NEUT) < 0
         # but couples normally to the readout cell
-        assert kink_energy(conv, layout.find("c10"), NEUT) > 0
+        assert kink_energy(conv, cells["c10"], NEUT) > 0
 
 
 class TestMinimalInverter:
