@@ -1,4 +1,4 @@
-"""Generated Gauss-Seidel sweeps.  ``engine.simulate`` imports this module
+"""Generated Gauss-Seidel sweeps.  ``engine._cycles`` imports this module
 only when a relaxation has run long enough to repay compiling one."""
 
 from __future__ import annotations

@@ -8,9 +8,12 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import itertools
+import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 from .electrostatics import ZeroDistanceError, circuit_kink_energy
 from .engine import (
@@ -18,8 +21,9 @@ from .engine import (
     ConvergenceFailure,
     InputSchedule,
     NoOutputError,
-    measure,
+    measure,  # with simulate and trace_csv: names perfbench/tracer.py wraps
     simulate,
+    stream_measurement,
     truth_check,
 )
 from .model import ChargeModel, GeometryParams, Layout, validate
@@ -34,6 +38,7 @@ from .qcl import (
     parse_vectors,
     serialize_qcl,
     trace_csv,
+    trace_csv_writer,
 )
 from .stdcells import (
     gen_conventional_inverter,
@@ -61,6 +66,30 @@ class _CliError(Exception):
 
 def _write_bytes(path: str, text: str) -> None:
     Path(path).write_bytes(text.encode("utf-8"))
+
+
+_PART_NUMBERS = itertools.count()  # two files open at once may share a path
+
+
+@contextmanager
+def _replacing(path: str | None) -> Iterator[TextIO | None]:
+    """A text file that replaces ``path`` when the block completes; until
+    then a sibling temporary file, which any failure removes.  None, and no
+    file, without a path."""
+    if not path:
+        yield None
+        return
+    name = f".{os.path.basename(path)}.{os.getpid()}.{next(_PART_NUMBERS)}.part"
+    part = os.path.join(os.path.dirname(path), name)
+    try:
+        with open(part, "w", encoding="utf-8", newline="") as out:
+            yield out
+        os.replace(part, path)
+    except OSError as err:  # name the user's file, not the temporary one
+        raise (OSError(err.errno, err.strerror, path) if err.filename == part else err) from None
+    finally:
+        if os.path.exists(part):
+            os.remove(part)
 
 
 def _read_text(path: str) -> str:
@@ -147,12 +176,12 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_sim(args: argparse.Namespace) -> int:
     layout, clock = _load_layout(args.layout)
     schedule = _schedule_for(args, layout)
-    trace = simulate(layout, clock, schedule)
-    measurement = measure(trace, layout)
-    if args.out:
-        _write_bytes(args.out, trace_csv(trace))
-    if args.measure:
-        _write_bytes(args.measure, measurement_csv(measurement))
+    # the inner file lands first: the trace, then the measurement, as before
+    with _replacing(args.measure) as measure_out, _replacing(args.out) as trace_out:
+        write = trace_csv_writer(trace_out, [c.id for c in layout.cells]) if trace_out else None
+        measurement = stream_measurement(layout, clock, schedule, write)
+        if measure_out:
+            measure_out.write(measurement_csv(measurement))
     outputs = sorted({r.output for r in measurement.readings})
     for vi, vector in enumerate(measurement.vectors):
         steadies = " ".join(
@@ -210,7 +239,7 @@ def _cmd_truth(args: argparse.Namespace) -> int:
     if not layout.outputs():
         raise _CliError(2, "layout has no output cells")
     schedule = InputSchedule.exhaustive(labels)
-    result = truth_check(measure(simulate(layout, clock, schedule), layout), function)
+    result = truth_check(stream_measurement(layout, clock, schedule), function)
     for verdict in result.verdicts:
         for out in verdict.outputs:
             status = "pass" if out.passed else "FAIL"

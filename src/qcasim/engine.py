@@ -14,8 +14,9 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .electrostatics import kink_energy
 from .model import Cell, Layout, RoleKind, pairs_within
@@ -41,6 +42,7 @@ __all__ = [
     "relax",
     "simulate",
     "measure",
+    "stream_measurement",
     "truth_check",
 ]
 
@@ -54,12 +56,15 @@ MAX_EXHAUSTIVE_INPUTS = 12
 # 1e-22 J).  It keeps 2 gamma below 1 J, so total / (2 gamma) never underflows.
 MAX_GAMMA = 1e-18
 
-# relax's defaults, and what simulate relaxes every sample to.
+# relax's defaults, and what _cycles relaxes every sample to.
 _TOLERANCE, _MAX_SWEEPS = 1e-7, 1000
 
 Vector = tuple[tuple[str, int], ...]  # ((label, +-1), ...) sorted by label
 Neighbours = tuple[tuple[int, float], ...]  # (neighbour index, kink energy J), ...
 Row = tuple[int, int, Neighbours]  # free cell (index, zone, neighbours)
+Writer = Callable[[Iterable["TraceSample"]], object]  # takes one vector's samples
+# a vector's samples (None for a mirror whose source is not held) and the vector it mirrors
+Block = tuple[Iterable["TraceSample"] | None, int | None]
 
 
 class ConvergenceFailure(RuntimeError):
@@ -93,6 +98,8 @@ class ClockConfig:
     samples_per_cycle: int = 128
 
     def __post_init__(self) -> None:
+        if not all(isinstance(g, (int, float)) for g in (self.gamma_high, self.gamma_low)):
+            raise ValueError("gamma_high and gamma_low must be numbers")
         if not (MAX_GAMMA >= self.gamma_high > self.gamma_low > 0):
             raise ValueError(f"need 0 < gamma_low < gamma_high <= {MAX_GAMMA:g} J")
         n = self.samples_per_cycle
@@ -217,7 +224,7 @@ def _sweep(
     """The Gauss-Seidel loop: update the free rows of ``p`` in place until
     the largest change in one sweep drops below ``tolerance``.  Returns the
     sweeps used; raises ConvergenceFailure after ``max_iters`` sweeps.  It is
-    relax's loop, simulate's first tier and the reference for _sweepgen."""
+    relax's loop, _cycles' first tier and the reference for _sweepgen."""
     residual = 0.0
     for sweep in range(1, max_iters + 1):
         residual = 0.0
@@ -300,12 +307,19 @@ class Trace(NamedTuple):
     samples: tuple[TraceSample, ...]
 
 
-def simulate(
-    layout: Layout,
-    clock: ClockConfig,
-    schedule: InputSchedule,
-) -> Trace:
-    """Run one clock cycle per input vector and record every sample.
+def _negated(block: Iterable[TraceSample], vi: int, pinned: Mapping[int, float]) -> Iterator[TraceSample]:
+    """``block``'s samples as those of its mirror ``vi``, one by one."""
+    for s in block:
+        flipped = [0.0 - v for v in s.polarizations]
+        for i, value in pinned.items():  # one float per pin, as when relaxed
+            flipped[i] = value
+        yield TraceSample(vi, s.sample_index, s.gammas, tuple(flipped), s.iterations)
+
+
+def _cycles(layout: Layout, clock: ClockConfig, schedule: InputSchedule, hold: bool) -> Iterator[Block]:
+    """The generator every run goes through: one Block per vector, in
+    schedule order.  With ``hold``, each relaxed block is held until the
+    last vector that mirrors it has taken it; without, no block is held.
 
     Inputs stay pinned at the vector's values for the whole cycle while the
     zone gammas sweep through the four phases.  Every vector anneals from
@@ -315,41 +329,37 @@ def simulate(
     input instead of following it.  Per-vector annealing also makes the
     vectors order independent.  Pins and free-cell neighbour rows are
     built once per vector, and each sample runs ``relax``'s loop on them.
-    Once the cell updates of this call, less a set-up allowance per sample,
+    Once the cell updates of this run, less a set-up allowance per sample,
     reach ``_compile_cost``, the samples run a loop compiled for those rows
-    instead, with the same bytes; every
-    vector pins the same cells, so later vectors reuse it.  The complement
-    of a relaxed vector (every input flipped) reuses its samples, negated,
-    when the layout has no fixed cells: the update is odd and every free
-    zero is +0.0, so the negated trace is exact.
+    instead, with the same bytes; every vector pins the same cells, so
+    later vectors reuse it.  A vector mirrors the latest relaxed complement
+    (every input flipped) when the layout has no fixed cells: the update is
+    odd and every free zero is +0.0, so the negated cycle is exact.
     """
     if set(schedule.labels) != set(layout.input_labels()):
         raise ValueError(f"schedule labels {schedule.labels} do not match layout inputs")
+    mirror = not layout.fixed_cells()
+    relaxed: dict[Vector, int] = {}
+    sources: list[int | None] = []
+    for vi, vector in enumerate(schedule.vectors):
+        sources.append(relaxed.get(tuple((label, -value) for label, value in vector)) if mirror else None)
+        if sources[-1] is None:
+            relaxed[vector] = vi
+    last = {k: vi for vi, k in enumerate(sources) if k is not None and hold}
+    held: dict[int, list[TraceSample]] = {}
     by_label = {c.role.label: c.id for c in layout.inputs()}
     couplings = coupling_map(layout)
-    n = clock.samples_per_cycle
-    cycle = [tuple(gamma_at(clock, zone, s) for zone in range(4)) for s in range(n)]
-    mirror = not layout.fixed_cells()
+    cycle = [tuple(gamma_at(clock, zone, s) for zone in range(4)) for s in range(clock.samples_per_cycle)]
     loop, work = _sweep, 0
-    samples: list[TraceSample] = []
-    relaxed: dict[Vector, int] = {}  # relaxed vector -> index of its first sample
-    for vi, vector in enumerate(schedule.vectors):
+    for vi, (vector, k) in enumerate(zip(schedule.vectors, sources)):
         pinned = _pinned_map(layout, {by_label[label]: value for label, value in vector})
-        complement = tuple((label, -value) for label, value in vector)
-        start = relaxed.get(complement) if mirror else None
-        if start is not None:
-            for s in samples[start : start + n]:
-                flipped = [0.0 - v for v in s.polarizations]
-                for i, value in pinned.items():  # one float per pin, as when relaxed
-                    flipped[i] = value
-                samples.append(
-                    TraceSample(vi, s.sample_index, s.gammas, tuple(flipped), s.iterations)
-                )
+        if k is not None:  # no local keeps the source block once it is popped
+            yield (_negated(held.pop(k) if last[k] == vi else held[k], vi, pinned) if k in held else None), k
             continue
-        relaxed[vector] = len(samples)
         p = [0.0] * len(layout.cells)
         rows = _free_rows(layout, couplings, pinned, p)
         cost = _compile_cost(rows)
+        block: list[TraceSample] = []
         for s, gammas in enumerate(cycle):
             if loop is _sweep and work >= cost:
                 from ._sweepgen import compile_sweep  # parsed only by runs that switch
@@ -359,14 +369,18 @@ def simulate(
                 iters = loop(p, rows, gammas, _TOLERANCE, _MAX_SWEEPS)
             except ConvergenceFailure as fail:
                 raise ConvergenceFailure(fail.residual, vi, s) from None
-            samples.append(TraceSample(vi, s, gammas, tuple(p), iters))
+            block.append(TraceSample(vi, s, gammas, tuple(p), iters))
             work += iters * len(rows) - _COMPILED_CALL
-    return Trace(
-        cell_ids=tuple(c.id for c in layout.cells),
-        vectors=schedule.vectors,
-        samples_per_cycle=n,
-        samples=tuple(samples),
-    )
+        if vi in last:
+            held[vi] = block
+        yield block, None
+
+
+def simulate(layout: Layout, clock: ClockConfig, schedule: InputSchedule) -> Trace:
+    """Run one clock cycle per input vector (see ``_cycles``) and keep every
+    sample: vectors x samples_per_cycle x cells floats."""
+    samples = tuple(s for block, _ in _cycles(layout, clock, schedule, True) for s in block)
+    return Trace(tuple(c.id for c in layout.cells), schedule.vectors, clock.samples_per_cycle, samples)
 
 
 class OutputReading(NamedTuple):
@@ -396,27 +410,57 @@ class Measurement:
         return self._by_key[output, vector_index]
 
 
-def measure(trace: Trace, layout: Layout) -> Measurement:
-    """Reduce a trace to per-output, per-vector steady and peak values.
-
-    The steady value is taken at the last sample of the output zone's hold
-    quarter (wrapping into the next quarter-cycle for zones 3 and up would
-    leave the vector, so the index is reduced mod the cycle).
-    """
-    outputs = [(i, c) for i, c in enumerate(layout.cells) if c.role.kind is RoleKind.OUTPUT]
+def _read(
+    layout: Layout, n: int, vectors: tuple[Vector, ...], blocks: Iterable[Block], write: Writer | None = None
+) -> Measurement:
+    """The block reducer: pass each block to ``write``, then read every
+    output's steady and peak |P| from it in one pass; a mirror's readings
+    are its source's, steady negated.  Steady is the last sample of the
+    output zone's hold quarter, mod the cycle: for zones 3 and up it would
+    wrap past the vector.  NoOutputError comes last, after any
+    ConvergenceFailure."""
+    quarter = n // 4
+    outputs = [
+        (c.role.label, i, (2 * quarter - 1 + c.zone * quarter) % n)
+        for i, c in enumerate(layout.cells)
+        if c.role.kind is RoleKind.OUTPUT
+    ]
+    per_vector: list[list[tuple[float, float]]] = []
+    for block, k in blocks:
+        if write is not None:
+            write(block)
+        if k is None:
+            rows = [s.polarizations for s in block]
+            per_vector.append([(rows[at][i], max(abs(p[i]) for p in rows)) for _, i, at in outputs])
+        else:
+            per_vector.append([(0.0 - steady, peak) for steady, peak in per_vector[k]])
     if not outputs:
         raise NoOutputError("layout has no output cells")
+    readings = (
+        OutputReading(label, vi, *per_vector[vi][o])
+        for o, (label, _, _) in enumerate(outputs)
+        for vi in range(len(vectors))
+    )
+    return Measurement(vectors, tuple(readings))
+
+
+def measure(trace: Trace, layout: Layout) -> Measurement:
+    """Reduce a trace to per-output, per-vector steady and peak values, one
+    vector's samples at a time."""
     n = trace.samples_per_cycle
-    quarter = n // 4
-    readings: list[OutputReading] = []
-    for i, cell in outputs:
-        steady_sample = (2 * quarter - 1 + cell.zone * quarter) % n
-        for vi in range(len(trace.vectors)):
-            rows = trace.samples[vi * n : (vi + 1) * n]
-            steady = rows[steady_sample].polarizations[i]
-            peak = max(abs(row.polarizations[i]) for row in rows)
-            readings.append(OutputReading(cell.role.label, vi, steady, peak))
-    return Measurement(vectors=trace.vectors, readings=tuple(readings))
+    blocks = ((trace.samples[at : at + n], None) for at in range(0, len(trace.vectors) * n, n))
+    return _read(layout, n, trace.vectors, blocks)
+
+
+def stream_measurement(
+    layout: Layout, clock: ClockConfig, schedule: InputSchedule, write: Writer | None = None
+) -> Measurement:
+    """``measure(simulate(layout, clock, schedule), layout)``, keeping the
+    readings, not the samples.  ``write``, if given, takes each vector's
+    samples as they come, in trace order; then only the relaxed blocks a
+    later mirror still needs are held."""
+    blocks = _cycles(layout, clock, schedule, write is not None)
+    return _read(layout, clock.samples_per_cycle, schedule.vectors, blocks, write)
 
 
 class OutputVerdict(NamedTuple):

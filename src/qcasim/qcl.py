@@ -12,10 +12,11 @@ where that reads back exactly (else repr), so layout and clock round-trip.
 
 from __future__ import annotations
 
+import io
 import math
-from typing import Any, Callable, Container, Iterator, Sequence
+from typing import Any, Callable, Container, Iterable, Iterator, Sequence, TextIO
 
-from .engine import ClockConfig, Measurement, Trace
+from .engine import ClockConfig, Measurement, Trace, TraceSample
 from .electrostatics import KinkReport
 from .model import Cell, ChargeModel, GeometryParams, Layout, Role, RoleKind
 
@@ -26,6 +27,7 @@ __all__ = [
     "parse_vectors",
     "kink_report_csv",
     "trace_csv",
+    "trace_csv_writer",
     "measurement_csv",
     "format_energy",
     "format_polarization",
@@ -288,17 +290,21 @@ def kink_report_csv(report: KinkReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def trace_csv(trace: Trace) -> str:
-    """One row per sample: vector, sample, the four zone gammas, every cell's P."""
-    header = ["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3"]
-    header.extend(trace.cell_ids)
-    row = ",".join(["%d,%d"] + [ENERGY_FORMAT] * 4 + [POLARIZATION_FORMAT] * len(trace.cell_ids))
-    rows = [",".join(header)]
-    rows.extend(
-        row % (s.vector_index, s.sample_index, *s.gammas, *s.polarizations)
-        for s in trace.samples
+def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable[TraceSample]], None]:
+    """Write the trace CSV header to ``out``; return a function that writes one
+    row per sample it is given: vector, sample, the four zone gammas, every P."""
+    out.write(",".join(["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3", *cell_ids]) + "\n")
+    row = ",".join(["%d,%d"] + [ENERGY_FORMAT] * 4 + [POLARIZATION_FORMAT] * len(cell_ids)) + "\n"
+    return lambda samples: out.writelines(
+        row % (s.vector_index, s.sample_index, *s.gammas, *s.polarizations) for s in samples
     )
-    return "\n".join(rows) + "\n"
+
+
+def trace_csv(trace: Trace) -> str:
+    """The trace CSV of a whole run (see trace_csv_writer)."""
+    out = io.StringIO()
+    trace_csv_writer(out, trace.cell_ids)(trace.samples)
+    return out.getvalue()
 
 
 def measurement_csv(measurement: Measurement) -> str:

@@ -6,7 +6,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .electrostatics import circuit_kink_energy
-from .engine import ClockConfig, InputSchedule, measure, simulate
+from .engine import ClockConfig, InputSchedule, stream_measurement
 from .qcl import format_energy, format_polarization
 from .stdcells import gen_minimal_inverter
 
@@ -47,7 +47,7 @@ def run_sweep(extras: Sequence[int]) -> tuple[SweepRow, ...]:
         layout = gen_minimal_inverter(extra)
         report = circuit_kink_energy(layout)
         schedule = InputSchedule.exhaustive(layout.input_labels())
-        measurement = measure(simulate(layout, ClockConfig(), schedule), layout)
+        measurement = stream_measurement(layout, ClockConfig(), schedule)
         readings = [measurement.reading("b", vi) for vi in range(len(schedule.vectors))]
         rows.append(
             SweepRow(

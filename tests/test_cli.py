@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,6 +30,7 @@ from qcasim import (
     simulate,
     trace_csv,
 )
+from qcasim import engine
 from qcasim.cli import format_trend_comparison, main, run_sweep, sweep_csv
 
 
@@ -278,6 +284,132 @@ class TestSim:
         assert main(["sim", str(path)]) == 3
         err = capsys.readouterr().err
         assert "residual" in err and "vector 0, sample 0" in err
+
+
+def _independent_wires(n: int) -> str:
+    """``n`` 3-cell wires 200 nm apart, beyond each other's radius: 2^n
+    exhaustive vectors, half of them mirrors."""
+    cells = []
+    for w in range(n):
+        y = 200.0 * w
+        cells += [
+            Cell(f"a{w}", 0.0, y, Role.input(f"i{w:02d}")),
+            Cell(f"m{w}", 20.0, y, Role.normal()),
+            Cell(f"b{w}", 40.0, y, Role.output(f"o{w:02d}")),
+        ]
+    return serialize_qcl(Layout(GeometryParams(), cells))
+
+
+def _traced_peak_mb(argv: list[str]) -> float:
+    """tracemalloc's peak, in MB, over one main(argv) call that must exit 0."""
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedSim:
+    """sim streams: readings only without --out, rows written as they come
+    with it, and the --out file appears only when the whole run succeeds."""
+
+    def test_failed_run_creates_no_file_and_keeps_the_old_one(self, tmp_path, capsys):
+        stuck = tmp_path / "stuck.qcl"
+        stuck.write_text(_stuck_chain_doc())
+        noout = tmp_path / "noout.qcl"
+        noout.write_text("qcl 1\ncell id=c0 x=0 y=0 role=input label=a\ncell id=c1 x=20 y=0 role=normal\n")
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"old bytes\r\n")
+        for layout, code in ((stuck, 3), (noout, 2)):
+            before = sorted(tmp_path.iterdir())
+            assert main(["sim", str(layout), "--out", str(tmp_path / "new.csv")]) == code
+            assert main(["sim", str(layout), "--out", str(old), "--measure", str(tmp_path / "m.csv")]) == code
+            assert sorted(tmp_path.iterdir()) == before
+            assert old.read_bytes() == b"old bytes\r\n"
+        assert capsys.readouterr().out == ""
+
+    def test_non_converging_layout_without_outputs_exits_3(self, tmp_path, capsys):
+        # the stuck chain has no output cell: the run fails before the
+        # missing outputs are reported, with --out as without
+        path = tmp_path / "stuck.qcl"
+        path.write_text(_stuck_chain_doc())
+        for extra in ([], ["--out", str(tmp_path / "t.csv")]):
+            assert main(["sim", str(path), *extra]) == 3
+            err = capsys.readouterr().err
+            assert "vector 0, sample 0" in err and "no output" not in err
+
+    def test_unwritable_out_exits_2_naming_the_path(self, wire3, tmp_path, capsys):
+        missing = tmp_path / "no such dir" / "t.csv"
+        assert main(["sim", wire3, "--out", str(missing)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+        folder = tmp_path / "a dir"
+        folder.mkdir()
+        assert main(["sim", wire3, "--out", str(folder)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.endswith(f": {str(folder)!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a dir", "wire3.qcl"]
+
+    def test_unwritable_measure_leaves_no_trace(self, wire3, tmp_path, capsys):
+        trace = tmp_path / "t.csv"
+        measure_path = tmp_path / "no such dir" / "m.csv"
+        assert main(["sim", wire3, "--out", str(trace), "--measure", str(measure_path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(measure_path)!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["wire3.qcl"]
+
+    def test_measure_lands_after_the_trace(self, wire3, tmp_path, capsys):
+        # one path for both files ends as the measurement CSV, written last
+        path = tmp_path / "both.csv"
+        assert main(["sim", wire3, "--out", str(path), "--measure", str(path)]) == 0
+        layout = gen_wire(3)
+        trace = simulate(layout, ClockConfig(), InputSchedule.exhaustive(["a"]))
+        assert path.read_bytes() == measurement_csv(measure(trace, layout)).encode()
+
+    def test_out_replaces_an_existing_file(self, wire3, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("old\n" * 10_000)
+        assert main(["sim", wire3, "--out", str(path)]) == 0
+        trace = simulate(gen_wire(3), ClockConfig(), InputSchedule.exhaustive(["a"]))
+        assert path.read_bytes() == trace_csv(trace).encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "wire3.qcl"]
+
+    def test_import_loads_no_new_standard_module(self):
+        # the modules qcasim names at its top level, imported first, in a
+        # child without site: importing qcasim.cli then adds only qcasim's own
+        stdlib = (
+            "__future__ argparse bisect contextlib dataclasses enum functools io"
+            " itertools math operator os pathlib re sys typing"
+        )
+        code = (
+            f"import sys, {', '.join(stdlib.split())}\n"
+            "before = set(sys.modules)\n"
+            "import qcasim.cli\n"
+            "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'qcasim'))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run(
+            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
+        )
+        assert result.stdout == "[]\n"
+
+    def test_readings_only_memory_stays_flat_in_the_vectors(self, tmp_path, monkeypatch, capsys):
+        # 8 inputs: 256 vectors x 128 samples x 24 cells; the whole trace
+        # took 24 MB, the readings take under 1 MB.  Under tracemalloc the
+        # generated sweep runs about 4x slower than the interpreted loop, so
+        # the run stays interpreted; the tier does not change what it holds.
+        monkeypatch.setattr(engine, "_compile_cost", lambda rows: math.inf)
+        path = tmp_path / "wires8.qcl"
+        path.write_text(_independent_wires(8))
+        assert _traced_peak_mb(["sim", str(path)]) < 5.0
+
+    def test_streamed_trace_memory_holds_one_block(self, tmp_path, capsys):
+        # wire:512 relaxes vector 0 and mirrors it: the trace CSV is 1.65 MB,
+        # but only vector 0's block is held, about 2 MB with its floats
+        path = tmp_path / "wire512.qcl"
+        path.write_text(serialize_qcl(gen_wire(512)))
+        argv = ["sim", str(path), "--out", str(tmp_path / "t.csv"), "--measure", str(tmp_path / "m.csv")]
+        assert _traced_peak_mb(argv) < 5.0
 
 
 class TestKink:

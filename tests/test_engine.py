@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import builtins
+import contextlib
 import dataclasses
 import io
 import math
 import re
+import tempfile
 import tokenize
+from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import frozen
 from oracle import brute_fixed_point
@@ -38,12 +41,15 @@ from qcasim import (
     gen_minimal_inverter,
     gen_wire,
     measure,
+    measurement_csv,
     relax,
+    serialize_qcl,
     simulate,
     trace_csv,
     truth_check,
 )
 from qcasim import _sweepgen, engine
+from qcasim.cli import main as cli_main
 from qcasim.engine import MAX_EXHAUSTIVE_INPUTS, MAX_GAMMA
 
 CLOCK = ClockConfig()
@@ -81,6 +87,14 @@ class TestClockConfig:
     )
     def test_rejects_bad_config(self, kwargs):
         with pytest.raises(ValueError):
+            ClockConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"gamma_high": "1e-21"}, {"gamma_low": None}, {"gamma_low": "3.8e-23"}, {"gamma_high": 1j}]
+    )
+    def test_rejects_wrongly_typed_gammas(self, kwargs):
+        # a ValueError with a message, not a TypeError from the comparison
+        with pytest.raises(ValueError, match="^gamma_high and gamma_low must be numbers$"):
             ClockConfig(**kwargs)
 
     def test_rejects_gamma_above_the_ceiling(self):
@@ -597,6 +611,109 @@ class TestReuse:
         rows = trace_csv(trace).splitlines()[1:]
         assert len(rows) == len(trace.samples)
         assert all(row.split(",")[-1] == "0.000000000" for row in rows)
+
+
+@st.composite
+def small_runs(draw):
+    """A small valid off-grid layout, with or without a fixed cell and with
+    zero to two outputs, a short clock, and an explicit schedule that
+    repeats and complements its vectors in any order."""
+    n_inputs = draw(st.integers(1, 3))
+    roles = [Role.input(f"i{k}") for k in range(n_inputs)]
+    if draw(st.booleans()):
+        roles.append(Role.fixed(draw(st.sampled_from([-1, 1]))))
+    roles += [Role.output(f"o{k}") for k in range(draw(st.integers(0, 2)))]
+    roles += [Role.normal()] * draw(st.integers(0, 7 - len(roles)))
+    spots = draw(st.permutations(range(12)))
+    jitter = st.floats(-0.9, 0.9)
+    cells = [
+        Cell(f"c{k}", 20.0 * (spot % 4) + draw(jitter), 20.0 * (spot // 4) + draw(jitter), role,
+             zone=draw(st.integers(0, 3)))
+        for k, (spot, role) in enumerate(zip(spots, draw(st.permutations(roles))))
+    ]
+    layout = Layout(GeometryParams(relative_permittivity=draw(st.sampled_from([1.0, 12.9]))), cells)
+    clock = ClockConfig(samples_per_cycle=draw(st.sampled_from([8, 16, 128])))
+    labels = layout.input_labels()
+    vectors: list[dict[str, int]] = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["new", "repeat", "complement"])) if vectors else "new"
+        if kind == "new":
+            vectors.append({label: draw(st.sampled_from([-1, 1])) for label in labels})
+        else:
+            earlier = draw(st.sampled_from(vectors))
+            sign = 1 if kind == "repeat" else -1
+            vectors.append({label: sign * value for label, value in earlier.items()})
+    return layout, clock, InputSchedule.explicit(labels, vectors)
+
+
+def library_outcome(layout, clock, schedule):
+    """(trace, measurement), or the error that simulate or measure raised."""
+    try:
+        trace = simulate(layout, clock, schedule)
+        return trace, measure(trace, layout)
+    except (ConvergenceFailure, NoOutputError) as err:
+        return type(err), None
+
+
+class TestStreaming:
+    @settings(max_examples=60, deadline=None)
+    @given(small_runs())
+    def test_streamed_sim_writes_the_bytes_of_the_trace_api(self, run):
+        layout, clock, schedule = run
+        trace, measurement = library_outcome(*run)
+        with tempfile.TemporaryDirectory() as folder:
+            path = Path(folder)
+            (path / "l.qcl").write_text(serialize_qcl(layout, clock))
+            lines = (" ".join(f"{label}={value:+d}" for label, value in v) for v in schedule.vectors)
+            (path / "v.txt").write_text("\n".join(lines) + "\n")
+            argv = ["sim", str(path / "l.qcl"), "--vectors", str(path / "v.txt")]
+            argv += ["--out", str(path / "t.csv"), "--measure", str(path / "m.csv")]
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = cli_main(argv)
+            if measurement is None:
+                assert code == {ConvergenceFailure: 3, NoOutputError: 2}[trace]
+                assert sorted(p.name for p in path.iterdir()) == ["l.qcl", "v.txt"]
+            else:
+                assert code == 0
+                assert (path / "t.csv").read_bytes() == trace_csv(trace).encode()
+                assert (path / "m.csv").read_bytes() == measurement_csv(measurement).encode()
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_runs())
+    def test_readings_only_path_matches_measure_of_simulate(self, run):
+        trace, measurement = library_outcome(*run)
+        if measurement is None:
+            with pytest.raises(trace):
+                engine.stream_measurement(*run)
+        else:
+            # repr tells -0.0 from 0.0, which == does not
+            assert repr(engine.stream_measurement(*run).readings) == repr(measurement.readings)
+
+    def test_an_uncoupled_output_reads_positive_zero_when_mirrored(self):
+        # the output is beyond radius_of_effect: its field is an empty sum,
+        # +0.0, and the mirror's steady value, negated from it, must not be -0.0
+        layout = Layout(
+            GeometryParams(),
+            [Cell("in", 0.0, 0.0, Role.input("a")), Cell("out", 500.0, 0.0, Role.output("b"))],
+        )
+        run = exhaustive(layout)
+        readings = engine.stream_measurement(*run).readings
+        assert repr(readings) == repr(measure(simulate(*run), layout).readings)
+        assert [math.copysign(1.0, r.steady) for r in readings] == [1.0, 1.0]
+
+    def test_a_relaxed_block_is_held_until_its_last_mirror(self):
+        # vector 1 mirrors 0; vector 2 repeats 0 and is relaxed again, since
+        # its complement was only mirrored; vector 3 mirrors 2, the latest
+        layout, clock, schedule = explicit(gen_wire(3), [{"a": 1}, {"a": -1}, {"a": 1}, {"a": -1}])
+        cycles = engine._cycles(layout, clock, schedule, True)
+        steps = []
+        for block, k in cycles:
+            assert len(list(block)) == clock.samples_per_cycle
+            steps.append((k, sorted(cycles.gi_frame.f_locals["held"])))
+        assert steps == [(None, [0]), (0, []), (None, [2]), (2, [])]
+        # without a writer nothing is held, and a mirror comes without samples
+        blocks = list(engine._cycles(layout, clock, schedule, False))
+        assert [(block is None, k) for block, k in blocks] == [(False, None), (True, 0), (False, None), (True, 2)]
 
 
 @st.composite

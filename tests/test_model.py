@@ -6,6 +6,7 @@ import inspect
 import itertools
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -119,6 +120,25 @@ def test_wrongly_typed_fields_raise_value_error(build, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         build()
 
+
+
+# An int too large for a double is not finite: the check gives its ValueError
+# where math.isfinite would raise OverflowError; the largest double still builds.
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GeometryParams(pitch=2**1100), "geometry parameters must be finite numbers"),
+        (lambda: GeometryParams(radius_of_effect=-(2**1024)), "geometry parameters must be finite numbers"),
+        (lambda: Cell("c", 2**1100, 0.0, Role.normal()), "cell c: position must be finite"),
+        (lambda: Cell("c", 0.0, -(2**1024), Role.normal()), "cell c: position must be finite"),
+    ],
+    ids=["pitch", "radius", "x", "y"],
+)
+def test_ints_too_large_for_a_double_raise_value_error(build, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        build()
+    largest = int(sys.float_info.max)
+    assert Cell("c", largest, -largest, Role.normal()).x == largest
 
 def test_electron_positions_default_conventions():
     g = GeometryParams()
