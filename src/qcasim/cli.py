@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import os
+import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -64,32 +65,43 @@ class _CliError(Exception):
         self.code = code
 
 
-def _write_bytes(path: str, text: str) -> None:
-    Path(path).write_bytes(text.encode("utf-8"))
-
-
-_PART_NUMBERS = itertools.count()  # two files open at once may share a path
+_PART_NUMBERS = itertools.count()  # --out and --measure may name one file
 
 
 @contextmanager
 def _replacing(path: str | None) -> Iterator[TextIO | None]:
-    """A text file that replaces ``path`` when the block completes; until
-    then a sibling temporary file, which any failure removes.  None, and no
-    file, without a path."""
+    """A text file for ``path`` (None without one).  A new or writable regular
+    file is replaced, through any symlink, only when the block completes;
+    a device, a pipe, a read-only file or a file in a folder that takes no
+    new file is written in place."""
     if not path:
         yield None
         return
-    name = f".{os.path.basename(path)}.{os.getpid()}.{next(_PART_NUMBERS)}.part"
-    part = os.path.join(os.path.dirname(path), name)
+    target = os.path.realpath(path)
+    folder, name = os.path.split(target)
+    old = os.stat(target) if os.path.exists(target) else None
+    replaceable = old is None or stat.S_ISREG(old.st_mode) and os.access(target, os.W_OK)
+    if not (replaceable and os.access(folder, os.W_OK)):
+        with open(path, "w", encoding="utf-8", newline="") as out:
+            yield out
+        return
+    part = os.path.join(folder, f".{name}.{os.getpid()}.{next(_PART_NUMBERS)}.part")
     try:
         with open(part, "w", encoding="utf-8", newline="") as out:
+            if old:
+                os.chmod(part, stat.S_IMODE(old.st_mode))
             yield out
-        os.replace(part, path)
+        os.replace(part, target)
     except OSError as err:  # name the user's file, not the temporary one
         raise (OSError(err.errno, err.strerror, path) if err.filename == part else err) from None
     finally:
         if os.path.exists(part):
             os.remove(part)
+
+
+def _write_text(path: str, text: str) -> None:
+    with _replacing(path) as out:
+        out.write(text)
 
 
 def _read_text(path: str) -> str:
@@ -165,7 +177,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     layout = builder(_geometry_from_args(args))
     document = serialize_qcl(layout)
     if args.out:
-        _write_bytes(args.out, document)
+        _write_text(args.out, document)
         print(f"{len(layout.cells)} cells -> {args.out}")
     else:
         print(f"{len(layout.cells)} cells", file=sys.stderr)
@@ -196,7 +208,7 @@ def _cmd_kink(args: argparse.Namespace) -> int:
     layout, _ = _load_layout(args.layout)
     report = circuit_kink_energy(layout)
     if args.out:
-        _write_bytes(args.out, kink_report_csv(report))
+        _write_text(args.out, kink_report_csv(report))
     if args.model in ("bare", "both"):
         print(f"total_kink_bare_J={format_energy(report.total_bare)}")
     if args.model in ("neutralized", "both"):
@@ -221,9 +233,9 @@ def _parse_extra_range(text: str) -> list[int]:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(_parse_extra_range(args.extra))
     if args.out:
-        _write_bytes(args.out, sweep_csv(rows))
+        _write_text(args.out, sweep_csv(rows))
     if args.compare:
-        _write_bytes(args.compare, format_trend_comparison(rows))
+        _write_text(args.compare, format_trend_comparison(rows))
     sys.stdout.write(format_sweep_table(rows))
     return 0
 

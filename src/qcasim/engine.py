@@ -14,9 +14,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .electrostatics import kink_energy
 from .model import Cell, Layout, RoleKind, pairs_within
@@ -62,9 +61,6 @@ _TOLERANCE, _MAX_SWEEPS = 1e-7, 1000
 Vector = tuple[tuple[str, int], ...]  # ((label, +-1), ...) sorted by label
 Neighbours = tuple[tuple[int, float], ...]  # (neighbour index, kink energy J), ...
 Row = tuple[int, int, Neighbours]  # free cell (index, zone, neighbours)
-Writer = Callable[[Iterable["TraceSample"]], object]  # takes one vector's samples
-# a vector's samples (None for a mirror whose source is not held) and the vector it mirrors
-Block = tuple[Iterable["TraceSample"] | None, int | None]
 
 
 class ConvergenceFailure(RuntimeError):
@@ -316,10 +312,12 @@ def _negated(block: Iterable[TraceSample], vi: int, pinned: Mapping[int, float])
         yield TraceSample(vi, s.sample_index, s.gammas, tuple(flipped), s.iterations)
 
 
-def _cycles(layout: Layout, clock: ClockConfig, schedule: InputSchedule, hold: bool) -> Iterator[Block]:
-    """The generator every run goes through: one Block per vector, in
-    schedule order.  With ``hold``, each relaxed block is held until the
-    last vector that mirrors it has taken it; without, no block is held.
+def _cycles(
+    layout: Layout, clock: ClockConfig, schedule: InputSchedule, hold: bool
+) -> Iterator[tuple[Iterable[TraceSample] | None, int | None]]:
+    """Every run's generator: per vector, its samples and the vector it
+    mirrors (None if relaxed).  With ``hold`` a relaxed block is held until
+    its last mirror takes it; without, a mirror comes without samples.
 
     Inputs stay pinned at the vector's values for the whole cycle while the
     zone gammas sweep through the four phases.  Every vector anneals from
@@ -353,8 +351,8 @@ def _cycles(layout: Layout, clock: ClockConfig, schedule: InputSchedule, hold: b
     loop, work = _sweep, 0
     for vi, (vector, k) in enumerate(zip(schedule.vectors, sources)):
         pinned = _pinned_map(layout, {by_label[label]: value for label, value in vector})
-        if k is not None:  # no local keeps the source block once it is popped
-            yield (_negated(held.pop(k) if last[k] == vi else held[k], vi, pinned) if k in held else None), k
+        if k is not None:  # the last mirror of a block pops it
+            yield (_negated(held.pop(k) if last[k] == vi else held[k], vi, pinned) if hold else None), k
             continue
         p = [0.0] * len(layout.cells)
         rows = _free_rows(layout, couplings, pinned, p)
@@ -411,14 +409,12 @@ class Measurement:
 
 
 def _read(
-    layout: Layout, n: int, vectors: tuple[Vector, ...], blocks: Iterable[Block], write: Writer | None = None
+    layout: Layout, n: int, vectors: tuple[Vector, ...], blocks: Iterable[tuple[Any, int | None]],
+    write: Callable[[Iterable[TraceSample]], object] | None = None,
 ) -> Measurement:
-    """The block reducer: pass each block to ``write``, then read every
-    output's steady and peak |P| from it in one pass; a mirror's readings
-    are its source's, steady negated.  Steady is the last sample of the
-    output zone's hold quarter, mod the cycle: for zones 3 and up it would
-    wrap past the vector.  NoOutputError comes last, after any
-    ConvergenceFailure."""
+    """Pass each vector's samples to ``write``; read each output's steady P
+    (the last sample of its zone's hold quarter, mod the cycle) and peak |P|
+    in one pass, a mirror's from its source's.  NoOutputError comes last."""
     quarter = n // 4
     outputs = [
         (c.role.label, i, (2 * quarter - 1 + c.zone * quarter) % n)
@@ -427,7 +423,7 @@ def _read(
     ]
     per_vector: list[list[tuple[float, float]]] = []
     for block, k in blocks:
-        if write is not None:
+        if write:
             write(block)
         if k is None:
             rows = [s.polarizations for s in block]
@@ -445,20 +441,19 @@ def _read(
 
 
 def measure(trace: Trace, layout: Layout) -> Measurement:
-    """Reduce a trace to per-output, per-vector steady and peak values, one
-    vector's samples at a time."""
+    """Reduce a trace to per-output, per-vector steady and peak values."""
     n = trace.samples_per_cycle
     blocks = ((trace.samples[at : at + n], None) for at in range(0, len(trace.vectors) * n, n))
     return _read(layout, n, trace.vectors, blocks)
 
 
 def stream_measurement(
-    layout: Layout, clock: ClockConfig, schedule: InputSchedule, write: Writer | None = None
+    layout: Layout, clock: ClockConfig, schedule: InputSchedule,
+    write: Callable[[Iterable[TraceSample]], object] | None = None,
 ) -> Measurement:
-    """``measure(simulate(layout, clock, schedule), layout)``, keeping the
-    readings, not the samples.  ``write``, if given, takes each vector's
-    samples as they come, in trace order; then only the relaxed blocks a
-    later mirror still needs are held."""
+    """``measure(simulate(layout, clock, schedule), layout)`` without keeping
+    the samples.  ``write``, if given, takes each vector's samples in trace
+    order, and only the relaxed blocks a later mirror still needs are held."""
     blocks = _cycles(layout, clock, schedule, write is not None)
     return _read(layout, clock.samples_per_cycle, schedule.vectors, blocks, write)
 

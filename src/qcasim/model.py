@@ -37,9 +37,6 @@ __all__ = [
 # safe token alphabet is what lets the text format round-trip every valid
 # layout (no whitespace, '=', '#' or ',' can appear inside a token).
 TOKEN_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.+:-]*\Z")
-# |v| <= _MAX_DOUBLE rejects inf, nan and an int too large for a double, for
-# which math.isfinite would raise OverflowError
-_MAX_DOUBLE = sys.float_info.max
 
 
 class ChargeModel(Enum):
@@ -73,7 +70,7 @@ class GeometryParams:
             self.relative_permittivity,
             self.radius_of_effect,
         )
-        if not all(isinstance(v, (int, float)) and abs(v) <= _MAX_DOUBLE for v in numbers):
+        if not all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in numbers):
             raise ValueError("geometry parameters must be finite numbers")
         if not isinstance(self.charge_model, ChargeModel):
             raise ValueError("charge_model must be a ChargeModel")
@@ -157,7 +154,7 @@ class Cell:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str) or not TOKEN_RE.match(self.id):
             raise ValueError(f"cell id {self.id!r} is not a valid token")
-        if not all(isinstance(v, (int, float)) and abs(v) <= _MAX_DOUBLE for v in (self.x, self.y)):
+        if not all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in (self.x, self.y)):
             raise ValueError(f"cell {self.id}: position must be finite")
         if not isinstance(self.role, Role):
             raise ValueError(f"cell {self.id}: role must be a Role")

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -373,12 +375,67 @@ class TestStreamedSim:
         assert path.read_bytes() == trace_csv(trace).encode()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "wire3.qcl"]
 
+    def test_out_to_a_device_is_written_in_place(self, wire3, capsys):
+        # a device is opened as it is: no temporary file beside it, and the
+        # device itself stays a device
+        assert main(["sim", wire3, "--out", os.devnull, "--measure", os.devnull]) == 0
+        assert main(["gen", "wire:3", "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_out_to_a_pipe_streams_into_it(self, wire3, tmp_path, capsys):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        received = []
+        # a daemon: if sim never opened the pipe, the reader must not hang the run
+        reader = threading.Thread(target=lambda: received.append(pipe.read_bytes()), daemon=True)
+        reader.start()
+        assert main(["sim", wire3, "--out", str(pipe)]) == 0
+        reader.join(timeout=60)
+        trace = simulate(gen_wire(3), ClockConfig(), InputSchedule.exhaustive(["a"]))
+        assert received == [trace_csv(trace).encode()]
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "wire3.qcl"]
+
+    def test_out_through_a_symlink_replaces_its_target(self, wire3, tmp_path, capsys):
+        target = tmp_path / "real" / "t.csv"
+        target.parent.mkdir()
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert main(["sim", wire3, "--out", str(link)]) == 0
+        assert main(["gen", "wire:4", "--out", str(tmp_path / "real")]) == 2  # a folder, as before
+        trace = simulate(gen_wire(3), ClockConfig(), InputSchedule.exhaustive(["a"]))
+        assert link.is_symlink() and target.read_bytes() == trace_csv(trace).encode()
+        assert sorted(p.name for p in target.parent.iterdir()) == ["t.csv"]
+
+    def test_a_replaced_file_keeps_its_mode(self, wire3, tmp_path, capsys):
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+        path.chmod(0o600)
+        assert main(["sim", wire3, "--out", str(path)]) == 0
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600 and path.read_text() != "old\n"
+
+    @pytest.mark.parametrize("closed", ["file", "folder"])
+    def test_a_file_that_cannot_be_replaced_is_written_in_place(self, wire3, tmp_path, monkeypatch, capsys, closed):
+        # a read-only file, or one in a folder that takes no new file, is
+        # opened in place, as it always was: same inode, and the open
+        # itself reports a file the process may not write
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+        inode = path.stat().st_ino
+        closed_path = str(path if closed == "file" else tmp_path)
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: os.fspath(p) != closed_path and access(p, mode))
+        assert main(["sim", wire3, "--out", str(path)]) == 0
+        trace = simulate(gen_wire(3), ClockConfig(), InputSchedule.exhaustive(["a"]))
+        assert path.stat().st_ino == inode and path.read_bytes() == trace_csv(trace).encode()
+
     def test_import_loads_no_new_standard_module(self):
         # the modules qcasim names at its top level, imported first, in a
         # child without site: importing qcasim.cli then adds only qcasim's own
         stdlib = (
             "__future__ argparse bisect contextlib dataclasses enum functools io"
-            " itertools math operator os pathlib re sys typing"
+            " itertools math operator os pathlib re stat sys typing"
         )
         code = (
             f"import sys, {', '.join(stdlib.split())}\n"
