@@ -441,7 +441,9 @@ def _read(
 
 
 def measure(trace: Trace, layout: Layout) -> Measurement:
-    """Reduce a trace to per-output, per-vector steady and peak values."""
+    """Reduce a trace to per-output, per-vector readings, output-major:
+    steady P at the last sample of the output zone's hold quarter (mod the
+    cycle), and the peak |P| over the vector's samples."""
     n = trace.samples_per_cycle
     blocks = ((trace.samples[at : at + n], None) for at in range(0, len(trace.vectors) * n, n))
     return _read(layout, n, trace.vectors, blocks)
