@@ -188,7 +188,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_sim(args: argparse.Namespace) -> int:
     layout, clock = _load_layout(args.layout)
     schedule = _schedule_for(args, layout)
-    # the inner file lands first: the trace, then the measurement, as before
+    # the inner file lands first: the trace, then the measurement
     with _replacing(args.measure) as measure_out, _replacing(args.out) as trace_out:
         write = trace_csv_writer(trace_out, [c.id for c in layout.cells]) if trace_out else None
         measurement = stream_measurement(layout, clock, schedule, write)

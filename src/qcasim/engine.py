@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .electrostatics import kink_energy
-from .model import Cell, Layout, RoleKind, pairs_within
+from .model import Layout, RoleKind, pairs_within
 
 __all__ = [
     "TRUTH_MARGIN",
@@ -55,7 +55,7 @@ MAX_EXHAUSTIVE_INPUTS = 12
 # 1e-22 J).  It keeps 2 gamma below 1 J, so total / (2 gamma) never underflows.
 MAX_GAMMA = 1e-18
 
-# relax's defaults, and what _cycles relaxes every sample to.
+# Every relaxation, relax's and _cycles', stops at these.
 _TOLERANCE, _MAX_SWEEPS = 1e-7, 1000
 
 Vector = tuple[tuple[str, int], ...]  # ((label, +-1), ...) sorted by label
@@ -64,7 +64,7 @@ Row = tuple[int, int, Neighbours]  # free cell (index, zone, neighbours)
 
 
 class ConvergenceFailure(RuntimeError):
-    """Relaxation did not settle below tolerance within max_iters sweeps."""
+    """Relaxation did not settle below tolerance within the sweep limit."""
 
     def __init__(
         self,
@@ -262,17 +262,15 @@ def relax(
     assignments: Mapping[str, int],
     gamma_per_zone: Sequence[float],
     initial_p: Sequence[float] | None = None,
-    tolerance: float = _TOLERANCE,
-    max_iters: int = _MAX_SWEEPS,
 ) -> tuple[list[float], int]:
     """Gauss-Seidel relaxation to a bistable fixed point at fixed gammas.
 
     ``assignments`` pins cells by id (every input must be covered; fixed
     cells are pinned automatically).  Sweeps update free cells in layout
-    order until the largest per-sweep change drops below ``tolerance``.
-    Returns (polarizations, sweeps used); raises ConvergenceFailure if
-    ``max_iters`` sweeps are not enough.  Chained over a clock cycle via
-    ``initial_p`` from zeros, it reproduces ``simulate``'s trace exactly.
+    order until the largest per-sweep change drops below 1e-7.  Returns
+    (polarizations, sweeps used); raises ConvergenceFailure if 1,000 sweeps
+    are not enough.  Chained over a clock cycle via ``initial_p`` from
+    zeros, it reproduces ``simulate``'s trace exactly.
     """
     if len(gamma_per_zone) != 4 or any(g <= 0 for g in gamma_per_zone):
         raise ValueError("gamma_per_zone must be four positive energies")
@@ -281,7 +279,7 @@ def relax(
     if len(p) != len(layout.cells):
         raise ValueError("initial_p length must match cell count")
     rows = _free_rows(layout, coupling_map(layout), pinned, p)
-    return p, _sweep(p, rows, gamma_per_zone, tolerance, max_iters)
+    return p, _sweep(p, rows, gamma_per_zone, _TOLERANCE, _MAX_SWEEPS)
 
 
 class TraceSample(NamedTuple):
@@ -502,7 +500,7 @@ def truth_check(
         rows = []
         for name in outputs:
             r = measurement.reading(name, vi)
-            sign_ok = (r.steady > 0) == want and r.steady != 0
+            sign_ok = (r.steady > 0) == want
             margin_ok = abs(r.steady) >= TRUTH_MARGIN
             rows.append(OutputVerdict(name, want, r.steady, sign_ok and margin_ok))
         verdicts.append(VectorVerdict(vi, vector, tuple(rows)))

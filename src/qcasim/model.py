@@ -14,6 +14,7 @@ import bisect
 import math
 import re
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -277,10 +278,7 @@ def validate(layout: Layout) -> list[Violation]:
     out: list[Violation] = []
     cells = layout.cells
 
-    seen: dict[str, int] = {}
-    for cell in cells:
-        seen[cell.id] = seen.get(cell.id, 0) + 1
-    for cid, count in seen.items():
+    for cid, count in Counter(c.id for c in cells).items():
         if count > 1:
             out.append(Violation("duplicate-id", (cid,), f"cell id {cid!r} appears {count} times"))
 
@@ -311,14 +309,11 @@ def validate(layout: Layout) -> list[Violation]:
                 )
             )
 
-    has_free = any(c.role.kind in (RoleKind.NORMAL, RoleKind.OUTPUT) for c in cells)
-    has_driver = any(c.role.kind in (RoleKind.INPUT, RoleKind.FIXED) for c in cells)
-    if has_free and not has_driver:
-        free_ids = tuple(c.id for c in cells if c.role.kind in (RoleKind.NORMAL, RoleKind.OUTPUT))
+    if cells and all(c.role.kind in (RoleKind.NORMAL, RoleKind.OUTPUT) for c in cells):
         out.append(
             Violation(
                 "no-driver",
-                free_ids,
+                tuple(c.id for c in cells),
                 "layout has free cells but no input or fixed cell to drive them",
             )
         )

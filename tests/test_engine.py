@@ -341,8 +341,8 @@ class TestRelax:
             relax(layout, {"drv": -1}, GAMMA_LOW4)
 
     def test_failure_carries_residual(self):
-        with pytest.raises(ConvergenceFailure) as exc:
-            relax(gen_wire(20), {"c0": +1}, GAMMA_LOW4, max_iters=1)
+        with mock.patch.object(engine, "_MAX_SWEEPS", 1), pytest.raises(ConvergenceFailure) as exc:
+            relax(gen_wire(20), {"c0": +1}, GAMMA_LOW4)
         assert exc.value.residual > 0.0
         assert exc.value.vector_index is None
         assert exc.value.sample_index is None
@@ -352,7 +352,7 @@ def anti_ordered_chain(n_cells: int) -> Layout:
     """Wire listed farthest-from-driver first, coupled only pitch-to-pitch.
 
     Gauss-Seidel in layout order can move the polarization front only one
-    cell per sweep here, so long chains exhaust max_iters honestly.
+    cell per sweep here, so long chains exhaust the sweep limit honestly.
     """
     g = GeometryParams(radius_of_effect=20.0)
     cells = [

@@ -297,6 +297,40 @@ def test_validate_is_deterministic():
     assert validate(lay) == validate(lay)
 
 
+@pytest.mark.parametrize(
+    "cells, expected",
+    [
+        (  # two overlapping cells share an id and an output label; nothing drives them
+            [
+                Cell("x", 0.0, 0.0, Role.output("o")),
+                Cell("x", 10.0, 0.0, Role.output("o")),
+                Cell("n", 100.0, 0.0, Role.normal()),
+            ],
+            [
+                ("duplicate-id", ("x",), "cell id 'x' appears 2 times"),
+                ("duplicate-label", ("x", "x"), "output label 'o' used by cells x, x"),
+                ("overlap", ("x", "x"), "cells x and x are closer than cell_size"),
+                ("no-driver", ("x", "x", "n"), "layout has free cells but no input or fixed cell to drive them"),
+            ],
+        ),
+        (  # input labels are checked before output labels
+            [
+                Cell("a", 0.0, 0.0, Role.input("i")),
+                Cell("b", 40.0, 0.0, Role.input("i")),
+                Cell("c", 80.0, 0.0, Role.output("o")),
+                Cell("d", 120.0, 0.0, Role.output("o")),
+            ],
+            [
+                ("duplicate-label", ("a", "b"), "input label 'i' used by cells a, b"),
+                ("duplicate-label", ("c", "d"), "output label 'o' used by cells c, d"),
+            ],
+        ),
+    ],
+)
+def test_validate_reports_every_rule_in_a_fixed_order(cells, expected):
+    assert [tuple(v) for v in validate(Layout(GeometryParams(), cells))] == expected
+
+
 coordinate = st.floats(-200.0, 200.0, allow_nan=False, allow_infinity=False)
 far_shift = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 
