@@ -8,12 +8,12 @@ invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import stat
 import sys
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 from .electrostatics import ZeroDistanceError, circuit_kink_energy
@@ -107,7 +107,8 @@ def _write_text(path: str, text: str) -> None:
 def _read_text(path: str) -> str:
     """The file as text; a leading byte-order mark is dropped."""
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as text:
+            return text.read()
     except (OSError, UnicodeDecodeError) as err:
         raise _CliError(2, f"cannot read {path}: {err}") from None
 
@@ -264,6 +265,7 @@ def _cmd_truth(args: argparse.Namespace) -> int:
     return 0 if result.passed else 1
 
 
+@functools.cache  # built on the first main call, then reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcasim",

@@ -14,11 +14,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .electrostatics import kink_energy
-from .model import Layout, RoleKind, pairs_within
+from .model import Layout, RoleKind, _Record, pairs_within
 
 __all__ = [
     "TRUTH_MARGIN",
@@ -85,15 +84,16 @@ class NoOutputError(ValueError):
     """The layout has no output cells to measure."""
 
 
-@dataclass(frozen=True)
-class ClockConfig:
+class ClockConfig(_Record):
     """Four-phase clock: barrier energies in joules, cycle length in samples."""
 
-    gamma_high: float = 9.8e-22  # barriers low, cell free to repolarize
-    gamma_low: float = 3.8e-23   # barriers high, cell latched
-    samples_per_cycle: int = 128
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        gamma_high: float = 9.8e-22,  # barriers low, cell free to repolarize
+        gamma_low: float = 3.8e-23,  # barriers high, cell latched
+        samples_per_cycle: int = 128,
+    ) -> None:
+        self.__dict__.update(gamma_high=gamma_high, gamma_low=gamma_low, samples_per_cycle=samples_per_cycle)
         if not all(isinstance(g, (int, float)) for g in (self.gamma_high, self.gamma_low)):
             raise ValueError("gamma_high and gamma_low must be numbers")
         if not (MAX_GAMMA >= self.gamma_high > self.gamma_low > 0):
@@ -127,14 +127,11 @@ def gamma_at(clock: ClockConfig, zone: int, sample: int) -> float:
     return gh
 
 
-@dataclass(frozen=True)
-class InputSchedule:
+class InputSchedule(_Record):
     """The input vectors a simulation steps through, one clock cycle each."""
 
-    labels: tuple[str, ...]
-    vectors: tuple[Vector, ...]
-
-    def __post_init__(self) -> None:
+    def __init__(self, labels: tuple[str, ...], vectors: tuple[Vector, ...]) -> None:
+        self.__dict__.update(labels=labels, vectors=vectors)
         if not self.vectors:
             raise ValueError("need at least one vector")
         for i, vector in enumerate(self.vectors):
@@ -388,10 +385,11 @@ class OutputReading(NamedTuple):
     max_abs: float
 
 
-@dataclass(frozen=True)
-class Measurement:
-    vectors: tuple[Vector, ...]
-    readings: tuple[OutputReading, ...]
+class Measurement(_Record):
+    """Each output's readings over the input vectors, output-major."""
+
+    def __init__(self, vectors: tuple[Vector, ...], readings: tuple[OutputReading, ...]) -> None:
+        self.__dict__.update(vectors=vectors, readings=readings)
 
     @functools.cached_property
     def _by_key(self) -> dict[tuple[str, int], OutputReading]:

@@ -15,7 +15,6 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -40,6 +39,45 @@ __all__ = [
 TOKEN_RE = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.+:-]*\Z")
 
 
+class _Record:
+    """Base of the records that validate or cache.  The fields are the
+    parameters of ``__init__``, which stores them in the instance
+    ``__dict__`` and then checks them.  A record is immutable, equal only
+    to a record of the same type with equal fields, hashed by its fields,
+    shown as ``Name(field=value, ...)``, and ``_replace`` copies it through
+    ``__init__``, so the copy is checked too."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        code = cls.__init__.__code__
+        cls._fields = cls.__match_args__ = code.co_varnames[1 : code.co_argcount]
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        values = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({values})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _replace(self, **changes: object) -> _Record:
+        return type(self)(**{**dict(zip(self._fields, self._values())), **changes})
+
+
 class ChargeModel(Enum):
     """Charge placement used when a cell is reduced to point charges."""
 
@@ -47,8 +85,7 @@ class ChargeModel(Enum):
     NEUTRALIZED = "neutralized"  # -e/2 on occupied dots, +e/2 on empty dots
 
 
-@dataclass(frozen=True)
-class GeometryParams:
+class GeometryParams(_Record):
     """Cell geometry and electrostatic environment.  Lengths are in nm.
 
     ``radius_of_effect`` is the maximum center-to-center distance at which
@@ -56,14 +93,15 @@ class GeometryParams:
     reports and in the relaxation engine.
     """
 
-    cell_size: float = 18.0
-    dot_diameter: float = 5.0
-    pitch: float = 20.0
-    relative_permittivity: float = 1.0
-    charge_model: ChargeModel = ChargeModel.NEUTRALIZED
-    radius_of_effect: float = 65.0
-
-    def __post_init__(self) -> None:
+    def __init__(
+        self, cell_size: float = 18.0, dot_diameter: float = 5.0, pitch: float = 20.0,
+        relative_permittivity: float = 1.0, charge_model: ChargeModel = ChargeModel.NEUTRALIZED,
+        radius_of_effect: float = 65.0,
+    ) -> None:
+        self.__dict__.update(
+            cell_size=cell_size, dot_diameter=dot_diameter, pitch=pitch, relative_permittivity=relative_permittivity,
+            charge_model=charge_model, radius_of_effect=radius_of_effect,
+        )
         numbers = (
             self.cell_size,
             self.dot_diameter,
@@ -99,15 +137,11 @@ class RoleKind(Enum):
     NORMAL = "normal"  # free cell
 
 
-@dataclass(frozen=True)
-class Role:
+class Role(_Record):
     """Role of a cell, with the label or pinned polarization it requires."""
 
-    kind: RoleKind
-    label: str | None = None
-    polarization: int | None = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, kind: RoleKind, label: str | None = None, polarization: int | None = None) -> None:
+        self.__dict__.update(kind=kind, label=label, polarization=polarization)
         if not isinstance(self.kind, RoleKind):
             raise ValueError("role kind must be a RoleKind")
         if self.kind in (RoleKind.INPUT, RoleKind.OUTPUT):
@@ -142,17 +176,11 @@ class Role:
         return cls(RoleKind.NORMAL)
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(_Record):
     """One four-dot cell: identity, center position (nm), role, clock zone."""
 
-    id: str
-    x: float
-    y: float
-    role: Role
-    zone: int = 0
-
-    def __post_init__(self) -> None:
+    def __init__(self, id: str, x: float, y: float, role: Role, zone: int = 0) -> None:
+        self.__dict__.update(id=id, x=x, y=y, role=role, zone=zone)
         if not isinstance(self.id, str) or not TOKEN_RE.match(self.id):
             raise ValueError(f"cell id {self.id!r} is not a valid token")
         if not all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in (self.x, self.y)):
@@ -164,16 +192,12 @@ class Cell:
             raise ValueError(f"cell {self.id}: clock zone must be 0..3")
 
 
-@dataclass(frozen=True)
-class Layout:
+class Layout(_Record):
     """An ordered collection of cells sharing one geometry.
 
     Cell order is meaningful: it is the sweep order of the relaxation
     engine and the serialization order of the text format.
     """
-
-    geometry: GeometryParams
-    cells: tuple[Cell, ...]
 
     def __init__(self, geometry: GeometryParams, cells: Iterable[Cell]) -> None:
         cells = tuple(cells)
@@ -181,8 +205,7 @@ class Layout:
             raise ValueError("layout geometry must be a GeometryParams")
         if not all(isinstance(c, Cell) for c in cells):
             raise ValueError("layout cells must be Cells")
-        object.__setattr__(self, "geometry", geometry)
-        object.__setattr__(self, "cells", cells)
+        self.__dict__.update(geometry=geometry, cells=cells)
 
     def __len__(self) -> int:
         return len(self.cells)

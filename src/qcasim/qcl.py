@@ -153,7 +153,7 @@ def _format_clock_energy(value: float) -> str:
 
 
 # One row per key of the geometry and clock lines, in canonical order:
-# .qcl key -> (dataclass field, parser(key, text, line), formatter).
+# .qcl key -> (record field, parser(key, text, line), formatter).
 _Field = tuple[str, Callable[[str, str, int], Any], Callable[[Any], str]]
 GEOMETRY_FIELDS: dict[str, _Field] = {
     "cell_size": ("cell_size", _number, _format_length),
@@ -168,7 +168,7 @@ CLOCK_FIELDS: dict[str, _Field] = {
     "low": ("gamma_low", _number, _format_clock_energy),
     "samples": ("samples_per_cycle", _integer, str),
 }
-# directive -> (dataclass, fields); keys a line leaves out keep the defaults
+# directive -> (record type, fields); keys a line leaves out keep the defaults
 _CONFIG_LINES = {
     "geometry": (GeometryParams, GEOMETRY_FIELDS),
     "clock": (ClockConfig, CLOCK_FIELDS),

@@ -12,7 +12,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 from conftest import record_acceptance
@@ -166,8 +165,7 @@ def test_criterion_6_scaling_and_relabel():
     rng = random.Random(11)
 
     def scaled_geometry(g, s):
-        return replace(
-            g,
+        return g._replace(
             cell_size=g.cell_size * s,
             dot_diameter=g.dot_diameter * s,
             pitch=g.pitch * s,
@@ -197,7 +195,7 @@ def test_criterion_6_scaling_and_relabel():
                 divided = kink_energy(
                     cell(ax, ay, "a"),
                     cell(bx, by, "b"),
-                    replace(g, relative_permittivity=c),
+                    g._replace(relative_permittivity=c),
                 )
                 if abs(divided - base / c) > 1e-12 * abs(base / c):
                     permittivity_ok = False

@@ -32,7 +32,7 @@ from qcasim import (
     simulate,
     trace_csv,
 )
-from qcasim import engine
+from qcasim import cli, engine
 from qcasim.cli import format_trend_comparison, main, run_sweep, sweep_csv
 
 
@@ -161,6 +161,15 @@ class TestSim:
     def test_missing_layout_file(self, tmp_path, capsys):
         assert main(["sim", str(tmp_path / "nope.qcl")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+    def test_read_errors_name_the_path_as_given(self, wire3, tmp_path, capsys):
+        # the path reaches open() unchanged: no '//' folded, no trailing '/' dropped
+        for path, reason in ((f"{tmp_path}//nope.qcl", "No such file or directory"), (f"{wire3}/", "Not a directory")):
+            assert main(["sim", path]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: cannot read {path}: [Errno ") and err.endswith(f"{reason}: {path!r}\n")
+        assert main(["sim", ""]) == 2
+        assert capsys.readouterr().err == "error: cannot read : [Errno 2] No such file or directory: ''\n"
 
     def test_layout_file_that_is_not_utf8(self, tmp_path, capsys):
         path = tmp_path / "bad.qcl"
@@ -434,8 +443,8 @@ class TestStreamedSim:
         # the modules qcasim names at its top level, imported first, in a
         # child without site: importing qcasim.cli then adds only qcasim's own
         stdlib = (
-            "__future__ argparse bisect contextlib dataclasses enum functools io"
-            " itertools math operator os pathlib re stat sys typing"
+            "__future__ argparse bisect contextlib enum functools io"
+            " itertools math operator os re stat sys typing"
         )
         code = (
             f"import sys, {', '.join(stdlib.split())}\n"
@@ -591,6 +600,22 @@ class TestTopLevel:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "qcasim" in capsys.readouterr().out
+
+    def test_one_parser_per_process_built_on_first_use(self, wire3, capsys):
+        code = "import qcasim.cli as cli; print(cli._build_parser.cache_info().currsize)"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout == "0\n"  # importing the CLI builds no parser
+        assert cli._build_parser() is cli._build_parser()
+        # reusing the parser leaves nothing behind: a flag of one call does not
+        # reach the next, and the same calls in any order give the same bytes
+        calls = (
+            ["gen", "wire:3", "--pitch", "21"], ["gen", "wire:3"], ["frobnicate"], ["--help"], ["sim", wire3], ["truth", wire3]
+        )
+        first = [(main(argv), capsys.readouterr()) for argv in calls]
+        assert first[1][1].out == serialize_qcl(gen_wire(3))
+        assert [(main(argv), capsys.readouterr()) for argv in reversed(calls)] == first[::-1]
 
     def test_byte_identical_reruns(self, wire3, capsys):
         main(["sim", wire3])

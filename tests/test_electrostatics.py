@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -215,8 +214,7 @@ class TestKinkEnergy:
 
 class TestScalingLaws:
     def scaled(self, g: GeometryParams, s: float) -> GeometryParams:
-        return replace(
-            g,
+        return g._replace(
             cell_size=g.cell_size * s,
             dot_diameter=g.dot_diameter * s,
             pitch=g.pitch * s,
@@ -252,7 +250,7 @@ class TestScalingLaws:
         for g in (NEUT, BARE):
             base = kink_energy(cell(0, 0, "a"), cell(20, 20, "b"), g)
             for c in (2.0, 1.5, 3.0):
-                eps = replace(g, relative_permittivity=c)
+                eps = g._replace(relative_permittivity=c)
                 scaled = kink_energy(cell(0, 0, "a"), cell(20, 20, "b"), eps)
                 assert scaled == pytest.approx(base / c, rel=1e-12, abs=0.0)
 
@@ -347,8 +345,8 @@ class TestKernelMatchesReference:
         ]
         report = circuit_kink_energy(Layout(g, cells))
         by_id = {c.id: c for c in cells}
-        bare_g = replace(g, charge_model=ChargeModel.BARE)
-        neut_g = replace(g, charge_model=ChargeModel.NEUTRALIZED)
+        bare_g = g._replace(charge_model=ChargeModel.BARE)
+        neut_g = g._replace(charge_model=ChargeModel.NEUTRALIZED)
         assert report.pairs
         for pair in report.pairs:
             a, b = by_id[pair.id_a], by_id[pair.id_b]

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import builtins
 import contextlib
-import dataclasses
 import io
 import math
 import re
@@ -454,7 +453,7 @@ def zoned_gaas_wire(n_cells: int) -> Layout:
     """Wire at GaAs permittivity, cell i in clock zone (i // 16) % 4: the
     clock really releases cells here, so samples take many sweeps."""
     wire = gen_wire(n_cells, GeometryParams(relative_permittivity=12.9))
-    cells = [dataclasses.replace(c, zone=(i // 16) % 4) for i, c in enumerate(wire.cells)]
+    cells = [c._replace(zone=(i // 16) % 4) for i, c in enumerate(wire.cells)]
     return Layout(wire.geometry, cells)
 
 
@@ -462,7 +461,7 @@ def and_gate_with_fixed_pin() -> Layout:
     """The majority gate with input c replaced by a p=+1 fixed cell: flipping
     both inputs does not flip the pin, so no vector mirrors another."""
     cells = [
-        dataclasses.replace(c, role=Role.fixed(+1)) if c.id == "c2" else c
+        c._replace(role=Role.fixed(+1)) if c.id == "c2" else c
         for c in gen_majority().cells
     ]
     return Layout(GeometryParams(), cells)
@@ -778,7 +777,7 @@ class TestCompiledSweep:
         cells = [
             Cell(f"c{k}", 20.0 * (k % 10), 20.0 * (k // 10), Role.normal()) for k in range(100)
         ]
-        cells[0] = dataclasses.replace(cells[0], role=Role.fixed(+1))
+        cells[0] = cells[0]._replace(role=Role.fixed(+1))
         layout = Layout(GeometryParams(radius_of_effect=1000.0), cells)
         p = [0.0] * 100
         rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {}), p)
@@ -828,10 +827,10 @@ class TestCompiledSweep:
         hostile = ["__import__", "os.system", "exec:1", "eval+open", "breakpoint"]
         wire = zoned_gaas_wire(64)
         cells = [
-            dataclasses.replace(c, id=f"{hostile[i % 5]}.{i}") for i, c in enumerate(wire.cells)
+            c._replace(id=f"{hostile[i % 5]}.{i}") for i, c in enumerate(wire.cells)
         ]
-        cells[0] = dataclasses.replace(cells[0], role=Role.input("globals"))
-        cells[-1] = dataclasses.replace(cells[-1], role=Role.output("getattr"))
+        cells[0] = cells[0]._replace(role=Role.input("globals"))
+        cells[-1] = cells[-1]._replace(role=Role.output("getattr"))
         sources = []
 
         def spy(source, *args):
