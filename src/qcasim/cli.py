@@ -143,8 +143,6 @@ def _builder_for_kind(kind: str) -> Callable[[GeometryParams], Layout]:
             n = int(arg, 10)
         except ValueError:
             raise _CliError(2, f"bad wire length in {kind!r}") from None
-        if n < 2:
-            raise _CliError(2, "wire needs at least 2 cells")
         return lambda geometry: gen_wire(n, geometry)
     if name == "inverter":
         if arg == "conventional":
@@ -175,7 +173,10 @@ def _format_vector(vector: Sequence[tuple[str, int]]) -> str:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     builder = _builder_for_kind(args.kind)
-    layout = builder(_geometry_from_args(args))
+    try:
+        layout = builder(_geometry_from_args(args))
+    except ValueError as err:  # too few cells, or a cell beyond the largest double
+        raise _CliError(2, str(err)) from None
     document = serialize_qcl(layout)
     if args.out:
         _write_text(args.out, document)

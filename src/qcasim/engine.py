@@ -102,29 +102,24 @@ class ClockConfig(_Record):
         if not isinstance(n, int) or n < 8 or n % 4 != 0:
             raise ValueError("samples_per_cycle must be an integer >= 8, multiple of 4")
 
+    @functools.cached_property
+    def _cycle(self) -> tuple[tuple[float, float, float, float], ...]:
+        """Each sample's four zone barriers.  Zone 0 ramps gamma_high ->
+        gamma_low (switch), holds gamma_low, ramps back up (release) and
+        holds gamma_high (relax), a quarter cycle each; zone z lags it by z
+        quarters."""
+        gh, gl, q = self.gamma_high, self.gamma_low, self.samples_per_cycle // 4
+        wave = [gh + (gl - gh) * (s / q) for s in range(q)] + [gl] * q
+        wave += [gl + (gh - gl) * (s / q) for s in range(q)] + [gh] * q  # s counts from 2q
+        return tuple((wave[s], wave[s - q], wave[s - 2 * q], wave[s - 3 * q]) for s in range(4 * q))
+
 
 def gamma_at(clock: ClockConfig, zone: int, sample: int) -> float:
-    """Barrier energy of ``zone`` at integer ``sample`` (wraps mod cycle).
-
-    Zone 0 quarters: ramp gamma_high -> gamma_low (switch), hold at
-    gamma_low, ramp back up (release), hold at gamma_high (relax).  Zone z
-    sees the same waveform delayed by z quarter-cycles.
-    """
+    """Barrier energy of ``zone`` at integer ``sample`` (wraps mod cycle),
+    read from the clock's cycle table (see ``ClockConfig._cycle``)."""
     if zone not in (0, 1, 2, 3):
         raise ValueError("zone must be 0..3")
-    n = clock.samples_per_cycle
-    quarter = n // 4
-    s = (sample - zone * quarter) % n
-    gh, gl = clock.gamma_high, clock.gamma_low
-    if s < quarter:
-        t = s / quarter
-        return gh + (gl - gh) * t
-    if s < 2 * quarter:
-        return gl
-    if s < 3 * quarter:
-        t = (s - 2 * quarter) / quarter
-        return gl + (gh - gl) * t
-    return gh
+    return clock._cycle[sample % clock.samples_per_cycle][zone]
 
 
 class InputSchedule(_Record):
@@ -342,7 +337,6 @@ def _cycles(
     held: dict[int, list[TraceSample]] = {}
     by_label = {c.role.label: c.id for c in layout.inputs()}
     couplings = coupling_map(layout)
-    cycle = [tuple(gamma_at(clock, zone, s) for zone in range(4)) for s in range(clock.samples_per_cycle)]
     loop, work = _sweep, 0
     for vi, (vector, k) in enumerate(zip(schedule.vectors, sources)):
         pinned = _pinned_map(layout, {by_label[label]: value for label, value in vector})
@@ -353,7 +347,7 @@ def _cycles(
         rows = _free_rows(layout, couplings, pinned, p)
         cost = _compile_cost(rows)
         block: list[TraceSample] = []
-        for s, gammas in enumerate(cycle):
+        for s, gammas in enumerate(clock._cycle):
             if loop is _sweep and work >= cost:
                 from ._sweepgen import compile_sweep  # parsed only by runs that switch
 

@@ -42,12 +42,12 @@ class SweepRow(NamedTuple):
 
 def run_sweep(extras: Sequence[int]) -> tuple[SweepRow, ...]:
     """Simulate gen_minimal_inverter(k) for each k at the default geometry and clock."""
-    rows = []
+    clock, rows = ClockConfig(), []
     for extra in extras:
         layout = gen_minimal_inverter(extra)
         report = circuit_kink_energy(layout)
         schedule = InputSchedule.exhaustive(layout.input_labels())
-        measurement = stream_measurement(layout, ClockConfig(), schedule)
+        measurement = stream_measurement(layout, clock, schedule)
         readings = [measurement.reading("b", vi) for vi in range(len(schedule.vectors))]
         rows.append(
             SweepRow(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import stat
@@ -125,6 +126,21 @@ class TestGen:
     def test_rejects_inconsistent_geometry(self, capsys):
         assert main(["gen", "wire:2", "--pitch", "10"]) == 2
         assert "bad geometry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # the geometry is valid, but the third cell's centre overflows
+            (["wire:3", "--pitch", "1e308", "--radius", "1e308"], "cell c2: position must be finite"),
+            (["inverter:6", "--pitch", "1e308", "--radius", "1e308"], "cell c2: position must be finite"),
+            (["inverter:conventional", "--pitch", "1e308", "--radius", "1e308"], "cell c2: position must be finite"),
+            (["wire:1"], "a wire needs at least 2 cells"),
+        ],
+        ids=["wire-overflow", "inverter6-overflow", "conventional-overflow", "wire-1"],
+    )
+    def test_a_circuit_the_generator_rejects_exits_2(self, capsys, argv, message):
+        assert main(["gen", *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestSim:
@@ -416,6 +432,21 @@ class TestStreamedSim:
         trace = simulate(gen_wire(3), ClockConfig(), InputSchedule.exhaustive(["a"]))
         assert link.is_symlink() and target.read_bytes() == trace_csv(trace).encode()
         assert sorted(p.name for p in target.parent.iterdir()) == ["t.csv"]
+
+    def test_a_failed_replace_names_the_users_file(self, tmp_path, monkeypatch, capsys):
+        # the rename of the finished .part file fails (as across devices):
+        # the error names the user's path, and both files are as they were
+        path = tmp_path / "w.qcl"
+        path.write_bytes(b"old bytes\n")
+
+        def cross_device(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+        monkeypatch.setattr(os, "replace", cross_device)
+        assert main(["gen", "wire:3", "--out", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}: {str(path)!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w.qcl"]
+        assert path.read_bytes() == b"old bytes\n"
 
     def test_a_replaced_file_keeps_its_mode(self, wire3, tmp_path, capsys):
         path = tmp_path / "t.csv"

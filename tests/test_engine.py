@@ -139,6 +139,29 @@ class TestGammaAt:
         with pytest.raises(ValueError):
             gamma_at(CLOCK, zone, 0)
 
+    def test_shortest_cycle_written_out(self):
+        # 8 samples: each quarter is 2 samples, each ramp has one midpoint
+        hi, mid, lo = 9.8e-22, 5.09e-22, 3.8e-23
+        want = [
+            [hi, hi, lo, lo],
+            [mid, hi, mid, lo],
+            [lo, hi, hi, lo],
+            [lo, mid, hi, mid],
+            [lo, lo, hi, hi],
+            [mid, lo, mid, hi],
+            [hi, lo, lo, hi],
+            [hi, mid, lo, mid],
+        ]
+        clock = ClockConfig(samples_per_cycle=8)
+        assert [[gamma_at(clock, zone, s) for zone in range(4)] for s in range(8)] == want
+
+    def test_sample_before_the_cycle_is_its_last(self):
+        assert gamma_at(CLOCK, 0, -1) == CLOCK.gamma_high
+
+    def test_rejects_a_non_integer_sample(self):
+        with pytest.raises(TypeError):
+            gamma_at(CLOCK, 0, 16.0)
+
 
 class TestBistableResponse:
     def test_zero_and_reference_point(self):

@@ -112,9 +112,10 @@ def test_cell_validation():
         (lambda: Role("fixed", polarization=1), "role kind must be a RoleKind"),
         (lambda: Layout("geometry", []), "layout geometry must be a GeometryParams"),
         (lambda: Layout(GeometryParams(), [("c", 0.0, 0.0)]), "layout cells must be Cells"),
+        (lambda: Cell("c", 0.0, 0.0, "normal"), "cell c: role must be a Role"),
     ],
     ids=["x-str", "y-none", "input-label-int", "output-label-bytes", "kind-str", "fixed-kind-str",
-         "layout-geometry-str", "layout-cell-tuple"],
+         "layout-geometry-str", "layout-cell-tuple", "cell-role-str"],
 )
 def test_wrongly_typed_fields_raise_value_error(build, message):
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
