@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterator, Sequence
 
-from .engine import ConvergenceFailure, Row, _compile_cost
+from . import engine
 
 __all__ = ["compile_sweep"]
 
@@ -16,7 +16,7 @@ __all__ = ["compile_sweep"]
 ROWS_PER_PART, TERMS_PER_LINE = 32, 64
 
 
-def _compile_part(rows: Sequence[Row], shared: set[int]) -> Callable[..., Iterator[float]]:
+def _compile_part(rows: Sequence[engine.Row], shared: set[int]) -> Callable[..., Iterator[float]]:
     """A generator that sweeps ``rows`` once per step, with each P in a local
     c<index>, and yields the largest change.  A step reloads the ``shared``
     cells (free cells read across parts) it does not own and stores those it
@@ -56,12 +56,12 @@ def _compile_part(rows: Sequence[Row], shared: set[int]) -> Callable[..., Iterat
     return namespace["part"]
 
 
-def compile_sweep(rows: Sequence[Row]) -> Callable[..., int]:
+def compile_sweep(rows: Sequence[engine.Row]) -> Callable[..., int]:
     """_sweep over ``rows`` as generated code: the same contract and the
     same float operations in the same order.  The source holds only integer
     indices, finite float reprs and fixed text, so every kink energy must
     be finite."""
-    if _compile_cost(rows) == math.inf:
+    if engine._compile_cost(rows) == math.inf:
         raise ValueError("a sweep compiles only over finite kink energies")
     parts = [rows[k : k + ROWS_PER_PART] for k in range(0, len(rows), ROWS_PER_PART)]
     owner = {i: k for k, part in enumerate(parts) for i, _, _ in part}
@@ -69,20 +69,20 @@ def compile_sweep(rows: Sequence[Row]) -> Callable[..., int]:
     shared = {j for k, j in reads if owner.get(j, k) != k}
     makers = [_compile_part(part, shared) for part in parts]
 
-    def sweep(p, rows, gammas, tolerance, max_iters):
+    def sweep(p, rows, gammas):
         g = [2.0 * gamma for gamma in gammas]
         running = [make(p, *g) for make in makers]
         try:
             residual = 0.0
-            for n in range(1, max_iters + 1):
+            for n in range(1, engine._MAX_SWEEPS + 1):
                 residual = 0.0
                 for part in running:
                     r = next(part)
                     if r > residual:
                         residual = r
-                if residual < tolerance:
+                if residual < engine._TOLERANCE:
                     return n
-            raise ConvergenceFailure(residual)
+            raise engine.ConvergenceFailure(residual)
         finally:
             for part in running:
                 part.close()

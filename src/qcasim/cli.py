@@ -60,12 +60,10 @@ TRUTH_FUNCTIONS: dict[str, tuple[int, Callable[[Mapping[str, bool]], bool]]] = {
 
 
 class _CliError(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+    """Bad input or usage: ``main`` prints the message and exits 2."""
 
 
-_PART_NUMBERS = itertools.count()  # --out and --measure may name one file
+_PART_NUMBERS = itertools.count()  # the two files of one command may share a path
 
 
 @contextmanager
@@ -99,18 +97,13 @@ def _replacing(path: str | None) -> Iterator[TextIO | None]:
             os.remove(part)
 
 
-def _write_text(path: str, text: str) -> None:
-    with _replacing(path) as out:
-        out.write(text)
-
-
 def _read_text(path: str) -> str:
     """The file as text; a leading byte-order mark is dropped."""
     try:
         with open(path, encoding="utf-8-sig") as text:
             return text.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise _CliError(2, f"cannot read {path}: {err}") from None
+        raise _CliError(f"cannot read {path}: {err}") from None
 
 
 def _load_layout(path: str) -> tuple[Layout, ClockConfig]:
@@ -119,7 +112,7 @@ def _load_layout(path: str) -> tuple[Layout, ClockConfig]:
     if violations:
         lines = [f"{path}: invalid layout"]
         lines.extend(f"  {v.rule}: {v.message}" for v in violations)
-        raise _CliError(2, "\n".join(lines))
+        raise _CliError("\n".join(lines))
     return layout, clock or ClockConfig()
 
 
@@ -131,7 +124,7 @@ def _geometry_from_args(args: argparse.Namespace) -> GeometryParams:
     try:
         return GeometryParams(**fields)
     except ValueError as err:
-        raise _CliError(2, f"bad geometry: {err}") from None
+        raise _CliError(f"bad geometry: {err}") from None
 
 
 def _builder_for_kind(kind: str) -> Callable[[GeometryParams], Layout]:
@@ -142,7 +135,7 @@ def _builder_for_kind(kind: str) -> Callable[[GeometryParams], Layout]:
         try:
             n = int(arg, 10)
         except ValueError:
-            raise _CliError(2, f"bad wire length in {kind!r}") from None
+            raise _CliError(f"bad wire length in {kind!r}") from None
         return lambda geometry: gen_wire(n, geometry)
     if name == "inverter":
         if arg == "conventional":
@@ -150,11 +143,11 @@ def _builder_for_kind(kind: str) -> Callable[[GeometryParams], Layout]:
         try:
             cells = int(arg, 10)
         except ValueError:
-            raise _CliError(2, f"bad inverter size in {kind!r}") from None
+            raise _CliError(f"bad inverter size in {kind!r}") from None
         if not 2 <= cells <= 6:
-            raise _CliError(2, "minimal inverter supports 2..6 cells")
+            raise _CliError("minimal inverter supports 2..6 cells")
         return lambda geometry: gen_minimal_inverter(cells - 3, geometry)
-    raise _CliError(2, f"unknown circuit kind {kind!r}")
+    raise _CliError(f"unknown circuit kind {kind!r}")
 
 
 def _schedule_for(args: argparse.Namespace, layout: Layout) -> InputSchedule:
@@ -163,7 +156,7 @@ def _schedule_for(args: argparse.Namespace, layout: Layout) -> InputSchedule:
         try:
             return InputSchedule.exhaustive(labels)
         except ValueError as err:
-            raise _CliError(2, f"{err}; name the vectors with --vectors FILE") from None
+            raise _CliError(f"{err}; name the vectors with --vectors FILE") from None
     return InputSchedule.explicit(labels, parse_vectors(_read_text(args.vectors), labels))
 
 
@@ -176,10 +169,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     try:
         layout = builder(_geometry_from_args(args))
     except ValueError as err:  # too few cells, or a cell beyond the largest double
-        raise _CliError(2, str(err)) from None
+        raise _CliError(str(err)) from None
     document = serialize_qcl(layout)
     if args.out:
-        _write_text(args.out, document)
+        with _replacing(args.out) as out:
+            out.write(document)
         print(f"{len(layout.cells)} cells -> {args.out}")
     else:
         print(f"{len(layout.cells)} cells", file=sys.stderr)
@@ -210,7 +204,8 @@ def _cmd_kink(args: argparse.Namespace) -> int:
     layout, _ = _load_layout(args.layout)
     report = circuit_kink_energy(layout)
     if args.out:
-        _write_text(args.out, kink_report_csv(report))
+        with _replacing(args.out) as out:
+            out.write(kink_report_csv(report))
     if args.model in ("bare", "both"):
         print(f"total_kink_bare_J={format_energy(report.total_bare)}")
     if args.model in ("neutralized", "both"):
@@ -226,18 +221,20 @@ def _parse_extra_range(text: str) -> list[int]:
         else:
             first = last = int(lo, 10)
     except ValueError:
-        raise _CliError(2, f"bad --extra range {text!r}") from None
+        raise _CliError(f"bad --extra range {text!r}") from None
     if first > last or first < -1 or last > 3:
-        raise _CliError(2, "--extra must lie within -1..3")
+        raise _CliError("--extra must lie within -1..3")
     return list(range(first, last + 1))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(_parse_extra_range(args.extra))
-    if args.out:
-        _write_text(args.out, sweep_csv(rows))
-    if args.compare:
-        _write_text(args.compare, format_trend_comparison(rows))
+    # the inner file lands first: the CSV, then the comparison
+    with _replacing(args.compare) as compare_out, _replacing(args.out) as csv_out:
+        if csv_out:
+            csv_out.write(sweep_csv(rows))
+        if compare_out:
+            compare_out.write(format_trend_comparison(rows))
     sys.stdout.write(format_sweep_table(rows))
     return 0
 
@@ -247,11 +244,9 @@ def _cmd_truth(args: argparse.Namespace) -> int:
     arity, function = TRUTH_FUNCTIONS[args.expect]
     labels = layout.input_labels()
     if len(labels) != arity:
-        raise _CliError(
-            2, f"--expect {args.expect} needs {arity} input(s), layout has {len(labels)}"
-        )
+        raise _CliError(f"--expect {args.expect} needs {arity} input(s), layout has {len(labels)}")
     if not layout.outputs():
-        raise _CliError(2, "layout has no output cells")
+        raise _CliError("layout has no output cells")
     schedule = InputSchedule.exhaustive(labels)
     result = truth_check(stream_measurement(layout, clock, schedule), function)
     for verdict in result.verdicts:
@@ -327,13 +322,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         return args.func(args)
-    except _CliError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return err.code
     except ConvergenceFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (ParseError, NoOutputError, ZeroDistanceError, OSError) as err:
+    except (_CliError, ParseError, NoOutputError, ZeroDistanceError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

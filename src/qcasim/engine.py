@@ -54,7 +54,7 @@ MAX_EXHAUSTIVE_INPUTS = 12
 # 1e-22 J).  It keeps 2 gamma below 1 J, so total / (2 gamma) never underflows.
 MAX_GAMMA = 1e-18
 
-# Every relaxation, relax's and _cycles', stops at these.
+# Every relaxation stops at these; both sweep tiers read them at call time.
 _TOLERANCE, _MAX_SWEEPS = 1e-7, 1000
 
 Vector = tuple[tuple[str, int], ...]  # ((label, +-1), ...) sorted by label
@@ -206,15 +206,13 @@ def _free_rows(
     return [(i, c.zone, couplings[i]) for i, c in enumerate(layout.cells) if i not in pinned]
 
 
-def _sweep(
-    p: list[float], rows: list[Row], gammas: Sequence[float], tolerance: float, max_iters: int
-) -> int:
+def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
     """The Gauss-Seidel loop: update the free rows of ``p`` in place until
-    the largest change in one sweep drops below ``tolerance``.  Returns the
-    sweeps used; raises ConvergenceFailure after ``max_iters`` sweeps.  It is
-    relax's loop, _cycles' first tier and the reference for _sweepgen."""
+    the largest change in one sweep drops below ``_TOLERANCE``.  Returns the
+    sweeps used; raises ConvergenceFailure after ``_MAX_SWEEPS`` sweeps.  It
+    is relax's loop, _cycles' first tier and the reference for _sweepgen."""
     residual = 0.0
-    for sweep in range(1, max_iters + 1):
+    for sweep in range(1, _MAX_SWEEPS + 1):
         residual = 0.0
         for i, zone, neighbours in rows:
             total = 0.0
@@ -227,7 +225,7 @@ def _sweep(
             if delta > residual:
                 residual = delta
             p[i] = new
-        if residual < tolerance:
+        if residual < _TOLERANCE:
             return sweep
     raise ConvergenceFailure(residual)
 
@@ -271,7 +269,7 @@ def relax(
     if len(p) != len(layout.cells):
         raise ValueError("initial_p length must match cell count")
     rows = _free_rows(layout, coupling_map(layout), pinned, p)
-    return p, _sweep(p, rows, gamma_per_zone, _TOLERANCE, _MAX_SWEEPS)
+    return p, _sweep(p, rows, gamma_per_zone)
 
 
 class TraceSample(NamedTuple):
@@ -353,7 +351,7 @@ def _cycles(
 
                 loop = compile_sweep(rows)
             try:
-                iters = loop(p, rows, gammas, _TOLERANCE, _MAX_SWEEPS)
+                iters = loop(p, rows, gammas)
             except ConvergenceFailure as fail:
                 raise ConvergenceFailure(fail.residual, vi, s) from None
             block.append(TraceSample(vi, s, gammas, tuple(p), iters))

@@ -583,6 +583,24 @@ class TestSweep:
         assert all(out == outputs[0] for out in outputs[1:])
         assert [row.split()[0] for row in outputs[0][0].splitlines()[1:]] == ["2", "3", "4", "5", "6"]
 
+    @pytest.mark.parametrize("old", [None, b"old\n"], ids=["new-out", "existing-out"])
+    def test_unwritable_compare_leaves_out_as_it_was(self, tmp_path, capsys, old):
+        # both files are opened before either is written: a --compare that
+        # cannot be created leaves no new --out and an old one untouched
+        out, compare = tmp_path / "s.csv", tmp_path / "no such dir" / "t.md"
+        if old is not None:
+            out.write_bytes(old)
+        assert main(["sweep", "--extra", "0..0", "--out", str(out), "--compare", str(compare)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(compare)!r}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ([] if old is None else ["s.csv"])
+        assert old is None or out.read_bytes() == old
+
+    def test_compare_lands_after_the_csv(self, tmp_path, capsys):
+        # one path for both files ends as the comparison, written last
+        path = tmp_path / "both"
+        assert main(["sweep", "--extra", "0..0", "--out", str(path), "--compare", str(path)]) == 0
+        assert path.read_text() == format_trend_comparison(run_sweep([0]))
+
     @pytest.mark.parametrize("extra", ["0..4", "-2..0", "junk", "3..1"])
     def test_rejects_bad_ranges(self, capsys, extra):
         assert main(["sweep", f"--extra={extra}"]) == 2

@@ -6,7 +6,9 @@ import builtins
 import contextlib
 import io
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import tokenize
@@ -771,13 +773,15 @@ def free_rows_and_state(draw):
     return rows, p, gammas
 
 
-def outcome(loop, rows, p, gammas, tolerance, max_iters):
-    """(repr of the final P, sweeps used or the failure's residual)."""
+def outcome(loop, rows, p, gammas, tolerance=engine._TOLERANCE, max_iters=engine._MAX_SWEEPS):
+    """(repr of the final P, sweeps used or the failure's residual), with
+    the engine's limits patched to ``tolerance`` and ``max_iters``."""
     p = list(p)
-    try:
-        result = ("sweeps", loop(p, rows, gammas, tolerance, max_iters))
-    except ConvergenceFailure as fail:
-        result = ("residual", repr(fail.residual))
+    with mock.patch.multiple(engine, _TOLERANCE=tolerance, _MAX_SWEEPS=max_iters):
+        try:
+            result = ("sweeps", loop(p, rows, gammas))
+        except ConvergenceFailure as fail:
+            result = ("residual", repr(fail.residual))
     return repr(p), result
 
 
@@ -807,9 +811,7 @@ class TestCompiledSweep:
         assert min(len(neighbours) for _, _, neighbours in rows) > _sweepgen.TERMS_PER_LINE
         compiled = _sweepgen.compile_sweep(rows)
         for gammas in (GAMMA_LOW4, (CLOCK.gamma_high,) * 4, (1e-300,) * 4):
-            assert outcome(compiled, rows, p, gammas, 1e-7, 1000) == outcome(
-                engine._sweep, rows, p, gammas, 1e-7, 1000
-            )
+            assert outcome(compiled, rows, p, gammas) == outcome(engine._sweep, rows, p, gammas)
 
     def test_switches_tiers_partway_through_a_vector(self, monkeypatch):
         # one relaxed vector of 128 samples: the first ones interpreted, the
@@ -837,6 +839,18 @@ class TestCompiledSweep:
         simulate(*exhaustive(build()))
         assert log.count("interpreted") == interpreted
         assert log[:interpreted] == ["interpreted"] * interpreted
+
+    def test_only_a_run_that_switches_tiers_imports_the_compiler(self, tmp_path):
+        # _cycles imports _sweepgen when a run first switches tiers: a CLI run
+        # on wire:8 never does, the 128-cell zoned GaAs wire does
+        wire8, gaas = tmp_path / "wire8.qcl", tmp_path / "gaas128.qcl"
+        wire8.write_text(serialize_qcl(gen_wire(8)))
+        gaas.write_text(serialize_qcl(zoned_gaas_wire(128)))
+        code = "import sys, qcasim.cli\nprint(qcasim.cli.main(sys.argv[1:]), 'qcasim._sweepgen' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        for argv, loaded in ((["truth", str(wire8), "--expect", "id"], False), (["sim", str(gaas)], True)):
+            result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True)
+            assert result.stdout.splitlines()[-1] == f"0 {loaded}"
 
     def test_non_finite_kink_energy_stays_interpreted(self):
         rows = [(1, 0, ((0, math.inf),)), (2, 0, ((1, 1e-21),))]
