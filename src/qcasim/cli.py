@@ -67,34 +67,46 @@ _PART_NUMBERS = itertools.count()  # the two files of one command may share a pa
 
 
 @contextmanager
-def _replacing(path: str | None) -> Iterator[TextIO | None]:
-    """A text file for ``path`` (None without one).  A new or writable regular
-    file is replaced, through any symlink, only when the block completes;
-    a device, a pipe, a read-only file or a file in a folder that takes no
-    new file is written in place."""
-    if not path:
-        yield None
-        return
-    target = os.path.realpath(path)
-    folder, name = os.path.split(target)
-    old = os.stat(target) if os.path.exists(target) else None
-    replaceable = old is None or stat.S_ISREG(old.st_mode) and os.access(target, os.W_OK)
-    if not (replaceable and os.access(folder, os.W_OK)):
-        with open(path, "w", encoding="utf-8", newline="") as out:
-            yield out
-        return
-    part = os.path.join(folder, f".{name}.{os.getpid()}.{next(_PART_NUMBERS)}.part")
+def _replacing(*paths: str | None) -> Iterator[tuple[TextIO | None, ...]]:
+    """One text file per path (None for a path not given).  A new or writable
+    regular file is replaced, through any symlink, only when the block
+    completes and every file has been closed, in the order given; a device, a
+    pipe, a read-only file or a file in a folder that takes no new file is
+    written in place."""
+    files: list[TextIO | None] = []
+    parts: dict[str, tuple[str, str]] = {}  # temporary file -> (target, path as given)
     try:
-        with open(part, "w", encoding="utf-8", newline="") as out:
+        for path in paths:
+            if not path:
+                files.append(None)
+                continue
+            target = os.path.realpath(path)
+            folder, name = os.path.split(target)
+            old = os.stat(target) if os.path.exists(target) else None
+            replaceable = old is None or stat.S_ISREG(old.st_mode) and os.access(target, os.W_OK)
+            if not (replaceable and os.access(folder, os.W_OK)):
+                files.append(open(path, "w", encoding="utf-8", newline=""))
+                continue
+            part = os.path.join(folder, f".{name}.{os.getpid()}.{next(_PART_NUMBERS)}.part")
+            parts[part] = target, path
+            files.append(open(part, "w", encoding="utf-8", newline=""))
             if old:
                 os.chmod(part, stat.S_IMODE(old.st_mode))
-            yield out
-        os.replace(part, target)
+        yield tuple(files)
+        for out in files:  # flush every file before the first one is replaced
+            if out:
+                out.close()
+        for part, (target, _) in parts.items():
+            os.replace(part, target)
     except OSError as err:  # name the user's file, not the temporary one
-        raise (OSError(err.errno, err.strerror, path) if err.filename == part else err) from None
+        raise (OSError(err.errno, err.strerror, parts[err.filename][1]) if err.filename in parts else err) from None
     finally:
-        if os.path.exists(part):
-            os.remove(part)
+        for out in files:
+            if out:
+                out.close()
+        for part in parts:
+            if os.path.exists(part):
+                os.remove(part)
 
 
 def _read_text(path: str) -> str:
@@ -172,7 +184,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         raise _CliError(str(err)) from None
     document = serialize_qcl(layout)
     if args.out:
-        with _replacing(args.out) as out:
+        with _replacing(args.out) as (out,):
             out.write(document)
         print(f"{len(layout.cells)} cells -> {args.out}")
     else:
@@ -184,8 +196,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 def _cmd_sim(args: argparse.Namespace) -> int:
     layout, clock = _load_layout(args.layout)
     schedule = _schedule_for(args, layout)
-    # the inner file lands first: the trace, then the measurement
-    with _replacing(args.measure) as measure_out, _replacing(args.out) as trace_out:
+    # the trace lands first, then the measurement
+    with _replacing(args.out, args.measure) as (trace_out, measure_out):
         write = trace_csv_writer(trace_out, [c.id for c in layout.cells]) if trace_out else None
         measurement = stream_measurement(layout, clock, schedule, write)
         if measure_out:
@@ -204,7 +216,7 @@ def _cmd_kink(args: argparse.Namespace) -> int:
     layout, _ = _load_layout(args.layout)
     report = circuit_kink_energy(layout)
     if args.out:
-        with _replacing(args.out) as out:
+        with _replacing(args.out) as (out,):
             out.write(kink_report_csv(report))
     if args.model in ("bare", "both"):
         print(f"total_kink_bare_J={format_energy(report.total_bare)}")
@@ -229,8 +241,8 @@ def _parse_extra_range(text: str) -> list[int]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = run_sweep(_parse_extra_range(args.extra))
-    # the inner file lands first: the CSV, then the comparison
-    with _replacing(args.compare) as compare_out, _replacing(args.out) as csv_out:
+    # the CSV lands first, then the comparison
+    with _replacing(args.out, args.compare) as (csv_out, compare_out):
         if csv_out:
             csv_out.write(sweep_csv(rows))
         if compare_out:

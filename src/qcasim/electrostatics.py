@@ -13,7 +13,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .model import Cell, ChargeModel, GeometryParams, Layout, dot_positions, electron_positions, pairs_within
+from .model import Cell, ChargeModel, GeometryParams, Layout, electron_positions, pairs_within
 
 __all__ = [
     "COULOMB_K",
@@ -104,7 +104,7 @@ def kink_energy(a: Cell, b: Cell, geometry: GeometryParams) -> float:
 
     Bit-identical to ``pair_energy(a, -1, b, +1, g) - pair_energy(a, -1, b, -1, g)``.
     """
-    d = _scaled_distances(dot_positions(a, geometry), dot_positions(b, geometry), geometry)
+    d = _scaled_distances(_corners(a, geometry), _corners(b, geometry), geometry.relative_permittivity)
     return _bare_kink(d) if geometry.charge_model is ChargeModel.BARE else _neutralized_kink(d)
 
 
@@ -115,11 +115,28 @@ _HALF_KQQ = COULOMB_K * (0.5 * ELEMENTARY_CHARGE) * (0.5 * ELEMENTARY_CHARGE)
 _NEUT_EQUAL_KQQ = tuple(_HALF_KQQ * (-1) ** (i + j) for i in range(4) for j in range(4))
 
 
-def _scaled_distances(dots_a, dots_b, geometry: GeometryParams) -> list[float]:
+def _corners(cell: Cell, geometry: GeometryParams) -> tuple[float, float, float, float]:
+    """(x + h, x - h, y + h, y - h): the floats ``dot_positions`` pairs into its dots."""
+    h = geometry.dot_offset
+    return cell.x + h, cell.x - h, cell.y + h, cell.y - h
+
+
+def _scaled_distances(a, b, eps: float) -> list[float]:
     """coulomb_energy's denominator eps*r*1e-9 for the 16 dot pairs, row-major over
-    (dot of a, dot of b); k*q1*q2 divided by one is its term up to an exact sign."""
-    eps = geometry.relative_permittivity
-    return [eps * math.hypot(bx - ax, by - ay) * _NM for ax, ay in dots_a for bx, by in dots_b]
+    (dot of a, dot of b) in ``dot_positions`` order TR, TL, BL, BR; k*q1*q2 divided
+    by one is its term up to an exact sign.  ``a`` and ``b`` are ``_corners``, and
+    the 4 x and 4 y differences (b's minus a's, as in coulomb_energy) are taken once."""
+    ar, al, at, ab = a
+    br, bl, bt, bb = b
+    xrr, xrl, xlr, xll = br - ar, br - al, bl - ar, bl - al  # named b's side, then a's
+    ytt, ytb, ybt, ybb = bt - at, bt - ab, bb - at, bb - ab
+    hypot, nm = math.hypot, _NM
+    return [
+        eps * hypot(xrr, ytt) * nm, eps * hypot(xlr, ytt) * nm, eps * hypot(xlr, ybt) * nm, eps * hypot(xrr, ybt) * nm,
+        eps * hypot(xrl, ytt) * nm, eps * hypot(xll, ytt) * nm, eps * hypot(xll, ybt) * nm, eps * hypot(xrl, ybt) * nm,
+        eps * hypot(xrl, ytb) * nm, eps * hypot(xll, ytb) * nm, eps * hypot(xll, ybb) * nm, eps * hypot(xrl, ybb) * nm,
+        eps * hypot(xrr, ytb) * nm, eps * hypot(xlr, ytb) * nm, eps * hypot(xlr, ybb) * nm, eps * hypot(xrr, ybb) * nm,
+    ]
 
 
 def _bare_kink(d: list[float]) -> float:
@@ -164,18 +181,20 @@ def circuit_kink_energy(layout: Layout) -> KinkReport:
 
     Pairs are enumerated in layout order (i before j); totals are the sums
     of the signed pair energies in that same order, so the report is
-    byte-reproducible run to run.  Dots are placed once per cell and both
-    models share each pair's distances: O(n*k) for k neighbours in range,
-    every value bit-identical to per-pair ``kink_energy``.
+    byte-reproducible run to run.  Each cell's dot coordinates are placed
+    once (``_corners``) and both models share each pair's 16 distances, built
+    from 4 x and 4 y differences: O(n*k) for k neighbours in range, every
+    value bit-identical to per-pair ``kink_energy``.
     """
     geometry = layout.geometry
+    eps = geometry.relative_permittivity
     cells = layout.cells
-    dots = [dot_positions(cell, geometry) for cell in cells]
+    corners = [_corners(cell, geometry) for cell in cells]
     pairs: list[KinkPair] = []
     total_bare = 0.0
     total_neut = 0.0
     for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
-        d = _scaled_distances(dots[i], dots[j], geometry)
+        d = _scaled_distances(corners[i], corners[j], eps)
         e_bare, e_neut = _bare_kink(d), _neutralized_kink(d)
         pairs.append(KinkPair(cells[i].id, cells[j].id, distance, e_bare, e_neut))
         total_bare += e_bare

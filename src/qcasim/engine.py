@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .electrostatics import kink_energy
@@ -415,7 +416,7 @@ def _read(
             write(block)
         if k is None:
             rows = [s.polarizations for s in block]
-            per_vector.append([(rows[at][i], max(abs(p[i]) for p in rows)) for _, i, at in outputs])
+            per_vector.append([(rows[at][i], max(map(abs, map(operator.itemgetter(i), rows)))) for _, i, at in outputs])
         else:
             per_vector.append([(0.0 - steady, peak) for steady, peak in per_vector[k]])
     if not outputs:

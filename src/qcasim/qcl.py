@@ -287,7 +287,8 @@ def kink_report_csv(report: KinkReport) -> str:
     rows = ["id_a,id_b,distance_nm,ekink_bare_J,ekink_neut_J"]
     rows.extend(row % (p.id_a, p.id_b, p.distance_nm, p.bare, p.neutralized) for p in report.pairs)
     rows.append(("TOTAL,,," + energies) % (report.total_bare, report.total_neutralized))
-    return "\n".join(rows) + "\n"
+    rows.append("")  # the final newline, without a second copy of the table
+    return "\n".join(rows)
 
 
 def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable[TraceSample]], None]:

@@ -448,6 +448,37 @@ class TestStreamedSim:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["w.qcl"]
         assert path.read_bytes() == b"old bytes\n"
 
+    @pytest.mark.parametrize("command", ["sim", "sweep"])
+    def test_a_failed_close_replaces_neither_file(self, wire3, tmp_path, monkeypatch, capsys, command):
+        # the disk fills as the second file is flushed on close: the first,
+        # already written, must not have replaced the user's file either
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        first.write_bytes(b"old bytes\r\n")
+
+        def full_disk_on_close(file, *args, **kwargs):
+            out = open(file, *args, **kwargs)
+            if os.path.basename(file).startswith(".second.csv."):
+                close = out.close
+
+                def fail():  # like a failed flush: the file ends closed, and closing again is a no-op
+                    if not out.closed:
+                        close()
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), file)
+
+                out.close = fail
+            return out
+
+        monkeypatch.setattr(cli, "open", full_disk_on_close, raising=False)
+        if command == "sim":
+            argv = ["sim", wire3, "--out", str(first), "--measure", str(second)]
+        else:
+            argv = ["sweep", "--extra", "0..0", "--out", str(first), "--compare", str(second)]
+        assert main(argv) == 2
+        message = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: {str(second)!r}"
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert first.read_bytes() == b"old bytes\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["first.csv", "wire3.qcl"]
+
     def test_a_replaced_file_keeps_its_mode(self, wire3, tmp_path, capsys):
         path = tmp_path / "t.csv"
         path.write_text("old\n")

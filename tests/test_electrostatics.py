@@ -25,9 +25,11 @@ from qcasim import (
     cell_charges,
     circuit_kink_energy,
     coulomb_energy,
+    dot_positions,
     kink_energy,
     pair_energy,
 )
+from qcasim.electrostatics import _corners, _scaled_distances
 
 NEUT = GeometryParams()
 BARE = GeometryParams(charge_model=ChargeModel.BARE)
@@ -334,6 +336,19 @@ class TestKernelMatchesReference:
                 kink_energy(a, b, g)
             return
         assert kink_energy(a, b, g) == want
+
+    @given(geometries, centre, centre, offset, offset)
+    def test_distance_table_is_the_dot_pair_comprehension(self, g, x, y, dx, dy):
+        # the value tests above can miss two swapped entries of the same sign
+        # and bare role, or a difference rounded another way; this pins every
+        # entry to its dot pair
+        a, b = cell(x, y, "a"), cell(x + dx, y + dy, "b")
+        for c in (a, b):
+            right, left, top, bottom = _corners(c, g)
+            assert dot_positions(c, g) == ((right, top), (left, top), (left, bottom), (right, bottom))
+        eps = g.relative_permittivity
+        want = [eps * math.hypot(bx - ax, by - ay) * 1e-9 for ax, ay in dot_positions(a, g) for bx, by in dot_positions(b, g)]
+        assert _scaled_distances(_corners(a, g), _corners(b, g), eps) == want
 
     @given(geometries, centre, centre, st.lists(st.tuples(jitter, jitter), min_size=2, max_size=9))
     def test_report_pairs_equal_per_pair_kink_energy(self, g, x0, y0, jitters):
