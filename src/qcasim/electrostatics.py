@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .model import Cell, ChargeModel, GeometryParams, Layout, electron_positions, pairs_within
 
@@ -114,6 +114,10 @@ _BARE_KQQ = COULOMB_K * ELEMENTARY_CHARGE * ELEMENTARY_CHARGE
 _HALF_KQQ = COULOMB_K * (0.5 * ELEMENTARY_CHARGE) * (0.5 * ELEMENTARY_CHARGE)
 _NEUT_EQUAL_KQQ = tuple(_HALF_KQQ * (-1) ** (i + j) for i in range(4) for j in range(4))
 
+# _layout_kinks keeps at most this many pair geometries: far more than a grid
+# layout has, and about 0.2 MB off the grid, where every pair has its own.
+_MEMO_KEYS = 512
+
 
 def _corners(cell: Cell, geometry: GeometryParams) -> tuple[float, float, float, float]:
     """(x + h, x - h, y + h, y - h): the floats ``dot_positions`` pairs into its dots."""
@@ -154,6 +158,28 @@ def _neutralized_kink(d: list[float]) -> float:
     # flipping b negates every term: E(opposite) = -E(equal) exactly
     equal = math.fsum(map(operator.truediv, _NEUT_EQUAL_KQQ, d))
     return -equal - equal
+
+
+def _layout_kinks(layout: Layout) -> Iterator[tuple[int, int, float]]:
+    """(i, j, kink energy J) for each pair of ``pairs_within``, in its order,
+    under the layout's charge model.  A pair's energy depends only on its 8
+    corner differences, so each distinct set runs the kernel once: equal sets
+    differ at most in a zero's sign, which ``hypot`` ignores, so every value
+    is bit-identical to ``kink_energy``."""
+    geometry = layout.geometry
+    eps = geometry.relative_permittivity
+    kink = _bare_kink if geometry.charge_model is ChargeModel.BARE else _neutralized_kink
+    corners = [_corners(cell, geometry) for cell in layout.cells]
+    memo: dict[tuple[float, ...], float] = {}
+    for i, j, _ in pairs_within(layout.cells, geometry.radius_of_effect):
+        (ar, al, at, ab), (br, bl, bt, bb) = a, b = corners[i], corners[j]
+        key = (br - ar, br - al, bl - ar, bl - al, bt - at, bt - ab, bb - at, bb - ab)
+        e = memo.get(key)
+        if e is None:  # a pair that raises ZeroDistanceError is never kept
+            e = kink(_scaled_distances(a, b, eps))
+            if len(memo) < _MEMO_KEYS:
+                memo[key] = e
+        yield i, j, e
 
 
 class KinkPair(NamedTuple):

@@ -17,8 +17,9 @@ import math
 import operator
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .electrostatics import kink_energy
-from .model import Layout, RoleKind, _Record, pairs_within
+# kink_energy is unused here but stays: perfbench/tracer.py wraps engine.kink_energy
+from .electrostatics import _layout_kinks, kink_energy
+from .model import Layout, RoleKind, _Record
 
 __all__ = [
     "TRUTH_MARGIN",
@@ -167,10 +168,8 @@ def bistable_response(x: float) -> float:
 def coupling_map(layout: Layout) -> tuple[Neighbours, ...]:
     """Per-cell neighbor list: (neighbor index, kink energy J) within
     radius_of_effect, under the layout's configured charge model."""
-    cells = layout.cells
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in cells]
-    for i, j, _ in pairs_within(cells, layout.geometry.radius_of_effect):
-        e = kink_energy(cells[i], cells[j], layout.geometry)
+    neighbors: list[list[tuple[int, float]]] = [[] for _ in layout.cells]
+    for i, j, e in _layout_kinks(layout):
         neighbors[i].append((j, e))
         neighbors[j].append((i, e))
     return tuple(tuple(row) for row in neighbors)

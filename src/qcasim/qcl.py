@@ -291,14 +291,54 @@ def kink_report_csv(report: KinkReport) -> str:
     return "\n".join(rows)
 
 
+class _Texts(dict):
+    """One row's P texts by value, each with its leading comma.  Each value it
+    formats counts against ``room``; one more raises KeyError.  A zero is
+    formatted each time and never kept: 0.0 and -0.0 are one key."""
+
+    def __init__(self, room: int) -> None:
+        self.room = room
+
+    def __missing__(self, value: float) -> str:
+        self.room -= 1
+        if self.room < 0:
+            raise KeyError(value)
+        text = "," + POLARIZATION_FORMAT % value
+        if value:
+            self[value] = text
+        return text
+
+
 def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable[TraceSample]], None]:
     """Write the trace CSV header to ``out``; return a function that writes one
-    row per sample it is given: vector, sample, the four zone gammas, every P."""
+    row per sample it is given: vector, sample, the four zone gammas, every P.
+    The text of each clock sample's gammas (the first 1,024 without a zero) is
+    kept.  A row formats each distinct P once until a row of its vector has
+    more than a quarter of its values distinct or zero; from that row on, the
+    vector's rows are one %-format each."""
     out.write(",".join(["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3", *cell_ids]) + "\n")
-    row = ",".join(["%d,%d"] + [ENERGY_FORMAT] * 4 + [POLARIZATION_FORMAT] * len(cell_ids)) + "\n"
-    return lambda samples: out.writelines(
-        row % (s.vector_index, s.sample_index, *s.gammas, *s.polarizations) for s in samples
-    )
+    row = "".join(["%d,%d,%s"] + [f",{POLARIZATION_FORMAT}"] * len(cell_ids)) + "\n"
+    gamma_row, gamma_texts = ",".join([ENERGY_FORMAT] * 4), {}
+    vector, repeating = None, True  # the vector written last; whether its rows still repeat
+
+    def write(samples: Iterable[TraceSample]) -> None:
+        nonlocal vector, repeating
+        for vi, si, gammas, p, _ in samples:
+            g = gamma_texts.get(gammas)
+            if g is None:
+                g = gamma_row % gammas
+                if 0.0 not in gammas and len(gamma_texts) < 1024:
+                    gamma_texts[gammas] = g
+            if vi != vector:
+                vector, repeating = vi, True
+            if repeating:
+                try:
+                    text = "".join(map(_Texts(len(p) // 4).__getitem__, p))
+                except KeyError:
+                    repeating = False
+            out.write("%d,%d,%s%s\n" % (vi, si, g, text) if repeating else row % (vi, si, g, *p))
+
+    return write
 
 
 def trace_csv(trace: Trace) -> str:

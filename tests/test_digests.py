@@ -1,0 +1,168 @@
+"""Full-precision pins of the kink kernel and of coupling_map's memo.
+
+The CSV files print energies to 6 significant digits, so their golden bytes
+cannot see a change in the last bits of a kink energy.  The digests hash
+``repr`` of the floats themselves, on the benchmark's own layouts: the kink
+report of three off-grid fabrics, and coupling_map of the 512-cell wire, the
+128-cell clocked wire at eps_r 12.9 and a fabric under both charge models.
+They were recorded when coupling_map still called kink_energy per pair, as
+``per_pair_coupling_map`` does; the memo tests compare against that too.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import tracemalloc
+from unittest import mock
+
+import pytest
+from hypothesis import given, strategies as st
+
+from qcasim import (
+    Cell,
+    ChargeModel,
+    GeometryParams,
+    Layout,
+    Role,
+    ZeroDistanceError,
+    circuit_kink_energy,
+    coupling_map,
+    gen_wire,
+    kink_energy,
+    parse_qcl,
+)
+from qcasim import electrostatics
+from qcasim.model import pairs_within
+from test_bench_golden import inputs  # perfbench/inputs.py
+
+
+def _layout(document: bytes):
+    return parse_qcl(document.decode("utf-8"))[0]
+
+
+def _fabric(variant: int, model: ChargeModel = ChargeModel.NEUTRALIZED):
+    layout = _layout(inputs.fabric(variant))
+    return layout._replace(geometry=layout.geometry._replace(charge_model=model))
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+
+
+KINK_REPORT = {
+    0: "090380e39d02746b013a099cf91299d002dd873e33874cc09f5904bf1ef793e5",
+    7: "2679cc351107071087e63c64569db7cf5367191423d62e9633d2dcc0f1f237fc",
+    31: "6884d5fef8f5e3f2281db8d9a8b2b7bc602f0f4018d2df008484fc14cd4a0f6c",
+}
+
+COUPLING_MAP = {
+    "wire512": (lambda: gen_wire(512), "f0398b51f2395756b1b8c330f1847b624fba658d2771f9aabee436ede668b744"),
+    "clocked_gaas128": (
+        lambda: _layout(inputs.wire(128, inputs.GAAS_GEOMETRY, zone_run=16)),
+        "1c9b60170ce336471eb9d04cdcd9192e80c860f1149706117821d2e3f3d71a72",
+    ),
+    "fabric0_bare": (
+        lambda: _fabric(0, ChargeModel.BARE),
+        "8f25c1e9057f81a1e634bedcff67c4de81937c21931bb75d5ed97ab83e5ed275",
+    ),
+    "fabric0_neutralized": (
+        lambda: _fabric(0),
+        "9b064f2d6077aa6c004e01c3931422b152379981b23967bca1acce894f4e5516",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(KINK_REPORT))
+def test_kink_report_digest(variant):
+    # every field of every pair, then both totals
+    report = circuit_kink_energy(_fabric(variant))
+    assert _digest(([tuple(p) for p in report.pairs], report.total_bare, report.total_neutralized)) == KINK_REPORT[variant]
+
+
+@pytest.mark.parametrize("name", sorted(COUPLING_MAP))
+def test_coupling_map_digest(name):
+    build, want = COUPLING_MAP[name]
+    assert _digest(coupling_map(build())) == want
+
+
+def per_pair_coupling_map(layout):
+    """coupling_map as one kink_energy call per pair: the reference."""
+    cells = layout.cells
+    neighbors = [[] for _ in cells]
+    for i, j, _ in pairs_within(cells, layout.geometry.radius_of_effect):
+        e = kink_energy(cells[i], cells[j], layout.geometry)
+        neighbors[i].append((j, e))
+        neighbors[j].append((i, e))
+    return tuple(tuple(row) for row in neighbors)
+
+
+@st.composite
+def blocks(draw):
+    """A block of cells on a grid, or jittered off it, anywhere in the plane."""
+    size = draw(st.sampled_from([10.0, 18.0, 18.3]))
+    gap = draw(st.sampled_from([2.0, 2.5, 7.0]))  # pitch minus cell size
+    geometry = GeometryParams(
+        cell_size=size,
+        dot_diameter=size * 5.0 / 18.0,
+        pitch=size + gap,
+        relative_permittivity=draw(st.sampled_from([1.0, 2, 3.7, 12.9])),
+        charge_model=draw(st.sampled_from(list(ChargeModel))),
+        radius_of_effect=draw(st.sampled_from([30.0, 65.0, 100.0])),
+    )
+    centre = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    x0, y0 = draw(centre), draw(centre)
+    cols = draw(st.integers(1, 6))
+    jitter = st.floats(-0.45 * gap, 0.45 * gap) if draw(st.booleans()) else st.just(0.0)
+    cells = [
+        Cell(f"c{k}", x0 + (k % cols) * (size + gap) + draw(jitter), y0 + (k // cols) * (size + gap) + draw(jitter), Role.normal())
+        for k in range(draw(st.integers(2, 18)))
+    ]
+    return Layout(geometry, cells)
+
+
+@given(blocks(), st.sampled_from([0, 1, 3, electrostatics._MEMO_KEYS]))
+def test_coupling_map_is_the_per_pair_reference(layout, keys):
+    # every neighbour row in the same order, bit for bit; a bound of 0 or a
+    # few keys makes the memo freeze early
+    with mock.patch.object(electrostatics, "_MEMO_KEYS", keys):
+        got = coupling_map(layout)
+    want = per_pair_coupling_map(layout)
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+def test_a_coincident_pair_still_raises():
+    # c2-c3 and c4-c5 have one geometry, with b's bottom-left dot on a's
+    # top-right dot; c0-c1 and c1-c2 come first in pairs_within order
+    spots = [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (53.0, 13.0), (200.0, 0.0), (213.0, 13.0)]
+    cells = [Cell(f"c{k}", x, y, Role.normal()) for k, (x, y) in enumerate(spots)]
+    neutralized = Layout(GeometryParams(), cells)
+    with pytest.raises(ZeroDistanceError, match="^dots of two cells coincide$"):
+        coupling_map(neutralized)
+    # the coincident dot is empty at P = -1, so the bare coupling is defined
+    bare = neutralized._replace(geometry=GeometryParams(charge_model=ChargeModel.BARE))
+    assert coupling_map(bare) == per_pair_coupling_map(bare)
+
+
+def test_a_wire_runs_the_kernel_once_per_offset(monkeypatch):
+    calls = []
+    kernel = electrostatics._neutralized_kink
+    monkeypatch.setattr(electrostatics, "_neutralized_kink", lambda d: calls.append(d) or kernel(d))
+    coupling_map(gen_wire(512))
+    assert len(calls) == 3  # 20, 40 and 60 nm to the right
+
+
+def _peak(fn, layout) -> int:
+    tracemalloc.start()
+    try:
+        fn(layout)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_coupling_map_memory_on_an_off_grid_fabric():
+    # every pair of a jittered fabric is a geometry of its own, so a memo
+    # without a bound would hold one entry per pair (about 5 MB more here)
+    layout = _fabric(0)
+    assert _peak(coupling_map, layout) <= _peak(per_pair_coupling_map, layout) + 500_000

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import io
+import math
+import random
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -30,7 +34,8 @@ from qcasim import (
     trace_csv,
 )
 from qcasim.engine import MAX_GAMMA, Measurement, OutputReading, Trace, TraceSample
-from qcasim.qcl import format_energy, format_polarization
+from qcasim import qcl
+from qcasim.qcl import format_energy, format_polarization, trace_csv_writer
 
 MINIMAL_DOC = """\
 qcl 1
@@ -53,6 +58,17 @@ CSV_VALUES = st.one_of(
     st.integers(-10**9, 10**9).map(lambda k: (k + 0.5) / 1e9),
     st.floats(),
 )
+
+
+def per_value_trace_csv(cell_ids, samples) -> str:
+    """The trace CSV with every value formatted on its own: the reference."""
+    rows = [",".join(["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3", *cell_ids])]
+    for s in samples:
+        cols = [str(s.vector_index), str(s.sample_index)]
+        cols.extend(format_energy(g) for g in s.gammas)
+        cols.extend(format_polarization(p) for p in s.polarizations)
+        rows.append(",".join(cols))
+    return "\n".join(rows) + "\n"
 
 
 def err(text: str) -> ParseError:
@@ -448,14 +464,8 @@ class TestCsvExports:
         samples = [TraceSample(vi, si, values(4), values(len(cell_ids)), 1) for vi, si in indices]
         readings = [OutputReading(label, vi, *values(2)) for label, (vi, _) in zip(cell_ids, indices)]
 
-        rows = [",".join(["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3", *cell_ids])]
-        for s in samples:
-            cols = [str(s.vector_index), str(s.sample_index)]
-            cols.extend(format_energy(g) for g in s.gammas)
-            cols.extend(format_polarization(p) for p in s.polarizations)
-            rows.append(",".join(cols))
         trace = Trace(tuple(cell_ids), (), 128, tuple(samples))
-        assert trace_csv(trace) == "\n".join(rows) + "\n"
+        assert trace_csv(trace) == per_value_trace_csv(cell_ids, samples)
 
         rows = ["output,vector,steady_P,max_abs_P"]
         for r in readings:
@@ -467,6 +477,65 @@ class TestCsvExports:
         for s in samples:
             assert [format_energy(g) for g in s.gammas] == [f"{g:.5e}" for g in s.gammas]
             assert [format_polarization(p) for p in s.polarizations] == [f"{p:.9f}" for p in s.polarizations]
+
+    # Rows of 16 values; the writer formats each distinct P of a row once while
+    # its vector's rows have at most 4 values distinct or zero.
+    REPEATING = (0.25,) * 14 + (0.0, -0.0)
+    GAMMAS = (9.8e-22, 3.8e-23, 3.8e-23, 9.8e-22)
+
+    def _written(self, cell_ids, samples, one_per_call) -> str:
+        out = io.StringIO()
+        write = trace_csv_writer(out, cell_ids)
+        if one_per_call:
+            for s in samples:
+                write([s])
+        else:
+            write(samples)
+        return out.getvalue()
+
+    def _check(self, cell_ids, samples):
+        want = per_value_trace_csv(cell_ids, samples)
+        assert self._written(cell_ids, samples, False) == want
+        assert self._written(cell_ids, samples, True) == want
+
+    def test_signed_zeros_within_and_across_rows(self):
+        flipped = tuple(0.0 - v for v in self.REPEATING)  # -0.25 ..., -0.0, 0.0
+        rows = [self.REPEATING, flipped, self.REPEATING, (-0.0,) * 15 + (0.0,), (0.0,) * 8 + (-0.0,) * 8]
+        samples = [TraceSample(vi, si, self.GAMMAS, p, 1) for vi in (0, 1) for si, p in enumerate(rows)]
+        self._check([f"c{k}" for k in range(16)], samples)
+
+    def test_gammas_that_differ_only_in_a_zero_sign(self):
+        gammas = [(0.0, 1e-22, 1e-22, 1e-22), (-0.0, 1e-22, 1e-22, 1e-22), (0.0, -0.0, 0.0, -0.0), (-0.0, 0.0, -0.0, 0.0)]
+        samples = [TraceSample(0, si, g, self.REPEATING, 1) for si, g in enumerate(gammas * 2)]
+        self._check([f"c{k}" for k in range(16)], samples)
+
+    def test_rows_that_repeat_then_stop(self):
+        rng = random.Random(18)
+        distinct = [tuple(rng.uniform(-1, 1) for _ in range(16)) for _ in range(3)]
+        special = (math.inf, -math.inf, math.nan) * 5 + (1.0,)
+        vector = [self.REPEATING, special, self.REPEATING, *distinct, self.REPEATING]
+        samples = [TraceSample(vi, si, self.GAMMAS, p, 1) for vi in (0, 0, 3) for si, p in enumerate(vector)]
+        self._check([f"c{k}" for k in range(16)], samples)
+        # a vector that starts distinct, and a layout without cells
+        self._check([f"c{k}" for k in range(16)], [TraceSample(5, si, self.GAMMAS, p, 1) for si, p in enumerate([*distinct, self.REPEATING])])
+        self._check([], [TraceSample(vi, 0, self.GAMMAS, (), 1) for vi in range(3)])
+
+    def test_the_memo_stops_for_the_rest_of_a_vector(self, monkeypatch):
+        tried = []
+
+        class Counted(qcl._Texts):
+            def __init__(self, room):
+                tried.append(room)
+                super().__init__(room)
+
+        monkeypatch.setattr(qcl, "_Texts", Counted)
+        distinct = tuple(k / 16 for k in range(1, 17))
+        rows = [(0, self.REPEATING), (0, distinct), (0, self.REPEATING), (1, self.REPEATING), (1, self.REPEATING)]
+        samples = [TraceSample(vi, si, self.GAMMAS, p, 1) for si, (vi, p) in enumerate(rows)]
+        for one_per_call in (False, True):
+            tried.clear()
+            self._written([f"c{k}" for k in range(16)], samples, one_per_call)
+            assert tried == [4, 4, 4, 4]  # not vector 0's third row
 
     def test_formatters(self):
         assert format_energy(1.408885558268613e-20) == "1.40889e-20"
