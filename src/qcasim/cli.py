@@ -16,7 +16,8 @@ import sys
 from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
-from .electrostatics import ZeroDistanceError, circuit_kink_energy
+# circuit_kink_energy and kink_report_csv are unused here: names perfbench/tracer.py wraps
+from .electrostatics import ZeroDistanceError, circuit_kink_energy, kink_pairs, kink_totals
 from .engine import (
     ClockConfig,
     ConvergenceFailure,
@@ -40,6 +41,7 @@ from .qcl import (
     serialize_qcl,
     trace_csv,
     trace_csv_writer,
+    write_kink_csv,
 )
 from .stdcells import (
     gen_conventional_inverter,
@@ -214,14 +216,13 @@ def _cmd_sim(args: argparse.Namespace) -> int:
 
 def _cmd_kink(args: argparse.Namespace) -> int:
     layout, _ = _load_layout(args.layout)
-    report = circuit_kink_energy(layout)
-    if args.out:
-        with _replacing(args.out) as (out,):
-            out.write(kink_report_csv(report))
+    with _replacing(args.out) as (out,):
+        pairs = kink_pairs(layout)
+        total_bare, total_neut = write_kink_csv(out, pairs) if out else kink_totals(pairs)
     if args.model in ("bare", "both"):
-        print(f"total_kink_bare_J={format_energy(report.total_bare)}")
+        print(f"total_kink_bare_J={format_energy(total_bare)}")
     if args.model in ("neutralized", "both"):
-        print(f"total_kink_neutralized_J={format_energy(report.total_neutralized)}")
+        print(f"total_kink_neutralized_J={format_energy(total_neut)}")
     return 0
 
 

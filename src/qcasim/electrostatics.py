@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .model import Cell, ChargeModel, GeometryParams, Layout, electron_positions, pairs_within
 
@@ -26,6 +26,8 @@ __all__ = [
     "cell_charges",
     "pair_energy",
     "kink_energy",
+    "kink_pairs",
+    "kink_totals",
     "circuit_kink_energy",
 ]
 
@@ -104,7 +106,7 @@ def kink_energy(a: Cell, b: Cell, geometry: GeometryParams) -> float:
 
     Bit-identical to ``pair_energy(a, -1, b, +1, g) - pair_energy(a, -1, b, -1, g)``.
     """
-    d = _scaled_distances(_corners(a, geometry), _corners(b, geometry), geometry.relative_permittivity)
+    d = _scaled_distances(_differences(_corners(a, geometry), _corners(b, geometry)), geometry.relative_permittivity)
     return _bare_kink(d) if geometry.charge_model is ChargeModel.BARE else _neutralized_kink(d)
 
 
@@ -125,15 +127,18 @@ def _corners(cell: Cell, geometry: GeometryParams) -> tuple[float, float, float,
     return cell.x + h, cell.x - h, cell.y + h, cell.y - h
 
 
-def _scaled_distances(a, b, eps: float) -> list[float]:
-    """coulomb_energy's denominator eps*r*1e-9 for the 16 dot pairs, row-major over
-    (dot of a, dot of b) in ``dot_positions`` order TR, TL, BL, BR; k*q1*q2 divided
-    by one is its term up to an exact sign.  ``a`` and ``b`` are ``_corners``, and
-    the 4 x and 4 y differences (b's minus a's, as in coulomb_energy) are taken once."""
+def _differences(a, b) -> tuple[float, ...]:
+    """The x and y differences of two ``_corners``, b's minus a's, named b's side first."""
     ar, al, at, ab = a
     br, bl, bt, bb = b
-    xrr, xrl, xlr, xll = br - ar, br - al, bl - ar, bl - al  # named b's side, then a's
-    ytt, ytb, ybt, ybb = bt - at, bt - ab, bb - at, bb - ab
+    return br - ar, br - al, bl - ar, bl - al, bt - at, bt - ab, bb - at, bb - ab
+
+
+def _scaled_distances(diffs, eps: float) -> list[float]:
+    """coulomb_energy's denominator eps*r*1e-9 for the 16 dot pairs, row-major over
+    (dot of a, dot of b) in ``dot_positions`` order TR, TL, BL, BR, from the pair's
+    ``_differences``; k*q1*q2 divided by one is its term up to an exact sign."""
+    xrr, xrl, xlr, xll, ytt, ytb, ybt, ybb = diffs
     hypot, nm = math.hypot, _NM
     return [
         eps * hypot(xrr, ytt) * nm, eps * hypot(xlr, ytt) * nm, eps * hypot(xlr, ybt) * nm, eps * hypot(xrr, ybt) * nm,
@@ -163,7 +168,7 @@ def _neutralized_kink(d: list[float]) -> float:
 def _layout_kinks(layout: Layout) -> Iterator[tuple[int, int, float]]:
     """(i, j, kink energy J) for each pair of ``pairs_within``, in its order,
     under the layout's charge model.  A pair's energy depends only on its 8
-    corner differences, so each distinct set runs the kernel once: equal sets
+    ``_differences``, so each distinct set runs the kernel once: equal sets
     differ at most in a zero's sign, which ``hypot`` ignores, so every value
     is bit-identical to ``kink_energy``."""
     geometry = layout.geometry
@@ -172,11 +177,10 @@ def _layout_kinks(layout: Layout) -> Iterator[tuple[int, int, float]]:
     corners = [_corners(cell, geometry) for cell in layout.cells]
     memo: dict[tuple[float, ...], float] = {}
     for i, j, _ in pairs_within(layout.cells, geometry.radius_of_effect):
-        (ar, al, at, ab), (br, bl, bt, bb) = a, b = corners[i], corners[j]
-        key = (br - ar, br - al, bl - ar, bl - al, bt - at, bt - ab, bb - at, bb - ab)
+        key = _differences(corners[i], corners[j])
         e = memo.get(key)
         if e is None:  # a pair that raises ZeroDistanceError is never kept
-            e = kink(_scaled_distances(a, b, eps))
+            e = kink(_scaled_distances(key, eps))
             if len(memo) < _MEMO_KEYS:
                 memo[key] = e
         yield i, j, e
@@ -202,33 +206,29 @@ class KinkReport(NamedTuple):
     geometry: GeometryParams
 
 
-def circuit_kink_energy(layout: Layout) -> KinkReport:
-    """Kink energies for every unordered cell pair within radius_of_effect.
-
-    Pairs are enumerated in layout order (i before j); totals are the sums
-    of the signed pair energies in that same order, so the report is
-    byte-reproducible run to run.  Each cell's dot coordinates are placed
-    once (``_corners``) and both models share each pair's 16 distances, built
-    from 4 x and 4 y differences: O(n*k) for k neighbours in range, every
-    value bit-identical to per-pair ``kink_energy``.
-    """
+def kink_pairs(layout: Layout) -> Iterator[KinkPair]:
+    """One KinkPair per pair of ``pairs_within``, in its order, as it is computed; both
+    models share the pair's 16 distances, each bit-identical to per-pair ``kink_energy``."""
     geometry = layout.geometry
     eps = geometry.relative_permittivity
     cells = layout.cells
     corners = [_corners(cell, geometry) for cell in cells]
-    pairs: list[KinkPair] = []
-    total_bare = 0.0
-    total_neut = 0.0
     for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
-        d = _scaled_distances(corners[i], corners[j], eps)
-        e_bare, e_neut = _bare_kink(d), _neutralized_kink(d)
-        pairs.append(KinkPair(cells[i].id, cells[j].id, distance, e_bare, e_neut))
-        total_bare += e_bare
-        total_neut += e_neut
-    return KinkReport(
-        pairs=tuple(pairs),
-        total_bare=total_bare,
-        total_neutralized=total_neut,
-        radius_of_effect=geometry.radius_of_effect,
-        geometry=geometry,
-    )
+        d = _scaled_distances(_differences(corners[i], corners[j]), eps)
+        yield KinkPair(cells[i].id, cells[j].id, distance, _bare_kink(d), _neutralized_kink(d))
+
+
+def kink_totals(pairs: Iterable[KinkPair]) -> tuple[float, float]:
+    """(bare, neutralized) sums of ``pairs``, added one at a time in their order,
+    so a total is byte-reproducible (``sum`` compensates from Python 3.12)."""
+    total_bare = total_neut = 0.0
+    for _, _, _, bare, neut in pairs:
+        total_bare += bare
+        total_neut += neut
+    return total_bare, total_neut
+
+
+def circuit_kink_energy(layout: Layout) -> KinkReport:
+    """All of ``kink_pairs(layout)``, with their ``kink_totals``."""
+    pairs = tuple(kink_pairs(layout))
+    return KinkReport(pairs, *kink_totals(pairs), layout.geometry.radius_of_effect, layout.geometry)

@@ -17,7 +17,7 @@ import math
 from typing import Any, Callable, Container, Iterable, Iterator, Sequence, TextIO
 
 from .engine import ClockConfig, Measurement, Trace, TraceSample
-from .electrostatics import KinkReport
+from .electrostatics import KinkPair, KinkReport, kink_totals
 from .model import Cell, ChargeModel, GeometryParams, Layout, Role, RoleKind
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "serialize_qcl",
     "parse_vectors",
     "kink_report_csv",
+    "write_kink_csv",
     "trace_csv",
     "trace_csv_writer",
     "measurement_csv",
@@ -280,15 +281,28 @@ def parse_vectors(text: str, labels: Sequence[str]) -> list[dict[str, int]]:
     return vectors
 
 
-def kink_report_csv(report: KinkReport) -> str:
-    """Pair table with a trailing TOTAL row, energies in 6-digit scientific."""
-    energies = f"{ENERGY_FORMAT},{ENERGY_FORMAT}"
+def write_kink_csv(out: TextIO, pairs: Iterable[KinkPair]) -> tuple[float, float]:
+    """Write the pair table to ``out``, a row as each pair arrives, then a TOTAL row
+    of the pairs' ``kink_totals``, which it returns.  Energies in 6-digit scientific."""
+    energies = f"{ENERGY_FORMAT},{ENERGY_FORMAT}\n"
     row = "%s,%s,%.6g," + energies
-    rows = ["id_a,id_b,distance_nm,ekink_bare_J,ekink_neut_J"]
-    rows.extend(row % (p.id_a, p.id_b, p.distance_nm, p.bare, p.neutralized) for p in report.pairs)
-    rows.append(("TOTAL,,," + energies) % (report.total_bare, report.total_neutralized))
-    rows.append("")  # the final newline, without a second copy of the table
-    return "\n".join(rows)
+    out.write("id_a,id_b,distance_nm,ekink_bare_J,ekink_neut_J\n")
+
+    def written() -> Iterator[KinkPair]:
+        for pair in pairs:
+            out.write(row % pair)
+            yield pair
+
+    totals = kink_totals(written())
+    out.write(("TOTAL,,," + energies) % totals)
+    return totals
+
+
+def kink_report_csv(report: KinkReport) -> str:
+    """The pair table of a whole report (see write_kink_csv)."""
+    out = io.StringIO()
+    write_kink_csv(out, report.pairs)
+    return out.getvalue()
 
 
 class _Texts(dict):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .electrostatics import circuit_kink_energy
+from .electrostatics import kink_pairs, kink_totals
 from .engine import ClockConfig, InputSchedule, stream_measurement
 from .qcl import format_energy, format_polarization
 from .stdcells import gen_minimal_inverter
@@ -45,15 +45,15 @@ def run_sweep(extras: Sequence[int]) -> tuple[SweepRow, ...]:
     clock, rows = ClockConfig(), []
     for extra in extras:
         layout = gen_minimal_inverter(extra)
-        report = circuit_kink_energy(layout)
+        kink_bare, kink_neut = kink_totals(kink_pairs(layout))
         schedule = InputSchedule.exhaustive(layout.input_labels())
         measurement = stream_measurement(layout, clock, schedule)
         readings = [measurement.reading("b", vi) for vi in range(len(schedule.vectors))]
         rows.append(
             SweepRow(
                 total_cells=len(layout.cells),
-                kink_bare=report.total_bare,
-                kink_neut=report.total_neutralized,
+                kink_bare=kink_bare,
+                kink_neut=kink_neut,
                 max_abs_p=max(r.max_abs for r in readings),
                 steady_p=tuple(r.steady for r in readings),
             )

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import errno
+import io
 import math
 import os
+import random
 import stat
 import subprocess
 import sys
@@ -29,12 +31,16 @@ from qcasim import (
     kink_report_csv,
     measure,
     measurement_csv,
+    parse_qcl,
     serialize_qcl,
     simulate,
     trace_csv,
 )
 from qcasim import cli, engine
 from qcasim.cli import format_trend_comparison, main, run_sweep, sweep_csv
+from qcasim.electrostatics import kink_pairs
+from qcasim.qcl import write_kink_csv
+from test_bench_golden import inputs  # perfbench/inputs.py
 
 
 @pytest.fixture
@@ -540,7 +546,74 @@ class TestStreamedSim:
         assert _traced_peak_mb(argv) < 5.0
 
 
+def _fabric(radius: float = 65.0, model: ChargeModel = ChargeModel.NEUTRALIZED) -> Layout:
+    """The benchmark's 32x32 jittered fabric, variant 0."""
+    layout = parse_qcl(inputs.fabric(0).decode())[0]
+    return layout._replace(geometry=layout.geometry._replace(radius_of_effect=radius, charge_model=model))
+
+
+def _off_grid_gaas() -> Layout:
+    rng = random.Random(129)
+    roles = {0: Role.input("a"), 35: Role.output("b")}
+    cells = [
+        Cell(f"c{k}", 20.0 * (k % 6) + rng.uniform(-0.9, 0.9), 20.0 * (k // 6) + rng.uniform(-0.9, 0.9), roles.get(k, Role.normal()))
+        for k in range(36)
+    ]
+    return Layout(GeometryParams(relative_permittivity=12.9), cells)
+
+
+# the writer keeps no rows of its own; wire:512's 1,530 rows (about 100 kB)
+# pass the text file's 8 kB write buffer many times
+KINK_LAYOUTS = {
+    "empty": lambda: Layout(GeometryParams(), []),
+    "wire2": lambda: gen_wire(2),
+    "wire512": lambda: gen_wire(512),
+    "fabric0-neutralized": _fabric,
+    "fabric0-bare": lambda: _fabric(model=ChargeModel.BARE),
+    "off-grid-gaas": _off_grid_gaas,
+}
+
+
 class TestKink:
+    @pytest.mark.parametrize("name", sorted(KINK_LAYOUTS))
+    def test_streamed_rows_are_the_report_bytes(self, name, tmp_path, monkeypatch, capsys):
+        layout = KINK_LAYOUTS[name]()
+        report = circuit_kink_energy(layout)
+        want = kink_report_csv(report).encode()
+        totals = f"total_kink_bare_J={report.total_bare:.5e}\ntotal_kink_neutralized_J={report.total_neutralized:.5e}\n"
+        text = io.StringIO()
+        assert write_kink_csv(text, kink_pairs(layout)) == (report.total_bare, report.total_neutralized)
+        assert text.getvalue().encode() == want
+        path, csv = tmp_path / "layout.qcl", tmp_path / "pairs.csv"
+        path.write_text(serialize_qcl(layout))
+        assert main(["kink", str(path), "--out", str(csv)]) == 0
+        assert capsys.readouterr().out == totals and csv.read_bytes() == want
+        # a folder that takes no new file: the old file is written in place
+        csv.write_text("old\n")
+        inode = csv.stat().st_ino
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: os.fspath(p) != str(tmp_path) and access(p, mode))
+        assert main(["kink", str(path), "--out", str(csv)]) == 0
+        assert capsys.readouterr().out == totals
+        assert csv.stat().st_ino == inode and csv.read_bytes() == want
+        # without --out the pairs are only summed
+        assert main(["kink", str(path)]) == 0
+        assert capsys.readouterr().out == totals
+
+    def test_streamed_memory_holds_one_pair(self, tmp_path, capsys):
+        # 16,784 pairs in range at radius 65 and 57,874 at 130: the whole report
+        # peaked at about 6 and 19 MB; the stream holds the layout and one pair,
+        # so the peak no longer follows the pair count
+        peaks = []
+        for radius in (65.0, 130.0):
+            path = tmp_path / f"fabric{radius:g}.qcl"
+            path.write_text(serialize_qcl(_fabric(radius)))
+            argv = ["kink", str(path), "--out", str(tmp_path / "pairs.csv")]
+            if not peaks:
+                assert main(argv) == 0  # builds the parser outside the measurement
+            peaks.append(_traced_peak_mb(argv))
+        assert max(peaks) <= 2.0 and abs(peaks[0] - peaks[1]) <= 0.25, peaks
+
     def test_totals_on_stdout(self, wire3, capsys):
         assert main(["kink", wire3]) == 0
         report = circuit_kink_energy(gen_wire(3))
@@ -574,6 +647,14 @@ class TestKink:
             path.write_text(serialize_qcl(Layout(GeometryParams(charge_model=model), cells)))
             assert main(["kink", str(path)]) == 2
             assert capsys.readouterr().err == "error: dots of two cells coincide\n"
+            # --out is opened before the first pair is computed: the failure
+            # keeps its old bytes and leaves no temporary file
+            old = tmp_path / "pairs.csv"
+            old.write_bytes(b"old\n")
+            assert main(["kink", str(path), "--out", str(old)]) == 2
+            assert capsys.readouterr() == ("", "error: dots of two cells coincide\n")
+            assert old.read_bytes() == b"old\n"
+            assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")]
         # the coincident dot is empty at P = -1, so the bare coupling is defined
         assert main(["sim", str(tmp_path / "bare.qcl")]) == 0
         assert main(["sim", str(tmp_path / "neutralized.qcl")]) == 2

@@ -6,6 +6,7 @@ oracle values) plus the published rounded figures at 0.5% tolerance.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -29,7 +30,7 @@ from qcasim import (
     kink_energy,
     pair_energy,
 )
-from qcasim.electrostatics import _corners, _scaled_distances
+from qcasim.electrostatics import _corners, _differences, _scaled_distances, kink_pairs
 
 NEUT = GeometryParams()
 BARE = GeometryParams(charge_model=ChargeModel.BARE)
@@ -348,7 +349,7 @@ class TestKernelMatchesReference:
             assert dot_positions(c, g) == ((right, top), (left, top), (left, bottom), (right, bottom))
         eps = g.relative_permittivity
         want = [eps * math.hypot(bx - ax, by - ay) * 1e-9 for ax, ay in dot_positions(a, g) for bx, by in dot_positions(b, g)]
-        assert _scaled_distances(_corners(a, g), _corners(b, g), eps) == want
+        assert _scaled_distances(_differences(_corners(a, g), _corners(b, g)), eps) == want
 
     @given(geometries, centre, centre, st.lists(st.tuples(jitter, jitter), min_size=2, max_size=9))
     def test_report_pairs_equal_per_pair_kink_energy(self, g, x0, y0, jitters):
@@ -367,6 +368,16 @@ class TestKernelMatchesReference:
             a, b = by_id[pair.id_a], by_id[pair.id_b]
             assert pair.bare == kink_energy(a, b, bare_g)
             assert pair.neutralized == kink_energy(a, b, neut_g)
+
+    def test_a_coincident_pair_raises_mid_stream(self):
+        # c2-c3 has b's bottom-left dot on a's top-right dot: the pairs before
+        # it are yielded, then the stream raises as the report does
+        spots = [(0.0, 0.0), (20.0, 0.0), (40.0, 0.0), (53.0, 13.0)]
+        cells = [cell(x, y, f"c{k}") for k, (x, y) in enumerate(spots)]
+        stream = kink_pairs(Layout(NEUT, cells))
+        assert [(p.id_a, p.id_b) for p in itertools.islice(stream, 2)] == [("c0", "c1"), ("c0", "c2")]
+        with pytest.raises(ZeroDistanceError, match="^dots of two cells coincide$"):
+            list(stream)
 
     def test_coincident_dots_raise_where_the_definition_does(self):
         # the centres are 13*sqrt(2) nm apart, more than cell_size, so
