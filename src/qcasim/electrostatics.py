@@ -208,14 +208,15 @@ class KinkReport(NamedTuple):
 
 def kink_pairs(layout: Layout) -> Iterator[KinkPair]:
     """One KinkPair per pair of ``pairs_within``, in its order, as it is computed; both
-    models share the pair's 16 distances, each bit-identical to per-pair ``kink_energy``."""
+    models share the pair's 16 distances, each bit-identical to per-pair ``kink_energy``.
+    Each pair is built by ``tuple.__new__``, skipping the NamedTuple's slower Python ``__new__``."""
     geometry = layout.geometry
     eps = geometry.relative_permittivity
     cells = layout.cells
     corners = [_corners(cell, geometry) for cell in cells]
     for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
         d = _scaled_distances(_differences(corners[i], corners[j]), eps)
-        yield KinkPair(cells[i].id, cells[j].id, distance, _bare_kink(d), _neutralized_kink(d))
+        yield tuple.__new__(KinkPair, (cells[i].id, cells[j].id, distance, _bare_kink(d), _neutralized_kink(d)))
 
 
 def kink_totals(pairs: Iterable[KinkPair]) -> tuple[float, float]:

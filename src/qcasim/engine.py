@@ -230,12 +230,13 @@ def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
     raise ConvergenceFailure(residual)
 
 
-# Compiling a sweep (_sweepgen) takes about as long as _COMPILE_FIXED +
-# _COMPILE_PER_ROW * rows cell updates of _sweep, and each compiled call
-# spends about _COMPILED_CALL updates' worth more than _sweep to set up.
+# A compile of some rows (_sweepgen) is repaid by about _COMPILE_FIXED +
+# _COMPILE_PER_ROW * rows cell updates run compiled instead of by _sweep, and
+# each compiled call's set-up costs what about _COMPILED_CALL such updates save.
 # CPython 3.11, 2-vCPU Xeon: a first compile in a fresh process takes 0.4 ms
 # + 0.17 ms per row, a compiled call 4 us more, and the compiled loop saves
-# 0.4 us per cell update; the fixed part is rounded up.
+# 0.4 us per cell update (0.17 ms / 0.4 us ~ 425 -> 400); the fixed part is
+# rounded up.
 _COMPILE_FIXED, _COMPILE_PER_ROW, _COMPILED_CALL = 1500, 400, 10
 
 
@@ -315,12 +316,16 @@ def _cycles(
     input instead of following it.  Per-vector annealing also makes the
     vectors order independent.  Pins and free-cell neighbour rows are
     built once per vector, and each sample runs ``relax``'s loop on them.
-    Once the cell updates of this run, less a set-up allowance per sample,
-    reach ``_compile_cost``, the samples run a loop compiled for those rows
-    instead, with the same bytes; every vector pins the same cells, so
-    later vectors reuse it.  A vector mirrors the latest relaxed complement
-    (every input flipped) when the layout has no fixed cells: the update is
-    odd and every free zero is +0.0, so the negated cycle is exact.
+    The cell updates of this run, less a set-up allowance per sample, are
+    its work.  Once the work reaches ``_compile_cost``, or its mean per
+    relaxed sample times the samples left to relax (counted before the
+    first) reaches twice the cost, the samples run a loop compiled for
+    those rows instead, with the same bytes; every vector pins the same
+    cells, so later vectors reuse it.  The margin of 2 keeps interpreted a
+    run whose heaviest samples come first, as on a wire at eps_r 1.  A
+    vector mirrors the latest relaxed complement (every input flipped) when
+    the layout has no fixed cells: the update is odd and every free zero is
+    +0.0, so the negated cycle is exact.
     """
     if set(schedule.labels) != set(layout.input_labels()):
         raise ValueError(f"schedule labels {schedule.labels} do not match layout inputs")
@@ -335,7 +340,7 @@ def _cycles(
     held: dict[int, list[TraceSample]] = {}
     by_label = {c.role.label: c.id for c in layout.inputs()}
     couplings = coupling_map(layout)
-    loop, work = _sweep, 0
+    loop, work, done, left = _sweep, 0, 0, sources.count(None) * clock.samples_per_cycle
     for vi, (vector, k) in enumerate(zip(schedule.vectors, sources)):
         pinned = _pinned_map(layout, {by_label[label]: value for label, value in vector})
         if k is not None:  # the last mirror of a block pops it
@@ -346,7 +351,7 @@ def _cycles(
         cost = _compile_cost(rows)
         block: list[TraceSample] = []
         for s, gammas in enumerate(clock._cycle):
-            if loop is _sweep and work >= cost:
+            if loop is _sweep and (work >= cost or done and work * (left - done) >= 2 * cost * done):
                 from ._sweepgen import compile_sweep  # parsed only by runs that switch
 
                 loop = compile_sweep(rows)
@@ -356,6 +361,7 @@ def _cycles(
                 raise ConvergenceFailure(fail.residual, vi, s) from None
             block.append(TraceSample(vi, s, gammas, tuple(p), iters))
             work += iters * len(rows) - _COMPILED_CALL
+            done += 1
         if vi in last:
             held[vi] = block
         yield block, None

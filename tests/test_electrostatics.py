@@ -19,6 +19,7 @@ from qcasim import (
     Cell,
     ChargeModel,
     GeometryParams,
+    KinkPair,
     Layout,
     PointCharge,
     Role,
@@ -365,6 +366,8 @@ class TestKernelMatchesReference:
         neut_g = g._replace(charge_model=ChargeModel.NEUTRALIZED)
         assert report.pairs
         for pair in report.pairs:
+            # kink_pairs builds each pair with tuple.__new__: still a KinkPair
+            assert type(pair) is KinkPair
             a, b = by_id[pair.id_a], by_id[pair.id_b]
             assert pair.bare == kink_energy(a, b, bare_g)
             assert pair.neutralized == kink_energy(a, b, neut_g)

@@ -500,6 +500,16 @@ def spaced_inputs(n_inputs: int) -> Layout:
     return Layout(GeometryParams(), cells)
 
 
+def independent_wires(n_wires: int) -> Layout:
+    """``n_wires`` 3-cell wires (input, normal, output) 100 nm apart, beyond
+    each other's radius: two free rows per wire."""
+    cells = []
+    for w in range(n_wires):
+        roles = (Role.input(f"i{w}"), Role.normal(), Role.output(f"o{w}"))
+        cells += [Cell(f"w{w}c{k}", 20.0 * k, 100.0 * w, role) for k, role in enumerate(roles)]
+    return Layout(GeometryParams(), cells)
+
+
 def exhaustive(layout, clock=CLOCK):
     return layout, clock, InputSchedule.exhaustive(layout.input_labels())
 
@@ -826,13 +836,28 @@ class TestCompiledSweep:
         "build, interpreted",
         [
             (lambda: gen_majority(), 4 * 128),  # 938 sweeps x 2 rows
-            (lambda: gen_wire(512), 128),  # 233 sweeps x 511 rows
-            (lambda: zoned_gaas_wire(128), 23),  # 2,419 sweeps x 127 rows
+            # 233 sweeps x 511 rows, the heaviest samples first: sample 0's
+            # work projected over the rest reads 1.25 x the compile cost,
+            # under the margin of 2, and later samples project less
+            (lambda: gen_wire(512), 128),
+            # 2,419 sweeps x 127 rows: sample 0's work projected over the
+            # other 127 samples reads 13.5 x the compile cost
+            (lambda: zoned_gaas_wire(128), 1),
             # one free cell, 32 relaxed vectors: about 2 updates a sample
             # never repay a compiled call's set-up
             (lambda: spaced_inputs(6), 32 * 128),
+            (lambda: gen_conventional_inverter(), 128),
+            (lambda: gen_wire(8), 128),
+            (lambda: gen_minimal_inverter(0), 128),
+            # 12 free rows, 32 relaxed vectors: sample 0's work projected
+            # over the other 4,095 samples reads 24.7 x the compile cost;
+            # the work done alone would reach it at sample 519
+            (lambda: independent_wires(6), 1),
         ],
-        ids=["majority", "wire512", "gaas_zoned128", "one_row_many_vectors"],
+        ids=[
+            "majority", "wire512", "gaas_zoned128", "one_row_many_vectors",
+            "conventional", "wire8", "minimal_inverter", "six_wires",
+        ],
     )
     def test_compiles_once_the_work_repays_it(self, monkeypatch, build, interpreted):
         log = record_tiers(monkeypatch)
