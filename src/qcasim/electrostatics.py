@@ -10,7 +10,6 @@ anti-align (the mechanism diagonal cell pairs use to invert a signal).
 from __future__ import annotations
 
 import math
-import operator
 from typing import Iterable, Iterator, NamedTuple
 
 from .model import Cell, ChargeModel, GeometryParams, Layout, electron_positions, pairs_within
@@ -37,7 +36,8 @@ _NM = 1e-9  # m per nm
 
 
 class ZeroDistanceError(ValueError):
-    """Two point charges coincide; the 1/r energy is undefined."""
+    """Two point charges coincide, or lie so close that their distance in m
+    underflows to 0; the 1/r energy is undefined."""
 
 
 class PointCharge(NamedTuple):
@@ -55,7 +55,10 @@ def coulomb_energy(a: PointCharge, b: PointCharge, relative_permittivity: float 
         raise ZeroDistanceError(f"charges at ({a.x}, {a.y}) nm coincide")
     q1 = a.charge * ELEMENTARY_CHARGE
     q2 = b.charge * ELEMENTARY_CHARGE
-    return COULOMB_K * q1 * q2 / (relative_permittivity * r_nm * _NM)
+    try:
+        return COULOMB_K * q1 * q2 / (relative_permittivity * r_nm * _NM)
+    except ZeroDivisionError:  # eps*r*1e-9 underflowed
+        raise ZeroDistanceError(f"charges at ({a.x}, {a.y}) and ({b.x}, {b.y}) nm are too close") from None
 
 
 def cell_charges(cell: Cell, p: int, geometry: GeometryParams) -> tuple[PointCharge, ...]:
@@ -110,11 +113,9 @@ def kink_energy(a: Cell, b: Cell, geometry: GeometryParams) -> float:
     return _bare_kink(d) if geometry.charge_model is ChargeModel.BARE else _neutralized_kink(d)
 
 
-# k*q1*q2 of coulomb_energy: bare (-e)(-e); neutralized (+-e/2)(+-e/2), signed
-# for P_a = P_b = -1 row-major over (dot of a, dot of b), + on the same diagonal
+# k*q1*q2 of coulomb_energy, unsigned: bare (-e)(-e); neutralized (+-e/2)(+-e/2)
 _BARE_KQQ = COULOMB_K * ELEMENTARY_CHARGE * ELEMENTARY_CHARGE
 _HALF_KQQ = COULOMB_K * (0.5 * ELEMENTARY_CHARGE) * (0.5 * ELEMENTARY_CHARGE)
-_NEUT_EQUAL_KQQ = tuple(_HALF_KQQ * (-1) ** (i + j) for i in range(4) for j in range(4))
 
 # _layout_kinks keeps at most this many pair geometries: far more than a grid
 # layout has, and about 0.2 MB off the grid, where every pair has its own.
@@ -150,18 +151,26 @@ def _scaled_distances(diffs, eps: float) -> list[float]:
 
 def _bare_kink(d: list[float]) -> float:
     # a's P = -1 electrons sit on TL, BR (rows 1, 3); b's on TR, BL (+1) or TL, BR (-1)
-    if 0.0 in (d[4], d[5], d[6], d[7], d[12], d[13], d[14], d[15]):
-        raise ZeroDistanceError("occupied dots of two cells coincide")
     k = _BARE_KQQ
-    opposite = math.fsum((k / d[4], k / d[6], k / d[12], k / d[14]))
-    return opposite - math.fsum((k / d[5], k / d[7], k / d[13], k / d[15]))
+    try:  # a distance is eps*r*1e-9 >= +0.0, so a zero fails its own division
+        opposite = math.fsum((k / d[4], k / d[6], k / d[12], k / d[14]))
+        return opposite - math.fsum((k / d[5], k / d[7], k / d[13], k / d[15]))
+    except ZeroDivisionError:
+        raise ZeroDistanceError("occupied dots of two cells coincide") from None
 
 
 def _neutralized_kink(d: list[float]) -> float:
-    if 0.0 in d:
-        raise ZeroDistanceError("dots of two cells coincide")
+    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15 = d
+    # k*q1*q2 at P_a = P_b = -1, row-major over (dot of a, dot of b): + on the same diagonal
+    k, n = _HALF_KQQ, -_HALF_KQQ
+    try:  # as in _bare_kink, a zero fails its own division
+        equal = math.fsum((
+            k / d0, n / d1, k / d2, n / d3, n / d4, k / d5, n / d6, k / d7,
+            k / d8, n / d9, k / d10, n / d11, n / d12, k / d13, n / d14, k / d15,
+        ))
+    except ZeroDivisionError:
+        raise ZeroDistanceError("dots of two cells coincide") from None
     # flipping b negates every term: E(opposite) = -E(equal) exactly
-    equal = math.fsum(map(operator.truediv, _NEUT_EQUAL_KQQ, d))
     return -equal - equal
 
 
@@ -213,10 +222,11 @@ def kink_pairs(layout: Layout) -> Iterator[KinkPair]:
     geometry = layout.geometry
     eps = geometry.relative_permittivity
     cells = layout.cells
+    ids = [cell.id for cell in cells]
     corners = [_corners(cell, geometry) for cell in cells]
     for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
         d = _scaled_distances(_differences(corners[i], corners[j]), eps)
-        yield tuple.__new__(KinkPair, (cells[i].id, cells[j].id, distance, _bare_kink(d), _neutralized_kink(d)))
+        yield tuple.__new__(KinkPair, (ids[i], ids[j], distance, _bare_kink(d), _neutralized_kink(d)))
 
 
 def kink_totals(pairs: Iterable[KinkPair]) -> tuple[float, float]:

@@ -660,6 +660,21 @@ class TestKink:
         assert main(["sim", str(tmp_path / "neutralized.qcl")]) == 2
         assert capsys.readouterr().err == "error: dots of two cells coincide\n"
 
+    def test_occupied_coincident_dots_exit_2(self, tmp_path, capsys):
+        # c's bottom-right dot sits on a's top-left dot, occupied at P = -1:
+        # kink runs the bare kernel first under either model, so its message wins
+        cells = [Cell("a", 0.0, 0.0, Role.input("a")), Cell("c", -13.0, 13.0, Role.output("c"))]
+        for model in ChargeModel:
+            path = tmp_path / f"{model.value}.qcl"
+            path.write_text(serialize_qcl(Layout(GeometryParams(charge_model=model), cells)))
+            assert main(["kink", str(path)]) == 2
+            assert capsys.readouterr() == ("", "error: occupied dots of two cells coincide\n")
+        # sim runs only its layout's model
+        assert main(["sim", str(tmp_path / "bare.qcl")]) == 2
+        assert capsys.readouterr().err == "error: occupied dots of two cells coincide\n"
+        assert main(["sim", str(tmp_path / "neutralized.qcl")]) == 2
+        assert capsys.readouterr().err == "error: dots of two cells coincide\n"
+
 
 class TestSweep:
     def test_default_covers_three_to_six_cells(self, capsys):

@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,11 +29,21 @@ from qcasim import (
     cell_charges,
     circuit_kink_energy,
     coulomb_energy,
+    coupling_map,
     dot_positions,
     kink_energy,
     pair_energy,
 )
-from qcasim.electrostatics import _corners, _differences, _scaled_distances, kink_pairs
+from qcasim.electrostatics import (
+    _BARE_KQQ,
+    _HALF_KQQ,
+    _bare_kink,
+    _corners,
+    _differences,
+    _neutralized_kink,
+    _scaled_distances,
+    kink_pairs,
+)
 
 NEUT = GeometryParams()
 BARE = GeometryParams(charge_model=ChargeModel.BARE)
@@ -66,8 +78,13 @@ class TestCoulombEnergy:
         assert e2 == e1 / 2.0
 
     def test_coincident_charges_raise(self):
-        with pytest.raises(ZeroDistanceError):
+        with pytest.raises(ZeroDistanceError, match=r"^charges at \(1, 2\) nm coincide$"):
             coulomb_energy(PointCharge(1, 2, -1.0), PointCharge(1, 2, -1.0), 1.0)
+
+    def test_a_distance_that_underflows_raises(self):
+        # r = 1e-320 nm is not 0, but r * 1e-9 m is
+        with pytest.raises(ZeroDistanceError, match="too close"):
+            coulomb_energy(PointCharge(0.0, 0.0, -1.0), PointCharge(1e-320, 0.0, -1.0), 1.0)
 
 
 class TestCellCharges:
@@ -125,6 +142,16 @@ class TestPairEnergy:
     def test_overlapping_cells_raise(self):
         with pytest.raises(ZeroDistanceError):
             pair_energy(cell(0, 0, "a"), -1, cell(0, 0, "b"), -1, BARE)
+
+    def test_a_geometry_whose_distances_underflow_raises_like_kink_energy(self):
+        # a valid geometry scaled by 1e-318: every dot distance times 1e-9 m is 0
+        tiny = GeometryParams(cell_size=18e-318, dot_diameter=5e-318, pitch=20e-318, radius_of_effect=65e-318)
+        a, b = cell(0, 0, "a"), cell(20e-318, 0, "b")
+        for g in (tiny, tiny._replace(charge_model=ChargeModel.BARE)):
+            with pytest.raises(ZeroDistanceError):
+                pair_energy(a, -1, b, +1, g)
+            with pytest.raises(ZeroDistanceError):
+                kink_energy(a, b, g)
 
 
 class TestKinkEnergy:
@@ -398,3 +425,74 @@ class TestKernelMatchesReference:
         for g in (NEUT, BARE):
             with pytest.raises(ZeroDistanceError):
                 kink_energy(a, c, g)
+
+    def test_the_occupied_dot_message_wins(self):
+        # c's bottom-right dot sits on a's top-left dot, occupied at P = -1:
+        # each model's kernel raises its own message, and the report runs
+        # the bare kernel first, so its message wins under both models
+        a, c = cell(0, 0, "a"), cell(-13, 13, "c")
+        for g, message in ((BARE, "occupied dots of two cells coincide"), (NEUT, "dots of two cells coincide")):
+            with pytest.raises(ZeroDistanceError, match=f"^{message}$"):
+                kink_energy(a, c, g)
+            with pytest.raises(ZeroDistanceError, match=f"^{message}$"):
+                coupling_map(Layout(g, [a, c]))
+            with pytest.raises(ZeroDistanceError, match="^occupied dots of two cells coincide$"):
+                list(kink_pairs(Layout(g, [a, c])))
+
+
+# the neutralized signs at P_a = P_b = -1, row-major over (dot of a, dot of b)
+_SIGNED_HALF_KQQ = tuple(_HALF_KQQ * (-1) ** (i + j) for i in range(4) for j in range(4))
+
+
+def _reference_neutralized_kink(d):
+    if 0.0 in d:
+        raise ZeroDistanceError("dots of two cells coincide")
+    equal = math.fsum(map(operator.truediv, _SIGNED_HALF_KQQ, d))
+    return -equal - equal
+
+
+def _reference_bare_kink(d):
+    if 0.0 in (d[4], d[5], d[6], d[7], d[12], d[13], d[14], d[15]):
+        raise ZeroDistanceError("occupied dots of two cells coincide")
+    k = _BARE_KQQ
+    opposite = math.fsum((k / d[4], k / d[6], k / d[12], k / d[14]))
+    return opposite - math.fsum((k / d[5], k / d[7], k / d[13], k / d[15]))
+
+
+def _outcome(kernel, d):
+    """The bits a kernel returns, or the type and message of what it raises."""
+    try:
+        return struct.pack("<d", kernel(d))
+    except Exception as error:  # any error, so that a different one shows
+        return type(error), str(error)
+
+
+class TestKernelsMatchReferenceForms:
+    """Each kernel against a reference that scans for a zero before any
+    division and sums a signed table: the same bits or the same error, on
+    distances the geometry tests never reach (zeros, subnormals, huge
+    values, inf and NaN)."""
+
+    # eps*r*1e-9 of real layouts, where every term shows in the sum
+    distances = st.lists(st.floats(min_value=1e-10, max_value=1e-7), min_size=16, max_size=16)
+    special = st.one_of(
+        st.sampled_from([0.0, -0.0, math.inf, math.nan]),
+        st.floats(min_value=5e-324, max_value=2.2e-308),  # subnormal
+        st.floats(min_value=2.3e-308, max_value=1e300),
+        st.floats(min_value=1e300, allow_infinity=False),  # huge
+    )
+
+    @given(distances, st.dictionaries(st.integers(0, 15), special, max_size=4))
+    def test_same_bits_or_the_same_error(self, d, replaced):
+        for k, value in replaced.items():
+            d[k] = value
+        for kernel, reference in ((_neutralized_kink, _reference_neutralized_kink), (_bare_kink, _reference_bare_kink)):
+            assert _outcome(kernel, d) == _outcome(reference, d)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_a_zero_raises_where_the_reference_does(self, zero):
+        for k in range(16):
+            d = [1e-8] * 16
+            d[k] = zero
+            for kernel, reference in ((_neutralized_kink, _reference_neutralized_kink), (_bare_kink, _reference_bare_kink)):
+                assert _outcome(kernel, d) == _outcome(reference, d)
