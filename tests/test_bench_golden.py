@@ -2,10 +2,10 @@
 
 Every layout in test_golden.py sits on the 20 nm grid, where pair offsets
 are small integers; the fabric layouts of perfbench/inputs.py put every cell
-off the grid.  The other workloads pin the trace, measurement, kink and
-sweep writers on the inputs the benchmark feeds them.  Expected exit codes
-and sha256 digests are the ones the benchmark itself checks, read from
-perfbench/golden.json.
+off the grid, and all 32 recorded fabric variants are checked here.  The
+other workloads pin the trace, measurement, kink and sweep writers on the
+inputs the benchmark feeds them.  Expected exit codes and sha256 digests are
+the ones the benchmark itself checks, read from perfbench/golden.json.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from qcasim import Layout, parse_qcl
 from qcasim.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -35,6 +36,13 @@ def _load(name: str):
 
 
 inputs = _load("inputs")
+
+
+def fabric_layout(variant: int, **geometry) -> Layout:
+    """The benchmark's jittered fabric ``variant``, with the given geometry
+    fields replaced."""
+    layout = parse_qcl(inputs.fabric(variant).decode("utf-8"))[0]
+    return layout._replace(geometry=layout.geometry._replace(**geometry))
 
 
 def _sha(data: bytes) -> str:
@@ -60,7 +68,7 @@ def _run(op) -> dict:
     return {"codes": codes, "stdout_sha256": stdout, "files": files}
 
 
-@pytest.mark.parametrize("variant", [0, 7, 31])
+@pytest.mark.parametrize("variant", range(inputs.WORKLOADS["fabric1k_kink"][1]))
 def test_fabric_kink_bytes(variant, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     build, _ = inputs.WORKLOADS["fabric1k_kink"]

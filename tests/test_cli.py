@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from qcasim import (
     kink_report_csv,
     measure,
     measurement_csv,
-    parse_qcl,
     serialize_qcl,
     simulate,
     trace_csv,
@@ -40,7 +40,7 @@ from qcasim import cli, engine
 from qcasim.cli import format_trend_comparison, main, run_sweep, sweep_csv
 from qcasim.electrostatics import kink_pairs
 from qcasim.qcl import write_kink_csv
-from test_bench_golden import inputs  # perfbench/inputs.py
+from test_bench_golden import fabric_layout  # perfbench/inputs.py
 
 
 @pytest.fixture
@@ -546,20 +546,17 @@ class TestStreamedSim:
         assert _traced_peak_mb(argv) < 5.0
 
 
-def _fabric(radius: float = 65.0, model: ChargeModel = ChargeModel.NEUTRALIZED) -> Layout:
-    """The benchmark's 32x32 jittered fabric, variant 0."""
-    layout = parse_qcl(inputs.fabric(0).decode())[0]
-    return layout._replace(geometry=layout.geometry._replace(radius_of_effect=radius, charge_model=model))
-
-
-def _off_grid_gaas() -> Layout:
-    rng = random.Random(129)
-    roles = {0: Role.input("a"), 35: Role.output("b")}
+def _jittered_block(side: int, seed: int, geometry: GeometryParams) -> Layout:
+    """``side`` x ``side`` cells on the 20 nm grid, row by row, each moved by up
+    to 0.9 nm per axis by ``random.Random(seed)``; input a is the first cell
+    and output b the last."""
+    rng = random.Random(seed)
+    roles = {0: Role.input("a"), side * side - 1: Role.output("b")}
     cells = [
-        Cell(f"c{k}", 20.0 * (k % 6) + rng.uniform(-0.9, 0.9), 20.0 * (k // 6) + rng.uniform(-0.9, 0.9), roles.get(k, Role.normal()))
-        for k in range(36)
+        Cell(f"c{k}", 20.0 * (k % side) + rng.uniform(-0.9, 0.9), 20.0 * (k // side) + rng.uniform(-0.9, 0.9), roles.get(k, Role.normal()))
+        for k in range(side * side)
     ]
-    return Layout(GeometryParams(relative_permittivity=12.9), cells)
+    return Layout(geometry, cells)
 
 
 # the writer keeps no rows of its own; wire:512's 1,530 rows (about 100 kB)
@@ -568,10 +565,57 @@ KINK_LAYOUTS = {
     "empty": lambda: Layout(GeometryParams(), []),
     "wire2": lambda: gen_wire(2),
     "wire512": lambda: gen_wire(512),
-    "fabric0-neutralized": _fabric,
-    "fabric0-bare": lambda: _fabric(model=ChargeModel.BARE),
-    "off-grid-gaas": _off_grid_gaas,
+    "fabric0-neutralized": lambda: fabric_layout(0),
+    "fabric0-bare": lambda: fabric_layout(0, charge_model=ChargeModel.BARE),
+    "off-grid-gaas": lambda: _jittered_block(6, 129, GeometryParams(relative_permittivity=12.9)),
 }
+
+
+# python -m qcasim, which prints its own VmHWM (kB) to stderr at exit.  The
+# child reads its own peak: Linux keeps ru_maxrss across execve, so a
+# RUSAGE_CHILDREN figure would start at this process's peak.
+_OWN_PEAK = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: print(next(l for l in open('/proc/self/status') if l.startswith('VmHWM:')).split()[1], file=sys.stderr))\n"
+    "runpy.run_module('qcasim', run_name='__main__', alter_sys=True)\n"
+)
+
+# name: (layout text, command and its arguments after the layout, bound in MB)
+RESIDENT_PEAKS = {
+    # readings, not samples: 4,096 exhaustive vectors of 128 samples
+    "sim-12-inputs": (lambda: _independent_wires(12), ["sim"], 100),
+    # kink streams its rows: memory follows the 16,384 cells, not the
+    # 288,069 pairs in range
+    "kink-128x128": (
+        lambda: serialize_qcl(_jittered_block(128, 128, GeometryParams())), ["kink", "--out", "pairs.csv"], 64
+    ),
+}
+
+
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            return any(line.startswith("VmHWM:") for line in status)
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="no VmHWM in /proc/self/status")
+@pytest.mark.parametrize("name", sorted(RESIDENT_PEAKS))
+def test_resident_peak_of_a_fresh_child(name, tmp_path):
+    document, (command, *extra), bound_mb = RESIDENT_PEAKS[name]
+    (tmp_path / "layout.qcl").write_text(document())
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", _OWN_PEAK, command, "layout.qcl", *extra],
+        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    )
+    wall_s = time.perf_counter() - start
+    assert result.returncode == 0, result.stderr
+    peak_mb = int(result.stderr.split()[-1]) / 1024
+    assert peak_mb < bound_mb, f"{name}: VmHWM {peak_mb:.1f} MB (bound {bound_mb} MB) in {wall_s:.2f} s"
 
 
 class TestKink:
@@ -607,7 +651,7 @@ class TestKink:
         peaks = []
         for radius in (65.0, 130.0):
             path = tmp_path / f"fabric{radius:g}.qcl"
-            path.write_text(serialize_qcl(_fabric(radius)))
+            path.write_text(serialize_qcl(fabric_layout(0, radius_of_effect=radius)))
             argv = ["kink", str(path), "--out", str(tmp_path / "pairs.csv")]
             if not peaks:
                 assert main(argv) == 0  # builds the parser outside the measurement

@@ -33,16 +33,7 @@ from qcasim import (
 )
 from qcasim import electrostatics
 from qcasim.model import pairs_within
-from test_bench_golden import inputs  # perfbench/inputs.py
-
-
-def _layout(document: bytes):
-    return parse_qcl(document.decode("utf-8"))[0]
-
-
-def _fabric(variant: int, model: ChargeModel = ChargeModel.NEUTRALIZED):
-    layout = _layout(inputs.fabric(variant))
-    return layout._replace(geometry=layout.geometry._replace(charge_model=model))
+from test_bench_golden import fabric_layout, inputs  # perfbench/inputs.py
 
 
 def _digest(value) -> str:
@@ -58,15 +49,15 @@ KINK_REPORT = {
 COUPLING_MAP = {
     "wire512": (lambda: gen_wire(512), "f0398b51f2395756b1b8c330f1847b624fba658d2771f9aabee436ede668b744"),
     "clocked_gaas128": (
-        lambda: _layout(inputs.wire(128, inputs.GAAS_GEOMETRY, zone_run=16)),
+        lambda: parse_qcl(inputs.wire(128, inputs.GAAS_GEOMETRY, zone_run=16).decode("utf-8"))[0],
         "1c9b60170ce336471eb9d04cdcd9192e80c860f1149706117821d2e3f3d71a72",
     ),
     "fabric0_bare": (
-        lambda: _fabric(0, ChargeModel.BARE),
+        lambda: fabric_layout(0, charge_model=ChargeModel.BARE),
         "8f25c1e9057f81a1e634bedcff67c4de81937c21931bb75d5ed97ab83e5ed275",
     ),
     "fabric0_neutralized": (
-        lambda: _fabric(0),
+        lambda: fabric_layout(0),
         "9b064f2d6077aa6c004e01c3931422b152379981b23967bca1acce894f4e5516",
     ),
 }
@@ -75,7 +66,7 @@ COUPLING_MAP = {
 @pytest.mark.parametrize("variant", sorted(KINK_REPORT))
 def test_kink_report_digest(variant):
     # every field of every pair, then both totals
-    report = circuit_kink_energy(_fabric(variant))
+    report = circuit_kink_energy(fabric_layout(variant))
     assert _digest(([tuple(p) for p in report.pairs], report.total_bare, report.total_neutralized)) == KINK_REPORT[variant]
 
 
@@ -164,5 +155,5 @@ def _peak(fn, layout) -> int:
 def test_coupling_map_memory_on_an_off_grid_fabric():
     # every pair of a jittered fabric is a geometry of its own, so a memo
     # without a bound would hold one entry per pair (about 5 MB more here)
-    layout = _fabric(0)
+    layout = fabric_layout(0)
     assert _peak(coupling_map, layout) <= _peak(per_pair_coupling_map, layout) + 500_000

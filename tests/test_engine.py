@@ -997,6 +997,22 @@ class TestTruthCheck:
             -frozen.MINIMAL_STEADY[2],
         ]
 
+    def test_cell_order_can_flip_a_verdict(self):
+        # At the default permittivity and clock no cell is released, so the
+        # first sweep latches cells in file order: this order of the
+        # conventional inverter reads b = -1 for a = -1.  At eps_r 12.9 the
+        # clock releases cells and the same order inverts.
+        order = "c8 c9 c1 c2 c5 c3 c7 c4 c0 c10 c6".split()
+        verdicts = []
+        for geometry in (GeometryParams(), GeometryParams(relative_permittivity=12.9)):
+            layout = gen_conventional_inverter(geometry)
+            by_id = {cell.id: cell for cell in layout.cells}
+            layout = layout._replace(cells=[by_id[i] for i in order])
+            m = engine.stream_measurement(layout, CLOCK, InputSchedule.exhaustive(["a"]))
+            result = truth_check(m, lambda bits: not bits["a"])
+            verdicts.append((result.passed, [round(v.outputs[0].steady, 4) for v in result.verdicts]))
+        assert verdicts == [(False, [-1.0, 1.0]), (True, [0.9976, -0.9976])]
+
     def test_majority_truth_table(self):
         m = self.run(gen_majority(), ["a", "b", "c"])
         result = truth_check(m, lambda bits: sum(bits.values()) >= 2)
