@@ -7,24 +7,16 @@ by conftest.py) and then asserts the detailed conditions.
 from __future__ import annotations
 
 import math
-import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 from conftest import record_acceptance
+from helpers import BARE, CLOCK, NEUT, ROOT, anti_ordered_chain, cell, run_python
 from oracle import brute_kink_energy
 from qcasim import (
-    Cell,
-    ChargeModel,
-    ClockConfig,
-    GeometryParams,
     InputSchedule,
     Layout,
     ParseError,
-    Role,
     gen_conventional_inverter,
     gen_majority,
     gen_minimal_inverter,
@@ -40,18 +32,9 @@ from qcasim import (
 )
 from qcasim.cli import format_trend_comparison, run_sweep
 
-ROOT = Path(__file__).resolve().parent.parent
-NEUT = GeometryParams()
-BARE = GeometryParams(charge_model=ChargeModel.BARE)
-CLOCK = ClockConfig()
-
 NOT = lambda bits: not bits["a"]  # noqa: E731
 IDENT = lambda bits: bits["a"]  # noqa: E731
 MAJ = lambda bits: sum(bits.values()) >= 2  # noqa: E731
-
-
-def cell(x, y, cid="c"):
-    return Cell(cid, float(x), float(y), Role.normal())
 
 
 def random_pair(rng):
@@ -290,25 +273,12 @@ def test_criterion_8_format_properties():
 
 
 def test_criterion_9_cli_exit_codes(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
-
     def run(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "qcasim", *args],
-            capture_output=True,
-            text=True,
-            env=env,
-            cwd=tmp_path,
-        ).returncode
+        return run_python("-m", "qcasim", *args, capture_output=True, cwd=tmp_path).returncode
 
     wire = tmp_path / "wire.qcl"
     stuck = tmp_path / "stuck.qcl"
-    chain = [
-        Cell(f"c{i}", (1100 - i) * 20.0, 0.0, Role.normal()) for i in range(1100)
-    ]
-    chain.append(Cell("drv", 0.0, 0.0, Role.input("a")))
-    stuck.write_text(serialize_qcl(Layout(GeometryParams(radius_of_effect=20.0), chain)))
+    stuck.write_text(serialize_qcl(anti_ordered_chain(1101)))
 
     codes = {
         "gen ok": run("gen", "wire:3", "--out", str(wire)),

@@ -5,48 +5,22 @@ are small integers; the fabric layouts of perfbench/inputs.py put every cell
 off the grid, and all 32 recorded fabric variants are checked here.  The
 other workloads pin the trace, measurement, kink and sweep writers on the
 inputs the benchmark feeds them.  Expected exit codes and sha256 digests are
-the ones the benchmark itself checks, read from perfbench/golden.json.
+the ones the benchmark itself checks, read from perfbench/golden.json.  The
+loader of perfbench/inputs.py and ``fabric_layout``, which other test files
+use too, live in helpers.py.
 """
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import importlib.util
-import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from qcasim import Layout, parse_qcl
-from qcasim.cli import main
+from helpers import PERFBENCH, inputs, load_perfbench, run_main, sha
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text(encoding="utf-8"))
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-inputs = _load("inputs")
-
-
-def fabric_layout(variant: int, **geometry) -> Layout:
-    """The benchmark's jittered fabric ``variant``, with the given geometry
-    fields replaced."""
-    layout = parse_qcl(inputs.fabric(variant).decode("utf-8"))[0]
-    return layout._replace(geometry=layout.geometry._replace(**geometry))
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 def _run(op) -> dict:
@@ -56,12 +30,11 @@ def _run(op) -> dict:
         Path(name).write_bytes(data)
     codes, stdout = [], []
     for argv in op.calls:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            codes.append(main(argv))
-        stdout.append(_sha(out.getvalue().encode("utf-8")))
+        code, out = run_main(argv)
+        codes.append(code)
+        stdout.append(sha(out.encode("utf-8")))
     files = {
-        path.name: _sha(path.read_bytes())
+        path.name: sha(path.read_bytes())
         for path in sorted(Path.cwd().iterdir())
         if path.name not in op.files
     }
@@ -87,7 +60,7 @@ def test_recorded_op_bytes(workload, tmp_path, monkeypatch):
 
 def test_traced_names_exist():
     """`perfbench/run.py --trace 1` wraps these names after `import qcasim.cli`."""
-    tracer = _load("tracer")
+    tracer = load_perfbench("tracer")
     for module_name, names in tracer.WRAPPED.items():
         module = sys.modules[module_name]
         for attr in names:

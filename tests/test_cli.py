@@ -9,20 +9,18 @@ import os
 import random
 import stat
 import subprocess
-import sys
 import threading
 import time
-import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from helpers import anti_ordered_chain, exhaustive, fabric_layout, independent_wires, run_python, traced_peak
+import qcasim
 from qcasim import (
     Cell,
     ChargeModel,
-    ClockConfig,
     GeometryParams,
-    InputSchedule,
     Layout,
     Role,
     circuit_kink_energy,
@@ -40,7 +38,6 @@ from qcasim import cli, engine
 from qcasim.cli import format_trend_comparison, main, run_sweep, sweep_csv
 from qcasim.electrostatics import kink_pairs
 from qcasim.qcl import write_kink_csv
-from test_bench_golden import fabric_layout  # perfbench/inputs.py
 
 
 @pytest.fixture
@@ -55,19 +52,6 @@ def majority(tmp_path):
     path = tmp_path / "maj.qcl"
     path.write_text(serialize_qcl(gen_majority()))
     return str(path)
-
-
-def _stuck_chain_doc() -> str:
-    # layout order runs against the signal, and the tight radius couples
-    # nearest neighbors only, so the polarization front moves one cell per
-    # sweep and more free cells than max sweeps cannot converge
-    n = 1101
-    g = GeometryParams(radius_of_effect=20.0)
-    cells = [
-        Cell(f"c{i}", (n - 1 - i) * 20.0, 0.0, Role.normal()) for i in range(n - 1)
-    ]
-    cells.append(Cell("drv", 0.0, 0.0, Role.input("a")))
-    return serialize_qcl(Layout(g, cells))
 
 
 class TestGen:
@@ -162,7 +146,7 @@ class TestSim:
         m_path = tmp_path / "m.csv"
         assert main(["sim", wire3, "--out", str(trace_path), "--measure", str(m_path)]) == 0
         layout = gen_wire(3)
-        trace = simulate(layout, ClockConfig(), InputSchedule.exhaustive(["a"]))
+        trace = simulate(*exhaustive(layout))
         assert trace_path.read_text() == trace_csv(trace)
         assert m_path.read_text() == measurement_csv(measure(trace, layout))
 
@@ -311,36 +295,9 @@ class TestSim:
             "vector 0: a=-1 -> b=-1.000000000\nvector 1: a=+1 -> b=1.000000000\n"
         )
 
-    def test_convergence_failure_exits_3(self, tmp_path, capsys):
-        path = tmp_path / "stuck.qcl"
-        path.write_text(_stuck_chain_doc())
-        assert main(["sim", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert "residual" in err and "vector 0, sample 0" in err
 
-
-def _independent_wires(n: int) -> str:
-    """``n`` 3-cell wires 200 nm apart, beyond each other's radius: 2^n
-    exhaustive vectors, half of them mirrors."""
-    cells = []
-    for w in range(n):
-        y = 200.0 * w
-        cells += [
-            Cell(f"a{w}", 0.0, y, Role.input(f"i{w:02d}")),
-            Cell(f"m{w}", 20.0, y, Role.normal()),
-            Cell(f"b{w}", 40.0, y, Role.output(f"o{w:02d}")),
-        ]
-    return serialize_qcl(Layout(GeometryParams(), cells))
-
-
-def _traced_peak_mb(argv: list[str]) -> float:
-    """tracemalloc's peak, in MB, over one main(argv) call that must exit 0."""
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+def _exits_0(argv: list[str]) -> None:
+    assert main(argv) == 0
 
 
 class TestStreamedSim:
@@ -349,7 +306,7 @@ class TestStreamedSim:
 
     def test_failed_run_creates_no_file_and_keeps_the_old_one(self, tmp_path, capsys):
         stuck = tmp_path / "stuck.qcl"
-        stuck.write_text(_stuck_chain_doc())
+        stuck.write_text(serialize_qcl(anti_ordered_chain(1101)))
         noout = tmp_path / "noout.qcl"
         noout.write_text("qcl 1\ncell id=c0 x=0 y=0 role=input label=a\ncell id=c1 x=20 y=0 role=normal\n")
         old = tmp_path / "old.csv"
@@ -366,11 +323,11 @@ class TestStreamedSim:
         # the stuck chain has no output cell: the run fails before the
         # missing outputs are reported, with --out as without
         path = tmp_path / "stuck.qcl"
-        path.write_text(_stuck_chain_doc())
+        path.write_text(serialize_qcl(anti_ordered_chain(1101)))
         for extra in ([], ["--out", str(tmp_path / "t.csv")]):
             assert main(["sim", str(path), *extra]) == 3
             err = capsys.readouterr().err
-            assert "vector 0, sample 0" in err and "no output" not in err
+            assert "residual" in err and "vector 0, sample 0" in err and "no output" not in err
 
     def test_unwritable_out_exits_2_naming_the_path(self, wire3, tmp_path, capsys):
         missing = tmp_path / "no such dir" / "t.csv"
@@ -395,14 +352,14 @@ class TestStreamedSim:
         path = tmp_path / "both.csv"
         assert main(["sim", wire3, "--out", str(path), "--measure", str(path)]) == 0
         layout = gen_wire(3)
-        trace = simulate(layout, ClockConfig(), InputSchedule.exhaustive(["a"]))
+        trace = simulate(*exhaustive(layout))
         assert path.read_bytes() == measurement_csv(measure(trace, layout)).encode()
 
     def test_out_replaces_an_existing_file(self, wire3, tmp_path, capsys):
         path = tmp_path / "t.csv"
         path.write_text("old\n" * 10_000)
         assert main(["sim", wire3, "--out", str(path)]) == 0
-        trace = simulate(gen_wire(3), ClockConfig(), InputSchedule.exhaustive(["a"]))
+        trace = simulate(*exhaustive(gen_wire(3)))
         assert path.read_bytes() == trace_csv(trace).encode()
         assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "wire3.qcl"]
 
@@ -422,7 +379,7 @@ class TestStreamedSim:
         reader.start()
         assert main(["sim", wire3, "--out", str(pipe)]) == 0
         reader.join(timeout=60)
-        trace = simulate(gen_wire(3), ClockConfig(), InputSchedule.exhaustive(["a"]))
+        trace = simulate(*exhaustive(gen_wire(3)))
         assert received == [trace_csv(trace).encode()]
         assert stat.S_ISFIFO(os.stat(pipe).st_mode)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "wire3.qcl"]
@@ -435,7 +392,7 @@ class TestStreamedSim:
         link.symlink_to(target)
         assert main(["sim", wire3, "--out", str(link)]) == 0
         assert main(["gen", "wire:4", "--out", str(tmp_path / "real")]) == 2  # a folder, as before
-        trace = simulate(gen_wire(3), ClockConfig(), InputSchedule.exhaustive(["a"]))
+        trace = simulate(*exhaustive(gen_wire(3)))
         assert link.is_symlink() and target.read_bytes() == trace_csv(trace).encode()
         assert sorted(p.name for p in target.parent.iterdir()) == ["t.csv"]
 
@@ -504,7 +461,7 @@ class TestStreamedSim:
         access = os.access
         monkeypatch.setattr(os, "access", lambda p, mode: os.fspath(p) != closed_path and access(p, mode))
         assert main(["sim", wire3, "--out", str(path)]) == 0
-        trace = simulate(gen_wire(3), ClockConfig(), InputSchedule.exhaustive(["a"]))
+        trace = simulate(*exhaustive(gen_wire(3)))
         assert path.stat().st_ino == inode and path.read_bytes() == trace_csv(trace).encode()
 
     def test_import_loads_no_new_standard_module(self):
@@ -520,11 +477,7 @@ class TestStreamedSim:
             "import qcasim.cli\n"
             "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] != 'qcasim'))\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run(
-            [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True
-        )
+        result = run_python("-S", "-c", code, capture_output=True, check=True)
         assert result.stdout == "[]\n"
 
     def test_readings_only_memory_stays_flat_in_the_vectors(self, tmp_path, monkeypatch, capsys):
@@ -534,8 +487,8 @@ class TestStreamedSim:
         # the run stays interpreted; the tier does not change what it holds.
         monkeypatch.setattr(engine, "_compile_cost", lambda rows: math.inf)
         path = tmp_path / "wires8.qcl"
-        path.write_text(_independent_wires(8))
-        assert _traced_peak_mb(["sim", str(path)]) < 5.0
+        path.write_text(serialize_qcl(independent_wires(8)))
+        assert traced_peak(_exits_0, ["sim", str(path)]) / 1e6 < 5.0
 
     def test_streamed_trace_memory_holds_one_block(self, tmp_path, capsys):
         # wire:512 relaxes vector 0 and mirrors it: the trace CSV is 1.65 MB,
@@ -543,7 +496,7 @@ class TestStreamedSim:
         path = tmp_path / "wire512.qcl"
         path.write_text(serialize_qcl(gen_wire(512)))
         argv = ["sim", str(path), "--out", str(tmp_path / "t.csv"), "--measure", str(tmp_path / "m.csv")]
-        assert _traced_peak_mb(argv) < 5.0
+        assert traced_peak(_exits_0, argv) / 1e6 < 5.0
 
 
 def _jittered_block(side: int, seed: int, geometry: GeometryParams) -> Layout:
@@ -564,6 +517,7 @@ def _jittered_block(side: int, seed: int, geometry: GeometryParams) -> Layout:
 KINK_LAYOUTS = {
     "empty": lambda: Layout(GeometryParams(), []),
     "wire2": lambda: gen_wire(2),
+    "wire3": lambda: gen_wire(3),
     "wire512": lambda: gen_wire(512),
     "fabric0-neutralized": lambda: fabric_layout(0),
     "fabric0-bare": lambda: fabric_layout(0, charge_model=ChargeModel.BARE),
@@ -583,7 +537,7 @@ _OWN_PEAK = (
 # name: (layout text, command and its arguments after the layout, bound in MB)
 RESIDENT_PEAKS = {
     # readings, not samples: 4,096 exhaustive vectors of 128 samples
-    "sim-12-inputs": (lambda: _independent_wires(12), ["sim"], 100),
+    "sim-12-inputs": (lambda: serialize_qcl(independent_wires(12)), ["sim"], 100),
     # kink streams its rows: memory follows the 16,384 cells, not the
     # 288,069 pairs in range
     "kink-128x128": (
@@ -605,12 +559,9 @@ def _has_vmhwm() -> bool:
 def test_resident_peak_of_a_fresh_child(name, tmp_path):
     document, (command, *extra), bound_mb = RESIDENT_PEAKS[name]
     (tmp_path / "layout.qcl").write_text(document())
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": src}
     start = time.perf_counter()
-    result = subprocess.run(
-        [sys.executable, "-c", _OWN_PEAK, command, "layout.qcl", *extra],
-        cwd=tmp_path, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+    result = run_python(
+        "-c", _OWN_PEAK, command, "layout.qcl", *extra, cwd=tmp_path, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
     )
     wall_s = time.perf_counter() - start
     assert result.returncode == 0, result.stderr
@@ -655,17 +606,8 @@ class TestKink:
             argv = ["kink", str(path), "--out", str(tmp_path / "pairs.csv")]
             if not peaks:
                 assert main(argv) == 0  # builds the parser outside the measurement
-            peaks.append(_traced_peak_mb(argv))
+            peaks.append(traced_peak(_exits_0, argv) / 1e6)
         assert max(peaks) <= 2.0 and abs(peaks[0] - peaks[1]) <= 0.25, peaks
-
-    def test_totals_on_stdout(self, wire3, capsys):
-        assert main(["kink", wire3]) == 0
-        report = circuit_kink_energy(gen_wire(3))
-        out = capsys.readouterr().out
-        assert out == (
-            f"total_kink_bare_J={report.total_bare:.5e}\n"
-            f"total_kink_neutralized_J={report.total_neutralized:.5e}\n"
-        )
 
     def test_model_selects_lines(self, wire3, capsys):
         assert main(["kink", wire3, "--model", "bare"]) == 0
@@ -673,11 +615,6 @@ class TestKink:
         assert "bare" in out and "neutralized" not in out
         assert main(["kink", wire3, "--model", "neutralized"]) == 0
         assert capsys.readouterr().out.startswith("total_kink_neutralized_J=")
-
-    def test_csv_out(self, wire3, tmp_path, capsys):
-        out = tmp_path / "pairs.csv"
-        assert main(["kink", wire3, "--out", str(out)]) == 0
-        assert out.read_text() == kink_report_csv(circuit_kink_energy(gen_wire(3)))
 
     def test_missing_file(self, tmp_path, capsys):
         assert main(["kink", str(tmp_path / "gone.qcl")]) == 2
@@ -821,24 +758,23 @@ class TestTopLevel:
         assert main(["--help"]) == 0
         assert "qcasim" in capsys.readouterr().out
 
+    def test_a_child_runs_the_qcasim_this_process_imported(self):
+        # with site or without (-S drops site-packages from sys.path)
+        for flags in ([], ["-S"]):
+            result = run_python(*flags, "-c", "import qcasim; print(qcasim.__file__)", capture_output=True, check=True)
+            assert result.stdout == f"{qcasim.__file__}\n"
+
     def test_one_parser_per_process_built_on_first_use(self, wire3, capsys):
         code = "import qcasim.cli as cli; print(cli._build_parser.cache_info().currsize)"
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        result = run_python("-c", code, capture_output=True, check=True)
         assert result.stdout == "0\n"  # importing the CLI builds no parser
         assert cli._build_parser() is cli._build_parser()
         # reusing the parser leaves nothing behind: a flag of one call does not
-        # reach the next, and the same calls in any order give the same bytes
+        # reach the next, and the same calls in any order give the same bytes,
+        # so a rerun of sim is byte-identical
         calls = (
             ["gen", "wire:3", "--pitch", "21"], ["gen", "wire:3"], ["frobnicate"], ["--help"], ["sim", wire3], ["truth", wire3]
         )
         first = [(main(argv), capsys.readouterr()) for argv in calls]
         assert first[1][1].out == serialize_qcl(gen_wire(3))
         assert [(main(argv), capsys.readouterr()) for argv in reversed(calls)] == first[::-1]
-
-    def test_byte_identical_reruns(self, wire3, capsys):
-        main(["sim", wire3])
-        first = capsys.readouterr()
-        main(["sim", wire3])
-        assert capsys.readouterr() == first

@@ -11,13 +11,12 @@ They were recorded when coupling_map still called kink_energy per pair, as
 
 from __future__ import annotations
 
-import hashlib
-import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import fabric_layout, inputs, sha, traced_peak  # inputs: perfbench/inputs.py
 from qcasim import (
     Cell,
     ChargeModel,
@@ -33,11 +32,10 @@ from qcasim import (
 )
 from qcasim import electrostatics
 from qcasim.model import pairs_within
-from test_bench_golden import fabric_layout, inputs  # perfbench/inputs.py
 
 
 def _digest(value) -> str:
-    return hashlib.sha256(repr(value).encode("utf-8")).hexdigest()
+    return sha(repr(value).encode("utf-8"))
 
 
 KINK_REPORT = {
@@ -143,17 +141,8 @@ def test_a_wire_runs_the_kernel_once_per_offset(monkeypatch):
     assert len(calls) == 3  # 20, 40 and 60 nm to the right
 
 
-def _peak(fn, layout) -> int:
-    tracemalloc.start()
-    try:
-        fn(layout)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_coupling_map_memory_on_an_off_grid_fabric():
     # every pair of a jittered fabric is a geometry of its own, so a memo
     # without a bound would hold one entry per pair (about 5 MB more here)
     layout = fabric_layout(0)
-    assert _peak(coupling_map, layout) <= _peak(per_pair_coupling_map, layout) + 500_000
+    assert traced_peak(coupling_map, layout) <= traced_peak(per_pair_coupling_map, layout) + 500_000

@@ -16,15 +16,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 import frozen
+from helpers import BARE, NEUT, cell
 from oracle import brute_kink_energy
 from qcasim import (
-    Cell,
     ChargeModel,
     GeometryParams,
     KinkPair,
     Layout,
     PointCharge,
-    Role,
     ZeroDistanceError,
     cell_charges,
     circuit_kink_energy,
@@ -44,14 +43,6 @@ from qcasim.electrostatics import (
     _scaled_distances,
     kink_pairs,
 )
-
-NEUT = GeometryParams()
-BARE = GeometryParams(charge_model=ChargeModel.BARE)
-
-
-def cell(x, y, cid="c"):
-    return Cell(cid, float(x), float(y), Role.normal())
-
 
 def rel_err(got, want):
     return abs(got - want) / abs(want)

@@ -6,9 +6,8 @@ import builtins
 import contextlib
 import io
 import math
-import os
+import random
 import re
-import subprocess
 import sys
 import tempfile
 import tokenize
@@ -19,6 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frozen
+from helpers import CLOCK, PAPER_CIRCUITS, anti_ordered_chain, exhaustive, independent_wires, run_python
 from oracle import brute_fixed_point
 from qcasim import (
     Cell,
@@ -50,11 +50,9 @@ from qcasim import (
     trace_csv,
     truth_check,
 )
-from qcasim import _sweepgen, engine
-from qcasim.cli import main as cli_main
+from qcasim import _sweepgen, cli, engine
 from qcasim.engine import MAX_EXHAUSTIVE_INPUTS, MAX_GAMMA
 
-CLOCK = ClockConfig()
 GAMMA_LOW4 = (CLOCK.gamma_low,) * 4
 
 
@@ -372,21 +370,6 @@ class TestRelax:
         assert exc.value.sample_index is None
 
 
-def anti_ordered_chain(n_cells: int) -> Layout:
-    """Wire listed farthest-from-driver first, coupled only pitch-to-pitch.
-
-    Gauss-Seidel in layout order can move the polarization front only one
-    cell per sweep here, so long chains exhaust the sweep limit honestly.
-    """
-    g = GeometryParams(radius_of_effect=20.0)
-    cells = [
-        Cell(f"c{i}", (n_cells - 1 - i) * 20.0, 0.0, Role.normal())
-        for i in range(n_cells - 1)
-    ]
-    cells.append(Cell("drv", 0.0, 0.0, Role.input("a")))
-    return Layout(g, cells)
-
-
 class TestSimulate:
     def test_wire_follows_input(self):
         layout = gen_wire(5)
@@ -498,20 +481,6 @@ def spaced_inputs(n_inputs: int) -> Layout:
     cells = [Cell(f"c{k}", 100.0 * k, 0.0, Role.input(f"i{k}")) for k in range(n_inputs)]
     cells.append(Cell("out", 100.0 * n_inputs - 80.0, 0.0, Role.output("z")))
     return Layout(GeometryParams(), cells)
-
-
-def independent_wires(n_wires: int) -> Layout:
-    """``n_wires`` 3-cell wires (input, normal, output) 100 nm apart, beyond
-    each other's radius: two free rows per wire."""
-    cells = []
-    for w in range(n_wires):
-        roles = (Role.input(f"i{w}"), Role.normal(), Role.output(f"o{w}"))
-        cells += [Cell(f"w{w}c{k}", 20.0 * k, 100.0 * w, role) for k, role in enumerate(roles)]
-    return Layout(GeometryParams(), cells)
-
-
-def exhaustive(layout, clock=CLOCK):
-    return layout, clock, InputSchedule.exhaustive(layout.input_labels())
 
 
 def explicit(layout, vectors, clock=CLOCK):
@@ -704,7 +673,7 @@ class TestStreaming:
             argv = ["sim", str(path / "l.qcl"), "--vectors", str(path / "v.txt")]
             argv += ["--out", str(path / "t.csv"), "--measure", str(path / "m.csv")]
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = cli_main(argv)
+                code = cli.main(argv)
             if measurement is None:
                 assert code == {ConvergenceFailure: 3, NoOutputError: 2}[trace]
                 assert sorted(p.name for p in path.iterdir()) == ["l.qcl", "v.txt"]
@@ -872,9 +841,8 @@ class TestCompiledSweep:
         wire8.write_text(serialize_qcl(gen_wire(8)))
         gaas.write_text(serialize_qcl(zoned_gaas_wire(128)))
         code = "import sys, qcasim.cli\nprint(qcasim.cli.main(sys.argv[1:]), 'qcasim._sweepgen' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
         for argv, loaded in ((["truth", str(wire8), "--expect", "id"], False), (["sim", str(gaas)], True)):
-            result = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True)
+            result = run_python("-c", code, *argv, capture_output=True, check=True)
             assert result.stdout.splitlines()[-1] == f"0 {loaded}"
 
     def test_non_finite_kink_energy_stays_interpreted(self):
@@ -1012,6 +980,26 @@ class TestTruthCheck:
             result = truth_check(m, lambda bits: not bits["a"])
             verdicts.append((result.passed, [round(v.outputs[0].steady, 4) for v in result.verdicts]))
         assert verdicts == [(False, [-1.0, 1.0]), (True, [0.9976, -0.9976])]
+
+    @pytest.mark.parametrize("kind", sorted(PAPER_CIRCUITS))
+    def test_cell_order_moves_no_verdict_where_the_clock_releases(self, kind):
+        # At eps_r 12.9 with the default clock, and at eps_r 1 with gamma_high
+        # 1e-20 J, the clock releases cells: 40 shuffled orders read every
+        # vector's verdict of the generator's order.  At 12.9 inverter:2 fails
+        # in every order, its own too (|P| ~ 0.096 is under TRUTH_MARGIN).
+        function = cli.TRUTH_FUNCTIONS[PAPER_CIRCUITS[kind]][1]
+        for epsilon_r, clock in ((12.9, CLOCK), (1.0, ClockConfig(gamma_high=1e-20))):
+            layout = cli._builder_for_kind(kind)(GeometryParams(relative_permittivity=epsilon_r))
+
+            def verdicts(cells):
+                m = engine.stream_measurement(*exhaustive(layout._replace(cells=cells), clock))
+                return [v.passed for v in truth_check(m, function).verdicts]
+
+            own = verdicts(layout.cells)
+            for seed in range(40):
+                cells = list(layout.cells)
+                random.Random(seed).shuffle(cells)
+                assert verdicts(cells) == own, (epsilon_r, seed)
 
     def test_majority_truth_table(self):
         m = self.run(gen_majority(), ["a", "b", "c"])

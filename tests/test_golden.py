@@ -7,41 +7,20 @@ change that alters output on purpose re-records them and says why.
 
 from __future__ import annotations
 
-import contextlib
-import hashlib
-import io
 from pathlib import Path
 
 import pytest
 
-from qcasim.cli import main
-
-# gen kind -> --expect function for truth
-KINDS = {
-    "wire:8": "id",
-    "majority": "maj",
-    "inverter:conventional": "not",
-    "inverter:2": "not",
-    "inverter:3": "not",
-    "inverter:4": "not",
-    "inverter:5": "not",
-    "inverter:6": "not",
-}
-
-
-def _sha(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+from helpers import PAPER_CIRCUITS, run_main, sha
 
 
 def _call(argv: list[str]) -> str:
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv)
-    return f"{code} {_sha(out.getvalue().encode('utf-8'))}"
+    code, out = run_main(argv)
+    return f"{code} {sha(out.encode('utf-8'))}"
 
 
 def _file(name: str) -> str:
-    return _sha(Path(name).read_bytes())
+    return sha(Path(name).read_bytes())
 
 
 def circuit_digests(kind: str) -> dict[str, str]:
@@ -54,7 +33,7 @@ def circuit_digests(kind: str) -> dict[str, str]:
         "sim": _call(["sim", "layout.qcl", "--out", "trace.csv", "--measure", "steady.csv"]),
         "trace.csv": _file("trace.csv"),
         "steady.csv": _file("steady.csv"),
-        "truth": _call(["truth", "layout.qcl", "--expect", KINDS[kind]]),
+        "truth": _call(["truth", "layout.qcl", "--expect", PAPER_CIRCUITS[kind]]),
     }
 
 
@@ -156,7 +135,7 @@ GOLDEN: dict[str, dict[str, str]] = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("kind", sorted(PAPER_CIRCUITS))
 def test_circuit_bytes(kind, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert circuit_digests(kind) == GOLDEN[kind]

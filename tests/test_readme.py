@@ -8,9 +8,10 @@ import re
 import shlex
 from pathlib import Path
 
+from helpers import ROOT
 from qcasim.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+README = ROOT / "README.md"
 
 
 def library_example() -> str:

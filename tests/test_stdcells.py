@@ -7,6 +7,7 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import NEUT
 from qcasim import (
     Cell,
     ChargeModel,
@@ -22,8 +23,6 @@ from qcasim import (
     serialize_qcl,
     validate,
 )
-
-NEUT = GeometryParams()
 
 GENERATORS = [
     lambda: gen_wire(2),
