@@ -109,8 +109,12 @@ def kink_energy(a: Cell, b: Cell, geometry: GeometryParams) -> float:
 
     Bit-identical to ``pair_energy(a, -1, b, +1, g) - pair_energy(a, -1, b, -1, g)``.
     """
-    d = _scaled_distances(_differences(_corners(a, geometry), _corners(b, geometry)), geometry.relative_permittivity)
-    return _bare_kink(d) if geometry.charge_model is ChargeModel.BARE else _neutralized_kink(d)
+    diffs = _differences(_corners(a, geometry), _corners(b, geometry))
+    d = _scaled_distances(diffs, geometry.relative_permittivity)
+    try:
+        return _bare_kink(d) if geometry.charge_model is ChargeModel.BARE else _neutralized_kink(d)
+    except ZeroDistanceError as err:
+        raise _named(err, diffs) from None
 
 
 # k*q1*q2 of coulomb_energy, unsigned: bare (-e)(-e); neutralized (+-e/2)(+-e/2)
@@ -149,6 +153,14 @@ def _scaled_distances(diffs, eps: float) -> list[float]:
     ]
 
 
+def _named(err: ZeroDistanceError, diffs) -> ZeroDistanceError:
+    """A kernel's ``err``, or the underflow named where no two dots of the pair with
+    these ``_differences`` coincide: the 16 dot pairs take each x with each y difference."""
+    if 0.0 in diffs[:4] and 0.0 in diffs[4:]:
+        return err
+    return ZeroDistanceError("dots of two cells lie so close that their distance in m underflows to 0")
+
+
 def _bare_kink(d: list[float]) -> float:
     # a's P = -1 electrons sit on TL, BR (rows 1, 3); b's on TR, BL (+1) or TL, BR (-1)
     k = _BARE_KQQ
@@ -185,14 +197,17 @@ def _layout_kinks(layout: Layout) -> Iterator[tuple[int, int, float]]:
     kink = _bare_kink if geometry.charge_model is ChargeModel.BARE else _neutralized_kink
     corners = [_corners(cell, geometry) for cell in layout.cells]
     memo: dict[tuple[float, ...], float] = {}
-    for i, j, _ in pairs_within(layout.cells, geometry.radius_of_effect):
-        key = _differences(corners[i], corners[j])
-        e = memo.get(key)
-        if e is None:  # a pair that raises ZeroDistanceError is never kept
-            e = kink(_scaled_distances(key, eps))
-            if len(memo) < _MEMO_KEYS:
-                memo[key] = e
-        yield i, j, e
+    try:
+        for i, j, _ in pairs_within(layout.cells, geometry.radius_of_effect):
+            key = _differences(corners[i], corners[j])
+            e = memo.get(key)
+            if e is None:  # a pair that raises ZeroDistanceError is never kept
+                e = kink(_scaled_distances(key, eps))
+                if len(memo) < _MEMO_KEYS:
+                    memo[key] = e
+            yield i, j, e
+    except ZeroDistanceError as err:
+        raise _named(err, key) from None
 
 
 class KinkPair(NamedTuple):
@@ -224,9 +239,12 @@ def kink_pairs(layout: Layout) -> Iterator[KinkPair]:
     cells = layout.cells
     ids = [cell.id for cell in cells]
     corners = [_corners(cell, geometry) for cell in cells]
-    for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
-        d = _scaled_distances(_differences(corners[i], corners[j]), eps)
-        yield tuple.__new__(KinkPair, (ids[i], ids[j], distance, _bare_kink(d), _neutralized_kink(d)))
+    try:
+        for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
+            d = _scaled_distances(_differences(corners[i], corners[j]), eps)
+            yield tuple.__new__(KinkPair, (ids[i], ids[j], distance, _bare_kink(d), _neutralized_kink(d)))
+    except ZeroDistanceError as err:
+        raise _named(err, _differences(corners[i], corners[j])) from None
 
 
 def kink_totals(pairs: Iterable[KinkPair]) -> tuple[float, float]:

@@ -293,12 +293,16 @@ class Trace(NamedTuple):
 
 
 def _negated(block: Iterable[TraceSample], vi: int, pinned: Mapping[int, float]) -> Iterator[TraceSample]:
-    """``block``'s samples as those of its mirror ``vi``, one by one."""
+    """``block``'s samples as those of its mirror ``vi``, one by one; a run of
+    samples sharing one P tuple is negated once and shares the mirrored one."""
+    source = mirrored = None
     for s in block:
-        flipped = [0.0 - v for v in s.polarizations]
-        for i, value in pinned.items():  # one float per pin, as when relaxed
-            flipped[i] = value
-        yield TraceSample(vi, s.sample_index, s.gammas, tuple(flipped), s.iterations)
+        if s.polarizations is not source:
+            source, flipped = s.polarizations, [0.0 - v for v in s.polarizations]
+            for i, value in pinned.items():  # one float per pin, as when relaxed
+                flipped[i] = value
+            mirrored = tuple(flipped)
+        yield TraceSample(vi, s.sample_index, s.gammas, mirrored, s.iterations)
 
 
 def _cycles(
@@ -322,7 +326,17 @@ def _cycles(
     first) reaches twice the cost, the samples run a loop compiled for
     those rows instead, with the same bytes; every vector pins the same
     cells, so later vectors reuse it.  The margin of 2 keeps interpreted a
-    run whose heaviest samples come first, as on a wire at eps_r 1.  A
+    run whose heaviest samples come first, as on a wire at eps_r 1.
+
+    A sample is not relaxed where the last one took one sweep that ended
+    where it began, at the same gamma in each zone a free row uses: it
+    shares that P tuple, records 1 sweep and counts one sweep of work.  This
+    is exact.  A row reads only its zone's gamma, so the state is a fixed
+    point of one sweep at these gammas: the loop would change nothing, see
+    residual 0.0 below ``_TOLERANCE`` (positive, as that sweep converged)
+    and return 1.  Equal P is equal bits: no free cell holds -0.0 (each
+    total starts at ``0.0 +``), and as a sweep stores a new float in each
+    free cell, a NaN equals no earlier value, not even by identity.  A
     vector mirrors the latest relaxed complement (every input flipped) when
     the layout has no fixed cells: the update is odd and every free zero is
     +0.0, so the negated cycle is exact.
@@ -348,18 +362,23 @@ def _cycles(
             continue
         p = [0.0] * len(layout.cells)
         rows = _free_rows(layout, couplings, pinned, p)
-        cost = _compile_cost(rows)
+        cost, used = _compile_cost(rows), {zone for _, zone, _ in rows}
         block: list[TraceSample] = []
+        state = fixed = None  # the last sample's P; the used gammas it is a fixed point at
         for s, gammas in enumerate(clock._cycle):
             if loop is _sweep and (work >= cost or done and work * (left - done) >= 2 * cost * done):
                 from ._sweepgen import compile_sweep  # parsed only by runs that switch
 
                 loop = compile_sweep(rows)
-            try:
-                iters = loop(p, rows, gammas)
-            except ConvergenceFailure as fail:
-                raise ConvergenceFailure(fail.residual, vi, s) from None
-            block.append(TraceSample(vi, s, gammas, tuple(p), iters))
+            iters, key = 1, [gammas[zone] for zone in used]
+            if key != fixed:
+                try:
+                    iters = loop(p, rows, gammas)
+                except ConvergenceFailure as fail:
+                    raise ConvergenceFailure(fail.residual, vi, s) from None
+                start, state = state, tuple(p)
+                fixed = key if iters == 1 and state == start else None
+            block.append(TraceSample(vi, s, gammas, state, iters))
             work += iters * len(rows) - _COMPILED_CALL
             done += 1
         if vi in last:

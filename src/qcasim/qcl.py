@@ -327,16 +327,18 @@ def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable
     """Write the trace CSV header to ``out``; return a function that writes one
     row per sample it is given: vector, sample, the four zone gammas, every P.
     The text of each clock sample's gammas (the first 1,024 without a zero) is
-    kept.  A row formats each distinct P once until a row of its vector has
-    more than a quarter of its values distinct or zero; from that row on, the
-    vector's rows are one %-format each."""
+    kept, and so is the P text of the last row, for a row whose P is the same
+    tuple object.  A row formats each distinct P once until a row of its
+    vector has more than a quarter of its values distinct or zero; from that
+    row on, the vector's P tuples are one %-format each."""
     out.write(",".join(["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3", *cell_ids]) + "\n")
-    row = "".join(["%d,%d,%s"] + [f",{POLARIZATION_FORMAT}"] * len(cell_ids)) + "\n"
+    values = f",{POLARIZATION_FORMAT}" * len(cell_ids)
     gamma_row, gamma_texts = ",".join([ENERGY_FORMAT] * 4), {}
-    vector, repeating = None, True  # the vector written last; whether its rows still repeat
+    # the vector written last, whether its rows still repeat, its last P tuple and that P's text
+    vector, repeating, last, text = None, True, None, ""
 
     def write(samples: Iterable[TraceSample]) -> None:
-        nonlocal vector, repeating
+        nonlocal vector, repeating, last, text
         for vi, si, gammas, p, _ in samples:
             g = gamma_texts.get(gammas)
             if g is None:
@@ -345,12 +347,16 @@ def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable
                     gamma_texts[gammas] = g
             if vi != vector:
                 vector, repeating = vi, True
-            if repeating:
-                try:
-                    text = "".join(map(_Texts(len(p) // 4).__getitem__, p))
-                except KeyError:
-                    repeating = False
-            out.write("%d,%d,%s%s\n" % (vi, si, g, text) if repeating else row % (vi, si, g, *p))
+            if p is not last:
+                if repeating:
+                    try:
+                        text = "".join(map(_Texts(len(p) // 4).__getitem__, p))
+                    except KeyError:
+                        repeating = False
+                if not repeating:
+                    text = values % tuple(p)
+                last = p
+            out.write("%d,%d,%s%s\n" % (vi, si, g, text))
 
     return write
 

@@ -656,6 +656,18 @@ class TestKink:
         assert main(["sim", str(tmp_path / "neutralized.qcl")]) == 2
         assert capsys.readouterr().err == "error: dots of two cells coincide\n"
 
+    def test_a_dot_distance_that_underflows_exit_2(self, tmp_path, capsys):
+        # no two dots share a point, but every dot distance in m underflows to 0
+        geometry = GeometryParams(cell_size=1.8e-317, dot_diameter=5e-318, pitch=2e-317)
+        cells = [Cell("a", 0.0, 0.0, Role.input("a")), Cell("b", 2e-317, 0.0, Role.output("b"))]
+        for model in ChargeModel:
+            path = tmp_path / f"{model.value}.qcl"
+            path.write_text(serialize_qcl(Layout(geometry._replace(charge_model=model), cells)))
+            for command in ("kink", "sim"):
+                assert main([command, str(path)]) == 2
+                message = "error: dots of two cells lie so close that their distance in m underflows to 0\n"
+                assert capsys.readouterr() == ("", message)
+
 
 class TestSweep:
     def test_default_covers_three_to_six_cells(self, capsys):

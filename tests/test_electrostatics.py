@@ -139,9 +139,9 @@ class TestPairEnergy:
         tiny = GeometryParams(cell_size=18e-318, dot_diameter=5e-318, pitch=20e-318, radius_of_effect=65e-318)
         a, b = cell(0, 0, "a"), cell(20e-318, 0, "b")
         for g in (tiny, tiny._replace(charge_model=ChargeModel.BARE)):
-            with pytest.raises(ZeroDistanceError):
+            with pytest.raises(ZeroDistanceError, match="too close"):
                 pair_energy(a, -1, b, +1, g)
-            with pytest.raises(ZeroDistanceError):
+            with pytest.raises(ZeroDistanceError, match="underflows"):
                 kink_energy(a, b, g)
 
 

@@ -457,12 +457,16 @@ class TestSimulate:
         assert "vector 0" in str(exc.value)
 
 
+def zoned_wire(n_cells: int, per_zone: int, geometry: GeometryParams = GeometryParams()) -> Layout:
+    """Wire whose cell i is in clock zone (i // per_zone) % 4."""
+    wire = gen_wire(n_cells, geometry)
+    return Layout(geometry, [c._replace(zone=(i // per_zone) % 4) for i, c in enumerate(wire.cells)])
+
+
 def zoned_gaas_wire(n_cells: int) -> Layout:
-    """Wire at GaAs permittivity, cell i in clock zone (i // 16) % 4: the
-    clock really releases cells here, so samples take many sweeps."""
-    wire = gen_wire(n_cells, GeometryParams(relative_permittivity=12.9))
-    cells = [c._replace(zone=(i // 16) % 4) for i, c in enumerate(wire.cells)]
-    return Layout(wire.geometry, cells)
+    """Wire at GaAs permittivity, 16 cells a zone: the clock really
+    releases cells here, so samples take many sweeps."""
+    return zoned_wire(n_cells, 16, GeometryParams(relative_permittivity=12.9))
 
 
 def and_gate_with_fixed_pin() -> Layout:
@@ -493,6 +497,9 @@ RUNS = {
     "majority": lambda: exhaustive(gen_majority()),
     "conventional": lambda: exhaustive(gen_conventional_inverter()),
     "gaas_zoned64": lambda: exhaustive(zoned_gaas_wire(64)),
+    # eps_r 1, 4 cells a zone: in every sample some used zones hold while
+    # others ramp, so no sample may repeat the last one's P unrelaxed
+    "zoned16": lambda: exhaustive(zoned_wire(16, 4)),
     "fixed_pin": lambda: exhaustive(and_gate_with_fixed_pin()),
     # a vector, its complement, the vector again
     "repeat": lambda: explicit(
@@ -537,25 +544,36 @@ def record_tiers(monkeypatch) -> list[str]:
     return log
 
 
+def repeats(block) -> list[int]:
+    """The sample indices of ``block`` whose P is the last sample's tuple object."""
+    return [s.sample_index for last, s in zip(block, block[1:]) if s.polarizations is last.polarizations]
+
+
+def chained_relax(layout, clock, schedule) -> tuple[TraceSample, ...]:
+    """The trace as relax calls chained from zeros per vector: they never
+    reuse a vector and relax every sample, so they check independently the
+    samples simulate negates or does not relax."""
+    by_label = {c.role.label: c.id for c in layout.inputs()}
+    chained = []
+    for vi, vector in enumerate(schedule.vectors):
+        assignments = {by_label[label]: value for label, value in vector}
+        p = [0.0] * len(layout.cells)
+        for s in range(clock.samples_per_cycle):
+            gammas = tuple(gamma_at(clock, z, s) for z in range(4))
+            p, iters = relax(layout, assignments, gammas, initial_p=p)
+            chained.append(TraceSample(vi, s, gammas, tuple(p), iters))
+    return tuple(chained)
+
+
 class TestRelaxIsTheReference:
     @pytest.mark.parametrize("run", list(RUNS))
     def test_chained_relax_rebuilds_the_trace(self, run):
-        # chained relax calls from zeros per vector never reuse a vector, so
-        # they check independently the samples simulate negates;
         # repr tells -0.0 from 0.0, which == does not
         layout, clock, schedule = RUNS[run]()
-        by_label = {c.role.label: c.id for c in layout.inputs()}
-        chained = []
-        for vi, vector in enumerate(schedule.vectors):
-            assignments = {by_label[label]: value for label, value in vector}
-            p = [0.0] * len(layout.cells)
-            for s in range(clock.samples_per_cycle):
-                gammas = tuple(gamma_at(clock, z, s) for z in range(4))
-                p, iters = relax(layout, assignments, gammas, initial_p=p)
-                chained.append(TraceSample(vi, s, gammas, tuple(p), iters))
+        chained = chained_relax(layout, clock, schedule)
         samples = simulate(layout, clock, schedule).samples
-        assert samples == tuple(chained)
-        assert repr(samples) == repr(tuple(chained))
+        assert samples == chained
+        assert repr(samples) == repr(chained)
 
     @pytest.mark.parametrize(
         "build, total, most",
@@ -572,21 +590,58 @@ class TestRelaxIsTheReference:
 
 class TestReuse:
     @pytest.mark.parametrize(
-        "run, calls",
-        [
-            ("wire8", 128),  # 2 vectors, the second mirrored
-            ("majority", 512),  # 8 vectors, 4 complementary pairs
-            ("fixed_pin", 4 * 128),  # a fixed cell: nothing mirrors
-            ("repeat", 2 * 128),  # the complement mirrored, the repeat relaxed
-            ("gamma_underflow", 3 * 128),  # a fixed pin: nothing mirrors
-            ("response_overflow", 128),  # saturated at +-1: still odd
-            ("gaas_zoned64", 128),  # one vector, switching tiers partway
+        "run, relaxed, calls",
+        [  # the samples of relaxed vectors; the loop calls, one per sample not at a fixed point
+            pytest.param("wire8", 128, 71, id="wire8-128"),  # 2 vectors, the second mirrored
+            pytest.param("majority", 512, 273, id="majority-512"),  # 8 vectors, 4 complementary pairs
+            pytest.param("fixed_pin", 4 * 128, 273, id="fixed_pin-512"),  # a fixed cell: nothing mirrors
+            # the complement mirrored, the repeat relaxed
+            pytest.param("repeat", 2 * 128, 136, id="repeat-256"),
+            pytest.param("gamma_underflow", 3 * 128, 206, id="gamma_underflow-384"),  # a fixed pin
+            pytest.param("response_overflow", 128, 65, id="response_overflow-128"),  # +-1: still odd
+            # one vector, switching tiers partway
+            pytest.param("gaas_zoned64", 128, 128, id="gaas_zoned64-128"),
         ],
     )
-    def test_each_vector_pair_relaxes_once(self, monkeypatch, run, calls):
+    def test_each_vector_pair_relaxes_once(self, monkeypatch, run, relaxed, calls):
         log = record_tiers(monkeypatch)
-        simulate(*RUNS[run]())
+        blocks = list(engine._cycles(*RUNS[run](), False))
+        assert sum(len(block) for block, k in blocks if k is None) == relaxed
         assert len(log) == calls
+
+    @pytest.mark.parametrize(
+        "build, calls",
+        [(lambda: gen_wire(512), 71), (lambda: zoned_gaas_wire(128), 128)],
+        ids=["wire512", "gaas_zoned128"],
+    )
+    def test_a_sample_at_an_exact_fixed_point_is_not_relaxed(self, monkeypatch, build, calls):
+        # the latched wire at eps_r 1 sits at exact fixed points in its hold
+        # and relax quarters; the clock keeps the GaAs wire's cells moving
+        log = record_tiers(monkeypatch)
+        samples = simulate(*exhaustive(build())).samples  # vector 1 mirrors vector 0
+        assert len(log) == calls
+        # each sample not relaxed shares the last one's P tuple and records 1
+        # sweep; the mirror shares its negated tuples in the same samples
+        block, mirror = samples[:128], samples[128:]
+        assert len(repeats(block)) == 128 - calls and {block[s].iterations for s in repeats(block)} <= {1}
+        assert repeats(mirror) == repeats(block)
+
+    def test_only_the_zones_free_rows_use_decide_a_skip(self, monkeypatch):
+        # a made-up cycle: zones 0 and 1 hold, then zone 2, which no cell
+        # uses, drops, then zone 1 releases, then zone 0.  The fixed point
+        # reached in sample 4 outlasts zone 2's change and ends with zone
+        # 1's; the one reached in sample 15 ends with zone 0's.
+        gl, gh = CLOCK.gamma_low, CLOCK.gamma_high
+        cycle = ((gh,) * 4,) + ((gl, gl, gh, gh),) * 7 + ((gl, gl, gl, gh),) * 4
+        cycle += ((gl, gh, gl, gh),) * 6 + ((gh, gh, gl, gh),) * 6
+        monkeypatch.setattr(ClockConfig, "_cycle", cycle)
+        wire = gen_wire(4)
+        layout = Layout(wire.geometry, [c._replace(zone=int(i >= 2)) for i, c in enumerate(wire.cells)])
+        run = exhaustive(layout, ClockConfig(samples_per_cycle=len(cycle)))
+        log = record_tiers(monkeypatch)
+        block, _ = next(engine._cycles(*run, False))
+        assert (repeats(block), len(log)) == ([5, 6, 7, 8, 9, 10, 11, 16, 17, 22, 23], 13)
+        assert repr(simulate(*run).samples) == repr(chained_relax(*run))
 
     def test_a_mirrored_block_shares_its_pin_floats(self):
         # as in a relaxed block, each pin is one float object for the whole
@@ -804,20 +859,22 @@ class TestCompiledSweep:
     @pytest.mark.parametrize(
         "build, interpreted",
         [
-            (lambda: gen_majority(), 4 * 128),  # 938 sweeps x 2 rows
+            # 938 sweeps x 2 rows; each count here is of loop calls, and a
+            # sample at an exact fixed point makes none
+            (lambda: gen_majority(), 273),
             # 233 sweeps x 511 rows, the heaviest samples first: sample 0's
             # work projected over the rest reads 1.25 x the compile cost,
             # under the margin of 2, and later samples project less
-            (lambda: gen_wire(512), 128),
+            (lambda: gen_wire(512), 71),
             # 2,419 sweeps x 127 rows: sample 0's work projected over the
             # other 127 samples reads 13.5 x the compile cost
             (lambda: zoned_gaas_wire(128), 1),
             # one free cell, 32 relaxed vectors: about 2 updates a sample
             # never repay a compiled call's set-up
-            (lambda: spaced_inputs(6), 32 * 128),
-            (lambda: gen_conventional_inverter(), 128),
-            (lambda: gen_wire(8), 128),
-            (lambda: gen_minimal_inverter(0), 128),
+            (lambda: spaced_inputs(6), 2144),
+            (lambda: gen_conventional_inverter(), 72),
+            (lambda: gen_wire(8), 71),
+            (lambda: gen_minimal_inverter(0), 69),
             # 12 free rows, 32 relaxed vectors: sample 0's work projected
             # over the other 4,095 samples reads 24.7 x the compile cost;
             # the work done alone would reach it at sample 519

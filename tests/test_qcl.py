@@ -530,12 +530,40 @@ class TestCsvExports:
 
         monkeypatch.setattr(qcl, "_Texts", Counted)
         distinct = tuple(k / 16 for k in range(1, 17))
-        rows = [(0, self.REPEATING), (0, distinct), (0, self.REPEATING), (1, self.REPEATING), (1, self.REPEATING)]
+        # vector 1's rows are equal but distinct tuples: the same tuple again would reuse its text
+        again = [tuple(list(self.REPEATING)) for _ in range(2)]
+        rows = [(0, self.REPEATING), (0, distinct), (0, self.REPEATING), (1, again[0]), (1, again[1])]
         samples = [TraceSample(vi, si, self.GAMMAS, p, 1) for si, (vi, p) in enumerate(rows)]
         for one_per_call in (False, True):
             tried.clear()
             self._written([f"c{k}" for k in range(16)], samples, one_per_call)
             assert tried == [4, 4, 4, 4]  # not vector 0's third row
+
+    def test_a_repeated_tuple_is_formatted_once(self):
+        # the same P tuple object again, within a vector or across one, reuses
+        # the last row's text; an equal but distinct tuple is formatted again
+        iterated = []
+
+        class Seen(tuple):
+            def __iter__(self):  # the writer iterates a P only to format it
+                iterated.append(id(self))
+                return super().__iter__()
+
+        cell_ids = [f"c{k}" for k in range(16)]
+        distinct = tuple(k / 16 for k in range(1, 17))
+        # the memo formats REPEATING; distinct fails the memo, then is %-formatted
+        for p, formats in ((self.REPEATING, 1), (distinct, 2)):
+            one = Seen(p)
+            for rows in ([one] * 4, [Seen(p) for _ in range(4)]):
+                samples = [TraceSample(si // 2, si, self.GAMMAS, q, 1) for si, q in enumerate(rows)]
+                want = per_value_trace_csv(cell_ids, [s._replace(polarizations=p) for s in samples])
+                for one_per_call in (False, True):
+                    iterated.clear()
+                    assert self._written(cell_ids, samples, one_per_call) == want
+                    if rows[0] is rows[1]:
+                        assert iterated == [id(one)] * formats
+                    else:
+                        assert set(iterated) == {id(q) for q in rows}
 
     def test_formatters(self):
         assert format_energy(1.408885558268613e-20) == "1.40889e-20"
