@@ -111,10 +111,11 @@ def kink_energy(a: Cell, b: Cell, geometry: GeometryParams) -> float:
     """
     diffs = _differences(_corners(a, geometry), _corners(b, geometry))
     d = _scaled_distances(diffs, geometry.relative_permittivity)
+    bare = geometry.charge_model is ChargeModel.BARE
     try:
-        return _bare_kink(d) if geometry.charge_model is ChargeModel.BARE else _neutralized_kink(d)
+        return _bare_kink(d) if bare else _neutralized_kink(d)
     except ZeroDistanceError as err:
-        raise _named(err, diffs) from None
+        raise _named(err, diffs, bare) from None
 
 
 # k*q1*q2 of coulomb_energy, unsigned: bare (-e)(-e); neutralized (+-e/2)(+-e/2)
@@ -153,10 +154,16 @@ def _scaled_distances(diffs, eps: float) -> list[float]:
     ]
 
 
-def _named(err: ZeroDistanceError, diffs) -> ZeroDistanceError:
-    """A kernel's ``err``, or the underflow named where no two dots of the pair with
-    these ``_differences`` coincide: the 16 dot pairs take each x with each y difference."""
-    if 0.0 in diffs[:4] and 0.0 in diffs[4:]:
+def _occupied(d: list[float]) -> list[float]:
+    """The 8 entries of a ``_scaled_distances`` list that ``_bare_kink`` divides by."""
+    return d[4:8] + d[12:]
+
+
+def _named(err: ZeroDistanceError, diffs, bare: bool) -> ZeroDistanceError:
+    """``err`` from the bare kernel if ``bare``, else the neutralized one; or the underflow
+    named where no dot pair that kernel divides by coincides, with both ``_differences`` 0.0."""
+    coincide = _scaled_distances([float(v != 0.0) for v in diffs], 1.0)  # 0.0 where both are
+    if 0.0 in (_occupied(coincide) if bare else coincide):
         return err
     return ZeroDistanceError("dots of two cells lie so close that their distance in m underflows to 0")
 
@@ -207,7 +214,7 @@ def _layout_kinks(layout: Layout) -> Iterator[tuple[int, int, float]]:
                     memo[key] = e
             yield i, j, e
     except ZeroDistanceError as err:
-        raise _named(err, key) from None
+        raise _named(err, key, kink is _bare_kink) from None
 
 
 class KinkPair(NamedTuple):
@@ -243,8 +250,8 @@ def kink_pairs(layout: Layout) -> Iterator[KinkPair]:
         for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
             d = _scaled_distances(_differences(corners[i], corners[j]), eps)
             yield tuple.__new__(KinkPair, (ids[i], ids[j], distance, _bare_kink(d), _neutralized_kink(d)))
-    except ZeroDistanceError as err:
-        raise _named(err, _differences(corners[i], corners[j])) from None
+    except ZeroDistanceError as err:  # the bare kernel runs first and fails on a zero it divides by
+        raise _named(err, _differences(corners[i], corners[j]), 0.0 in _occupied(d)) from None
 
 
 def kink_totals(pairs: Iterable[KinkPair]) -> tuple[float, float]:

@@ -296,21 +296,22 @@ def _negated(block: Iterable[TraceSample], vi: int, pinned: Mapping[int, float])
     """``block``'s samples as those of its mirror ``vi``, one by one; a run of
     samples sharing one P tuple is negated once and shares the mirrored one."""
     source = mirrored = None
-    for s in block:
-        if s.polarizations is not source:
-            source, flipped = s.polarizations, [0.0 - v for v in s.polarizations]
+    for _, s, gammas, polarizations, iters in block:
+        if polarizations is not source:
+            source, flipped = polarizations, [0.0 - v for v in polarizations]
             for i, value in pinned.items():  # one float per pin, as when relaxed
                 flipped[i] = value
             mirrored = tuple(flipped)
-        yield TraceSample(vi, s.sample_index, s.gammas, mirrored, s.iterations)
+        yield tuple.__new__(TraceSample, (vi, s, gammas, mirrored, iters))
 
 
 def _cycles(
-    layout: Layout, clock: ClockConfig, schedule: InputSchedule, hold: bool
+    layout: Layout, clock: ClockConfig, schedule: InputSchedule, hold: bool, stop: int | None = None
 ) -> Iterator[tuple[Iterable[TraceSample] | None, int | None]]:
     """Every run's generator: per vector, its samples and the vector it
     mirrors (None if relaxed).  With ``hold`` a relaxed block is held until
-    its last mirror takes it; without, a mirror comes without samples.
+    its last mirror takes it; without, a mirror comes without samples.  With
+    ``stop`` a relaxed block ends after its first ``stop`` samples.
 
     Inputs stay pinned at the vector's values for the whole cycle while the
     zone gammas sweep through the four phases.  Every vector anneals from
@@ -322,9 +323,9 @@ def _cycles(
     built once per vector, and each sample runs ``relax``'s loop on them.
     The cell updates of this run, less a set-up allowance per sample, are
     its work.  Once the work reaches ``_compile_cost``, or its mean per
-    relaxed sample times the samples left to relax (counted before the
-    first) reaches twice the cost, the samples run a loop compiled for
-    those rows instead, with the same bytes; every vector pins the same
+    relaxed sample times the samples left to relax (up to ``stop``, counted
+    before the first) reaches twice the cost, the samples run a loop compiled
+    for those rows instead, with the same bytes; every vector pins the same
     cells, so later vectors reuse it.  The margin of 2 keeps interpreted a
     run whose heaviest samples come first, as on a wire at eps_r 1.
 
@@ -354,7 +355,8 @@ def _cycles(
     held: dict[int, list[TraceSample]] = {}
     by_label = {c.role.label: c.id for c in layout.inputs()}
     couplings = coupling_map(layout)
-    loop, work, done, left = _sweep, 0, 0, sources.count(None) * clock.samples_per_cycle
+    cycle, new = clock._cycle[:stop], tuple.__new__  # new skips the NamedTuple's Python __new__
+    loop, work, done, left = _sweep, 0, 0, sources.count(None) * len(cycle)
     for vi, (vector, k) in enumerate(zip(schedule.vectors, sources)):
         pinned = _pinned_map(layout, {by_label[label]: value for label, value in vector})
         if k is not None:  # the last mirror of a block pops it
@@ -363,14 +365,15 @@ def _cycles(
         p = [0.0] * len(layout.cells)
         rows = _free_rows(layout, couplings, pinned, p)
         cost, used = _compile_cost(rows), {zone for _, zone, _ in rows}
+        key_of = operator.itemgetter(*used) if used else lambda gammas: ()
         block: list[TraceSample] = []
         state = fixed = None  # the last sample's P; the used gammas it is a fixed point at
-        for s, gammas in enumerate(clock._cycle):
+        for s, gammas in enumerate(cycle):
             if loop is _sweep and (work >= cost or done and work * (left - done) >= 2 * cost * done):
                 from ._sweepgen import compile_sweep  # parsed only by runs that switch
 
                 loop = compile_sweep(rows)
-            iters, key = 1, [gammas[zone] for zone in used]
+            iters, key = 1, key_of(gammas)
             if key != fixed:
                 try:
                     iters = loop(p, rows, gammas)
@@ -378,7 +381,7 @@ def _cycles(
                     raise ConvergenceFailure(fail.residual, vi, s) from None
                 start, state = state, tuple(p)
                 fixed = key if iters == 1 and state == start else None
-            block.append(TraceSample(vi, s, gammas, state, iters))
+            block.append(new(TraceSample, (vi, s, gammas, state, iters)))
             work += iters * len(rows) - _COMPILED_CALL
             done += 1
         if vi in last:
@@ -403,7 +406,8 @@ class OutputReading(NamedTuple):
 
 
 class Measurement(_Record):
-    """Each output's readings over the input vectors, output-major."""
+    """Each output's readings over the input vectors, output-major; each
+    ``max_abs`` is NaN (not measured) from ``stream_measurement(..., peaks=False)``."""
 
     def __init__(self, vectors: tuple[Vector, ...], readings: tuple[OutputReading, ...]) -> None:
         self.__dict__.update(vectors=vectors, readings=readings)
@@ -421,28 +425,35 @@ class Measurement(_Record):
         return self._by_key[output, vector_index]
 
 
-def _read(
-    layout: Layout, n: int, vectors: tuple[Vector, ...], blocks: Iterable[tuple[Any, int | None]],
-    write: Callable[[Iterable[TraceSample]], object] | None = None,
-) -> Measurement:
-    """Pass each vector's samples to ``write``; read each output's steady P
-    (the last sample of its zone's hold quarter, mod the cycle) and peak |P|
-    in one pass, a mirror's from its source's.  NoOutputError comes last."""
+def _outputs(layout: Layout, n: int) -> list[tuple[str, int, int]]:
+    """(label, cell index, steady sample) of each output, in layout order: the
+    steady sample is the last of its zone's hold quarter, mod the cycle of ``n``."""
     quarter = n // 4
-    outputs = [
+    return [
         (c.role.label, i, (2 * quarter - 1 + c.zone * quarter) % n)
         for i, c in enumerate(layout.cells)
         if c.role.kind is RoleKind.OUTPUT
     ]
+
+
+def _read(
+    outputs: list[tuple[str, int, int]], vectors: tuple[Vector, ...], blocks: Iterable[tuple[Any, int | None]],
+    write: Callable[[Iterable[TraceSample]], object] | None = None, peaks: bool = True,
+) -> Measurement:
+    """Pass each vector's samples to ``write``; read each of the ``_outputs``'
+    steady P and, with ``peaks``, its peak |P| (else NaN) in one pass, a
+    mirror's from its source's.  NoOutputError comes last."""
     per_vector: list[list[tuple[float, float]]] = []
     for block, k in blocks:
         if write:
             write(block)
-        if k is None:
+        if k is not None:
+            per_vector.append([(0.0 - steady, peak) for steady, peak in per_vector[k]])
+        elif peaks:
             rows = [s.polarizations for s in block]
             per_vector.append([(rows[at][i], max(map(abs, map(operator.itemgetter(i), rows)))) for _, i, at in outputs])
         else:
-            per_vector.append([(0.0 - steady, peak) for steady, peak in per_vector[k]])
+            per_vector.append([(block[at].polarizations[i], math.nan) for _, i, at in outputs])
     if not outputs:
         raise NoOutputError("layout has no output cells")
     readings = (
@@ -459,18 +470,23 @@ def measure(trace: Trace, layout: Layout) -> Measurement:
     cycle), and the peak |P| over the vector's samples."""
     n = trace.samples_per_cycle
     blocks = ((trace.samples[at : at + n], None) for at in range(0, len(trace.vectors) * n, n))
-    return _read(layout, n, trace.vectors, blocks)
+    return _read(_outputs(layout, n), trace.vectors, blocks)
 
 
 def stream_measurement(
     layout: Layout, clock: ClockConfig, schedule: InputSchedule,
-    write: Callable[[Iterable[TraceSample]], object] | None = None,
+    write: Callable[[Iterable[TraceSample]], object] | None = None, *, peaks: bool = True,
 ) -> Measurement:
     """``measure(simulate(layout, clock, schedule), layout)`` without keeping
     the samples.  ``write``, if given, takes each vector's samples in trace
-    order, and only the relaxed blocks a later mirror still needs are held."""
-    blocks = _cycles(layout, clock, schedule, write is not None)
-    return _read(layout, clock.samples_per_cycle, schedule.vectors, blocks, write)
+    order, and only the relaxed blocks a later mirror still needs are held.
+    With ``peaks=False`` each ``max_abs`` is NaN (not measured), and without
+    ``write`` each cycle is relaxed only through the last output's steady
+    sample: the steady bits stay, but a ConvergenceFailure after it is not seen."""
+    outputs = _outputs(layout, clock.samples_per_cycle)
+    stop = None if peaks or write else 1 + max((at for _, _, at in outputs), default=-1)
+    blocks = _cycles(layout, clock, schedule, write is not None, stop)
+    return _read(outputs, schedule.vectors, blocks, write, peaks)
 
 
 class OutputVerdict(NamedTuple):

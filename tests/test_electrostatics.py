@@ -430,6 +430,24 @@ class TestKernelMatchesReference:
             with pytest.raises(ZeroDistanceError, match="^occupied dots of two cells coincide$"):
                 list(kink_pairs(Layout(g, [a, c])))
 
+    def test_an_empty_coincident_dot_does_not_name_an_underflow(self):
+        # the 13 nm diagonal of the test above scaled by 2^-1050: b's
+        # bottom-left dot still sits on a's empty top-right dot, and every
+        # other distance in m underflows to 0.  The bare kernel divides only
+        # by occupied dots, none of which coincide; the report runs it first
+        u = math.ldexp(1.0, -1050)
+        tiny = GeometryParams(cell_size=18 * u, dot_diameter=5 * u, pitch=20 * u)
+        a, b = cell(0, 0, "a"), cell(13 * u, 13 * u, "b")
+        underflow = "^dots of two cells lie so close that their distance in m underflows to 0$"
+        for model, message in ((ChargeModel.BARE, underflow), (ChargeModel.NEUTRALIZED, "^dots of two cells coincide$")):
+            g = tiny._replace(charge_model=model)
+            with pytest.raises(ZeroDistanceError, match=message):
+                kink_energy(a, b, g)
+            with pytest.raises(ZeroDistanceError, match=message):
+                coupling_map(Layout(g, [a, b]))
+            with pytest.raises(ZeroDistanceError, match=underflow):
+                list(kink_pairs(Layout(g, [a, b])))
+
 
 # the neutralized signs at P_a = P_b = -1, row-major over (dot of a, dot of b)
 _SIGNED_HALF_KQQ = tuple(_HALF_KQQ * (-1) ** (i + j) for i in range(4) for j in range(4))

@@ -521,6 +521,22 @@ RUNS = {
 }
 
 
+def outputs_in_two_zones() -> Layout:
+    """gen_wire(8) with outputs at cells 1, 3 and 7 in zones 0, 1 and 0."""
+    cells = gen_wire(8).cells
+    cells = [c._replace(zone=int(i in (2, 3))) for i, c in enumerate(cells)]
+    for i in (1, 3):
+        cells[i] = cells[i]._replace(role=Role.output(f"m{i}"))
+    return Layout(GeometryParams(), cells)
+
+
+# more runs for stream_measurement(..., peaks=False) to match simulate on
+VERDICT_RUNS = {
+    "gaas_zoned128": lambda: exhaustive(zoned_gaas_wire(128)),
+    "outputs_in_two_zones": lambda: exhaustive(outputs_in_two_zones()),
+}
+
+
 def record_tiers(monkeypatch) -> list[str]:
     """Log "interpreted" or "compiled" for every sample simulate relaxes."""
     log: list[str] = []
@@ -643,6 +659,12 @@ class TestReuse:
         assert (repeats(block), len(log)) == ([5, 6, 7, 8, 9, 10, 11, 16, 17, 22, 23], 13)
         assert repr(simulate(*run).samples) == repr(chained_relax(*run))
 
+    def test_relaxed_and_mirrored_samples_are_trace_samples(self):
+        # both are built by tuple.__new__, skipping the NamedTuple's Python __new__
+        samples = simulate(*exhaustive(gen_wire(8))).samples  # vector 1 mirrors vector 0
+        assert [s.vector_index for s in samples] == [0] * 128 + [1] * 128
+        assert {type(s) for s in samples} == {TraceSample}
+
     def test_a_mirrored_block_shares_its_pin_floats(self):
         # as in a relaxed block, each pin is one float object for the whole
         # cycle, so a many-input trace takes no more memory when mirrored
@@ -747,6 +769,66 @@ class TestStreaming:
         else:
             # repr tells -0.0 from 0.0, which == does not
             assert repr(engine.stream_measurement(*run).readings) == repr(measurement.readings)
+            verdict = engine.stream_measurement(*run, peaks=False).readings
+            assert repr([r[:3] for r in verdict]) == repr([r[:3] for r in measurement.readings])
+
+    @pytest.mark.parametrize("run", [*RUNS, *VERDICT_RUNS])
+    def test_a_verdict_reads_the_steady_bits_of_measure(self, run):
+        # without peaks each cycle stops after the last output's steady
+        # sample: 31 on the GaAs wires, whose output is in zone 3, and 95 for
+        # the middle output of three in zones 0, 1 and 0
+        layout, clock, schedule = {**RUNS, **VERDICT_RUNS}[run]()
+        want = measure(simulate(layout, clock, schedule), layout).readings
+        got = engine.stream_measurement(layout, clock, schedule, peaks=False).readings
+        assert repr([r[:3] for r in got]) == repr([r[:3] for r in want])
+        assert all(math.isnan(r.max_abs) for r in got)
+
+    @pytest.mark.parametrize(
+        "build, whole, verdict",
+        [
+            (lambda: gen_wire(8), 71, 35),
+            (lambda: gen_majority(), 273, 136),
+            (lambda: gen_conventional_inverter(), 72, 36),
+            (lambda: zoned_gaas_wire(128), 128, 32),  # its steady sample is 31
+        ],
+        ids=["wire8", "majority", "conventional", "gaas_zoned128"],
+    )
+    def test_only_a_verdict_without_a_writer_stops_early(self, monkeypatch, build, whole, verdict):
+        log = record_tiers(monkeypatch)
+        run = exhaustive(build())
+        calls = []
+        for write, peaks in ((None, True), (lambda block: list(block), False), (None, False)):
+            log.clear()
+            engine.stream_measurement(*run, write, peaks=peaks)
+            calls.append(len(log))
+        assert calls == [whole, whole, verdict]
+
+    def test_the_compile_tier_counts_only_the_samples_a_verdict_relaxes(self, monkeypatch):
+        # at eps_r 8 the first sample's work projected over the other 63 of
+        # 64 samples stays under twice the compile cost; over the other 127
+        # of a whole cycle it would not, and the run would compile at once
+        log = record_tiers(monkeypatch)
+        run = exhaustive(gen_conventional_inverter(GeometryParams(relative_permittivity=8.0)))
+        engine.stream_measurement(*run, peaks=False)
+        assert log == ["interpreted"] * 36
+
+    def test_truth_does_not_see_a_failure_after_its_last_steady_sample(self, monkeypatch, tmp_path, capsys):
+        # a loop that fails in sample 80, in zone 0's release quarter, after
+        # the steady sample 63 of wire:8's output; sim relaxes it, truth not
+        late, sweep = ClockConfig()._cycle[80], engine._sweep
+
+        def failing(p, rows, gammas):
+            if gammas == late:
+                raise ConvergenceFailure(1.0)
+            return sweep(p, rows, gammas)
+
+        monkeypatch.setattr(engine, "_sweep", failing)
+        path = tmp_path / "wire8.qcl"
+        path.write_text(serialize_qcl(gen_wire(8)))
+        assert cli.main(["truth", str(path), "--expect", "id"]) == 0
+        assert capsys.readouterr().out.endswith("truth: pass\n")
+        assert cli.main(["sim", str(path)]) == 3
+        assert capsys.readouterr().err.endswith("(vector 0, sample 80)\n")
 
     def test_an_uncoupled_output_reads_positive_zero_when_mirrored(self):
         # the output is beyond radius_of_effect: its field is an empty sum,
