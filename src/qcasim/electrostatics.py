@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple
 
-from .model import Cell, ChargeModel, GeometryParams, Layout, electron_positions, pairs_within
+from .model import Cell, ChargeModel, GeometryParams, Layout, _corners, electron_positions, pairs_within
 
 __all__ = [
     "COULOMB_K",
@@ -37,7 +37,8 @@ _NM = 1e-9  # m per nm
 
 class ZeroDistanceError(ValueError):
     """Two point charges coincide, or lie so close that their distance in m
-    underflows to 0; the 1/r energy is undefined."""
+    underflows to 0; the 1/r energy is undefined.  Only cells that were never
+    validated can raise it: ``validate`` and ``GeometryParams`` reject the rest."""
 
 
 class PointCharge(NamedTuple):
@@ -111,11 +112,7 @@ def kink_energy(a: Cell, b: Cell, geometry: GeometryParams) -> float:
     """
     diffs = _differences(_corners(a, geometry), _corners(b, geometry))
     d = _scaled_distances(diffs, geometry.relative_permittivity)
-    bare = geometry.charge_model is ChargeModel.BARE
-    try:
-        return _bare_kink(d) if bare else _neutralized_kink(d)
-    except ZeroDistanceError as err:
-        raise _named(err, diffs, bare) from None
+    return _bare_kink(d) if geometry.charge_model is ChargeModel.BARE else _neutralized_kink(d)
 
 
 # k*q1*q2 of coulomb_energy, unsigned: bare (-e)(-e); neutralized (+-e/2)(+-e/2)
@@ -125,12 +122,6 @@ _HALF_KQQ = COULOMB_K * (0.5 * ELEMENTARY_CHARGE) * (0.5 * ELEMENTARY_CHARGE)
 # _layout_kinks keeps at most this many pair geometries: far more than a grid
 # layout has, and about 0.2 MB off the grid, where every pair has its own.
 _MEMO_KEYS = 512
-
-
-def _corners(cell: Cell, geometry: GeometryParams) -> tuple[float, float, float, float]:
-    """(x + h, x - h, y + h, y - h): the floats ``dot_positions`` pairs into its dots."""
-    h = geometry.dot_offset
-    return cell.x + h, cell.x - h, cell.y + h, cell.y - h
 
 
 def _differences(a, b) -> tuple[float, ...]:
@@ -152,20 +143,6 @@ def _scaled_distances(diffs, eps: float) -> list[float]:
         eps * hypot(xrl, ytb) * nm, eps * hypot(xll, ytb) * nm, eps * hypot(xll, ybb) * nm, eps * hypot(xrl, ybb) * nm,
         eps * hypot(xrr, ytb) * nm, eps * hypot(xlr, ytb) * nm, eps * hypot(xlr, ybb) * nm, eps * hypot(xrr, ybb) * nm,
     ]
-
-
-def _occupied(d: list[float]) -> list[float]:
-    """The 8 entries of a ``_scaled_distances`` list that ``_bare_kink`` divides by."""
-    return d[4:8] + d[12:]
-
-
-def _named(err: ZeroDistanceError, diffs, bare: bool) -> ZeroDistanceError:
-    """``err`` from the bare kernel if ``bare``, else the neutralized one; or the underflow
-    named where no dot pair that kernel divides by coincides, with both ``_differences`` 0.0."""
-    coincide = _scaled_distances([float(v != 0.0) for v in diffs], 1.0)  # 0.0 where both are
-    if 0.0 in (_occupied(coincide) if bare else coincide):
-        return err
-    return ZeroDistanceError("dots of two cells lie so close that their distance in m underflows to 0")
 
 
 def _bare_kink(d: list[float]) -> float:
@@ -204,17 +181,14 @@ def _layout_kinks(layout: Layout) -> Iterator[tuple[int, int, float]]:
     kink = _bare_kink if geometry.charge_model is ChargeModel.BARE else _neutralized_kink
     corners = [_corners(cell, geometry) for cell in layout.cells]
     memo: dict[tuple[float, ...], float] = {}
-    try:
-        for i, j, _ in pairs_within(layout.cells, geometry.radius_of_effect):
-            key = _differences(corners[i], corners[j])
-            e = memo.get(key)
-            if e is None:  # a pair that raises ZeroDistanceError is never kept
-                e = kink(_scaled_distances(key, eps))
-                if len(memo) < _MEMO_KEYS:
-                    memo[key] = e
-            yield i, j, e
-    except ZeroDistanceError as err:
-        raise _named(err, key, kink is _bare_kink) from None
+    for i, j, _ in pairs_within(layout.cells, geometry.radius_of_effect):
+        key = _differences(corners[i], corners[j])
+        e = memo.get(key)
+        if e is None:
+            e = kink(_scaled_distances(key, eps))
+            if len(memo) < _MEMO_KEYS:
+                memo[key] = e
+        yield i, j, e
 
 
 class KinkPair(NamedTuple):
@@ -246,12 +220,9 @@ def kink_pairs(layout: Layout) -> Iterator[KinkPair]:
     cells = layout.cells
     ids = [cell.id for cell in cells]
     corners = [_corners(cell, geometry) for cell in cells]
-    try:
-        for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
-            d = _scaled_distances(_differences(corners[i], corners[j]), eps)
-            yield tuple.__new__(KinkPair, (ids[i], ids[j], distance, _bare_kink(d), _neutralized_kink(d)))
-    except ZeroDistanceError as err:  # the bare kernel runs first and fails on a zero it divides by
-        raise _named(err, _differences(corners[i], corners[j]), 0.0 in _occupied(d)) from None
+    for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
+        d = _scaled_distances(_differences(corners[i], corners[j]), eps)
+        yield tuple.__new__(KinkPair, (ids[i], ids[j], distance, _bare_kink(d), _neutralized_kink(d)))
 
 
 def kink_totals(pairs: Iterable[KinkPair]) -> tuple[float, float]:

@@ -121,6 +121,9 @@ class GeometryParams(_Record):
             raise ValueError("pitch must be at least cell_size")
         if self.relative_permittivity <= 0:
             raise ValueError("relative_permittivity must be positive")
+        # in the kink kernels' order: no dot distance validate accepts can reach 0 in m
+        if not self.relative_permittivity * (self.dot_diameter / 2) * 1e-9:
+            raise ValueError("relative_permittivity * dot_diameter / 2 underflows to 0 in m")
         if self.radius_of_effect < self.pitch:
             raise ValueError("radius_of_effect must be at least pitch")
 
@@ -224,15 +227,17 @@ class Layout(_Record):
         return tuple(sorted(c.role.label for c in self.inputs()))
 
 
+def _corners(cell: Cell, geometry: GeometryParams) -> tuple[float, float, float, float]:
+    """(x + h, x - h, y + h, y - h): the dot coordinates that ``dot_positions``,
+    ``validate`` and the kink kernels all read."""
+    h = geometry.dot_offset
+    return cell.x + h, cell.x - h, cell.y + h, cell.y - h
+
+
 def dot_positions(cell: Cell, geometry: GeometryParams) -> tuple[tuple[float, float], ...]:
     """Centers of the four dots: top-right, top-left, bottom-left, bottom-right."""
-    h = geometry.dot_offset
-    return (
-        (cell.x + h, cell.y + h),
-        (cell.x - h, cell.y + h),
-        (cell.x - h, cell.y - h),
-        (cell.x + h, cell.y - h),
-    )
+    right, left, top, bottom = _corners(cell, geometry)
+    return (right, top), (left, top), (left, bottom), (right, bottom)
 
 
 def electron_positions(
@@ -295,7 +300,10 @@ def validate(layout: Layout) -> list[Violation]:
     """Check layout-level rules; returns violations as data, never raises.
 
     Rules: cell ids unique; input/output labels unique per role; no two
-    cell centers closer than cell_size; at least one input or fixed driver
+    cell centers closer than cell_size, less 4 ulps of the pair's largest
+    coordinate, which grid rounding can take off; otherwise no two dots of
+    two cells closer than dot_diameter / 2, so every distance the kink
+    kernels divide by is nonzero; at least one input or fixed driver
     whenever a free (normal/output) cell exists.
     """
     out: list[Violation] = []
@@ -320,17 +328,26 @@ def validate(layout: Layout) -> list[Violation]:
                     )
                 )
 
-    min_gap = layout.geometry.cell_size
-    for i, j, distance in pairs_within(cells, min_gap):
-        if distance < min_gap:
-            a, b = cells[i], cells[j]
-            out.append(
-                Violation(
-                    "overlap",
-                    (a.id, b.id),
-                    f"cells {a.id} and {b.id} are closer than cell_size",
-                )
-            )
+    geometry = layout.geometry
+    size, reach = geometry.cell_size, geometry.dot_diameter / 2
+    corners = [_corners(cell, geometry) for cell in cells]
+    # two dots closer than reach have centres less than size * sqrt(2) apart,
+    # give or take an ulp of the coordinates each corner is rounded to
+    farthest = max((max(abs(c.x), abs(c.y)) for c in cells), default=0.0)
+    for i, j, distance in pairs_within(cells, size * 1.5 + 4 * math.ulp(farthest)):
+        a, b = cells[i], cells[j]
+        # the allowance is worked out only for the rare pair within size
+        if distance < size and distance < size - 4 * math.ulp(max(abs(a.x), abs(a.y), abs(b.x), abs(b.y))):
+            out.append(Violation("overlap", (a.id, b.id), f"cells {a.id} and {b.id} are closer than cell_size"))
+            continue
+        # the nearest of the 16 dot pairs, from the floats the kink kernels subtract
+        ar, al, at, ab = corners[i]
+        br, bl, bt, bb = corners[j]
+        gap_x = min(abs(br - ar), abs(br - al), abs(bl - ar), abs(bl - al))
+        gap_y = min(abs(bt - at), abs(bt - ab), abs(bb - at), abs(bb - ab))
+        if math.hypot(gap_x, gap_y) < reach:
+            message = f"dots of cells {a.id} and {b.id} are closer than dot_diameter / 2"
+            out.append(Violation("dot-overlap", (a.id, b.id), message))
 
     if cells and all(c.role.kind in (RoleKind.NORMAL, RoleKind.OUTPUT) for c in cells):
         out.append(

@@ -117,6 +117,14 @@ class TestGen:
         assert main(["gen", "wire:2", "--pitch", "10"]) == 2
         assert "bad geometry" in capsys.readouterr().err
 
+    def test_a_grid_at_pitch_equal_to_cell_size_simulates(self, tmp_path, capsys):
+        # 4 * 18.3 - 3 * 18.3 is 18.299999999999997: grid rounding puts
+        # neighbours a few ulps closer than cell_size, which validate allows
+        path = tmp_path / "w.qcl"
+        assert main(["gen", "wire:8", "--cell-size", "18.3", "--pitch", "18.3", "--out", str(path)]) == 0
+        assert main(["sim", str(path)]) == 0
+        assert main(["truth", str(path), "--expect", "id"]) == 0
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -621,52 +629,53 @@ class TestKink:
 
     def test_coincident_dots_exit_2(self, tmp_path, capsys):
         # b's bottom-left dot sits on a's top-right dot, with the centres
-        # farther apart than cell_size, so validate accepts the layout
+        # farther apart than cell_size: validate names both cells, although
+        # the dot is empty at P = -1 and carries no bare charge
         cells = [Cell("a", 0.0, 0.0, Role.input("a")), Cell("b", 13.0, 13.0, Role.output("b"))]
         for model in ChargeModel:
             path = tmp_path / f"{model.value}.qcl"
             path.write_text(serialize_qcl(Layout(GeometryParams(charge_model=model), cells)))
-            assert main(["kink", str(path)]) == 2
-            assert capsys.readouterr().err == "error: dots of two cells coincide\n"
-            # --out is opened before the first pair is computed: the failure
-            # keeps its old bytes and leaves no temporary file
+            invalid = f"error: {path}: invalid layout\n  dot-overlap: dots of cells a and b are closer than dot_diameter / 2\n"
+            for command in ("kink", "sim"):
+                assert main([command, str(path)]) == 2
+                assert capsys.readouterr() == ("", invalid)
+            # the failure keeps --out's old bytes and leaves no temporary file
             old = tmp_path / "pairs.csv"
             old.write_bytes(b"old\n")
             assert main(["kink", str(path), "--out", str(old)]) == 2
-            assert capsys.readouterr() == ("", "error: dots of two cells coincide\n")
+            assert capsys.readouterr() == ("", invalid)
             assert old.read_bytes() == b"old\n"
             assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".part")]
-        # the coincident dot is empty at P = -1, so the bare coupling is defined
-        assert main(["sim", str(tmp_path / "bare.qcl")]) == 0
-        assert main(["sim", str(tmp_path / "neutralized.qcl")]) == 2
-        assert capsys.readouterr().err == "error: dots of two cells coincide\n"
 
     def test_occupied_coincident_dots_exit_2(self, tmp_path, capsys):
-        # c's bottom-right dot sits on a's top-left dot, occupied at P = -1:
-        # kink runs the bare kernel first under either model, so its message wins
+        # c's bottom-right dot sits on a's top-left dot, occupied at P = -1
         cells = [Cell("a", 0.0, 0.0, Role.input("a")), Cell("c", -13.0, 13.0, Role.output("c"))]
         for model in ChargeModel:
             path = tmp_path / f"{model.value}.qcl"
             path.write_text(serialize_qcl(Layout(GeometryParams(charge_model=model), cells)))
-            assert main(["kink", str(path)]) == 2
-            assert capsys.readouterr() == ("", "error: occupied dots of two cells coincide\n")
-        # sim runs only its layout's model
-        assert main(["sim", str(tmp_path / "bare.qcl")]) == 2
-        assert capsys.readouterr().err == "error: occupied dots of two cells coincide\n"
-        assert main(["sim", str(tmp_path / "neutralized.qcl")]) == 2
-        assert capsys.readouterr().err == "error: dots of two cells coincide\n"
-
-    def test_a_dot_distance_that_underflows_exit_2(self, tmp_path, capsys):
-        # no two dots share a point, but every dot distance in m underflows to 0
-        geometry = GeometryParams(cell_size=1.8e-317, dot_diameter=5e-318, pitch=2e-317)
-        cells = [Cell("a", 0.0, 0.0, Role.input("a")), Cell("b", 2e-317, 0.0, Role.output("b"))]
-        for model in ChargeModel:
-            path = tmp_path / f"{model.value}.qcl"
-            path.write_text(serialize_qcl(Layout(geometry._replace(charge_model=model), cells)))
+            invalid = f"error: {path}: invalid layout\n  dot-overlap: dots of cells a and c are closer than dot_diameter / 2\n"
             for command in ("kink", "sim"):
                 assert main([command, str(path)]) == 2
-                message = "error: dots of two cells lie so close that their distance in m underflows to 0\n"
-                assert capsys.readouterr() == ("", message)
+                assert capsys.readouterr() == ("", invalid)
+
+    def test_a_dot_distance_that_underflows_exit_2(self, tmp_path, capsys):
+        # no two dots share a point, but every dot distance in m would
+        # underflow to 0: reading the geometry line fails, and gen rejects
+        # the same flags
+        path = tmp_path / "tiny.qcl"
+        path.write_text(
+            "qcl 1\n"
+            "geometry cell_size=1.8e-317 dot_diameter=5e-318 pitch=2e-317\n"
+            "cell id=a x=0 y=0 role=input label=a\n"
+            "cell id=b x=2e-317 y=0 role=output label=b\n"
+        )
+        underflow = "relative_permittivity * dot_diameter / 2 underflows to 0 in m"
+        for command in ("kink", "sim"):
+            assert main([command, str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: line 2: {underflow}\n")
+        flags = ["--cell-size", "1.8e-317", "--dot-diameter", "5e-318", "--pitch", "2e-317"]
+        assert main(["gen", "wire:2", *flags]) == 2
+        assert capsys.readouterr() == ("", f"error: bad geometry: {underflow}\n")
 
 
 class TestSweep:

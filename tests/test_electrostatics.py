@@ -13,17 +13,19 @@ import random
 import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 import frozen
 from helpers import BARE, NEUT, cell
 from oracle import brute_kink_energy
 from qcasim import (
+    Cell,
     ChargeModel,
     GeometryParams,
     KinkPair,
     Layout,
     PointCharge,
+    Role,
     ZeroDistanceError,
     cell_charges,
     circuit_kink_energy,
@@ -32,6 +34,7 @@ from qcasim import (
     dot_positions,
     kink_energy,
     pair_energy,
+    validate,
 )
 from qcasim.electrostatics import (
     _BARE_KQQ,
@@ -133,16 +136,6 @@ class TestPairEnergy:
     def test_overlapping_cells_raise(self):
         with pytest.raises(ZeroDistanceError):
             pair_energy(cell(0, 0, "a"), -1, cell(0, 0, "b"), -1, BARE)
-
-    def test_a_geometry_whose_distances_underflow_raises_like_kink_energy(self):
-        # a valid geometry scaled by 1e-318: every dot distance times 1e-9 m is 0
-        tiny = GeometryParams(cell_size=18e-318, dot_diameter=5e-318, pitch=20e-318, radius_of_effect=65e-318)
-        a, b = cell(0, 0, "a"), cell(20e-318, 0, "b")
-        for g in (tiny, tiny._replace(charge_model=ChargeModel.BARE)):
-            with pytest.raises(ZeroDistanceError, match="too close"):
-                pair_energy(a, -1, b, +1, g)
-            with pytest.raises(ZeroDistanceError, match="underflows"):
-                kink_energy(a, b, g)
 
 
 class TestKinkEnergy:
@@ -430,23 +423,54 @@ class TestKernelMatchesReference:
             with pytest.raises(ZeroDistanceError, match="^occupied dots of two cells coincide$"):
                 list(kink_pairs(Layout(g, [a, c])))
 
-    def test_an_empty_coincident_dot_does_not_name_an_underflow(self):
-        # the 13 nm diagonal of the test above scaled by 2^-1050: b's
-        # bottom-left dot still sits on a's empty top-right dot, and every
-        # other distance in m underflows to 0.  The bare kernel divides only
-        # by occupied dots, none of which coincide; the report runs it first
-        u = math.ldexp(1.0, -1050)
-        tiny = GeometryParams(cell_size=18 * u, dot_diameter=5 * u, pitch=20 * u)
-        a, b = cell(0, 0, "a"), cell(13 * u, 13 * u, "b")
-        underflow = "^dots of two cells lie so close that their distance in m underflows to 0$"
-        for model, message in ((ChargeModel.BARE, underflow), (ChargeModel.NEUTRALIZED, "^dots of two cells coincide$")):
-            g = tiny._replace(charge_model=model)
-            with pytest.raises(ZeroDistanceError, match=message):
-                kink_energy(a, b, g)
-            with pytest.raises(ZeroDistanceError, match=message):
-                coupling_map(Layout(g, [a, b]))
-            with pytest.raises(ZeroDistanceError, match=underflow):
-                list(kink_pairs(Layout(g, [a, b])))
+
+# a pair's offset in pitches of the default geometry, near where two dots
+# coincide (0 or 2 * dot_offset = 13 per axis) and where cells touch (18)
+_NEAR_A_DOT = st.builds(
+    operator.add,
+    st.sampled_from([0.0, 13.0, -13.0, 18.0, -18.0]),
+    st.one_of(st.just(0.0), st.floats(-1e-9, 1e-9), st.floats(-0.5, 0.5)),
+)
+
+
+@given(
+    st.floats(-250.0, 250.0),
+    st.floats(-200.0, 200.0),
+    st.sampled_from(ChargeModel),
+    st.one_of(st.floats(-100.0, 100.0), st.floats(-1e18, 1e18)),
+    st.one_of(st.floats(-100.0, 100.0), st.floats(-1e18, 1e18)),
+    _NEAR_A_DOT,
+    _NEAR_A_DOT,
+)
+def test_a_layout_validate_accepts_evaluates_in_every_kernel(log_scale, log_eps, model, x, y, dx, dy):
+    s = 10.0**log_scale
+    try:
+        g = GeometryParams(
+            cell_size=18 * s, dot_diameter=5 * s, pitch=20 * s, relative_permittivity=10.0**log_eps,
+            charge_model=model, radius_of_effect=65 * s,
+        )
+    except ValueError:  # eps * dot_diameter / 2 underflows in m: nothing to evaluate
+        assume(False)
+    a, b = Cell("a", x * s, y * s, Role.input("a")), Cell("b", (x + dx) * s, (y + dy) * s, Role.output("b"))
+    layout = Layout(g, [a, b])
+    assume(not validate(layout))
+    for other in ChargeModel:
+        assert math.isfinite(kink_energy(a, b, g._replace(charge_model=other)))
+    for pair in kink_pairs(layout):
+        assert math.isfinite(pair.bare) and math.isfinite(pair.neutralized)
+    assert all(math.isfinite(e) for row in coupling_map(layout) for _, e in row)
+
+
+def test_dots_that_coincide_only_after_rounding_are_rejected():
+    # at 1e17 nm a float steps by 16 nm, so x +- 9.1 rounds to x +- 16: b's
+    # bottom-left dot lands on a's top-right dot, although the centres lie
+    # farther apart than cell_size * 1.5
+    g = GeometryParams(cell_size=25.2, dot_diameter=7.0, pitch=28.0, radius_of_effect=91.0)
+    a, b = Cell("a", 1e17, 1e17, Role.input("a")), Cell("b", 1e17 + 32, 1e17 + 32, Role.output("b"))
+    assert math.hypot(32, 32) > g.cell_size * 1.5
+    with pytest.raises(ZeroDistanceError):
+        kink_energy(a, b, g)
+    assert [v.rule for v in validate(Layout(g, [a, b]))] == ["dot-overlap"]
 
 
 # the neutralized signs at P_a = P_b = -1, row-major over (dot of a, dot of b)

@@ -18,6 +18,7 @@ from qcasim import (
     Layout,
     Role,
     RoleKind,
+    Violation,
     dot_positions,
     electron_positions,
     validate,
@@ -48,6 +49,10 @@ def test_geometry_defaults():
         {"radius_of_effect": 10.0},           # below pitch
         {"cell_size": float("nan")},
         {"pitch": float("inf")},
+        # relative_permittivity * (dot_diameter / 2) * 1e-9 underflows to 0
+        {"cell_size": 18e-318, "dot_diameter": 5e-318, "pitch": 20e-318, "radius_of_effect": 65e-318},
+        {"cell_size": 18 * 2.0**-1050, "dot_diameter": 5 * 2.0**-1050, "pitch": 20 * 2.0**-1050},
+        {"relative_permittivity": 1e-320},
     ],
 )
 def test_geometry_rejects_bad_parameters(kwargs):
@@ -215,6 +220,7 @@ def test_validate_overlap_names_both_cells():
         ],
     )
     violations = validate(lay)
+    # their dots coincide too, but the pair gets only the one line
     assert [v.rule for v in violations] == ["overlap"]
     assert set(violations[0].cell_ids) == {"a", "b"}
 
@@ -234,6 +240,35 @@ def test_validate_overlap_threshold_off_axis():
     bad = Layout(g, [Cell("a", 0.0, 0.0, Role.input("x")), Cell("b", 12.0, 15.9, Role.normal())])
     assert validate(ok) == []
     assert [v.rule for v in validate(bad)] == ["overlap"]
+
+
+def test_validate_overlap_allows_grid_rounding():
+    # 4 * 18.3 - 3 * 18.3 is 18.299999999999997: the allowance is 4 ulps of
+    # the pair's largest coordinate, and no more
+    g = GeometryParams(cell_size=18.3, pitch=18.3)
+    a, b = 3 * 18.3, 4 * 18.3
+    assert b - a < g.cell_size
+    for k, rules in ((0, []), (3, []), (4, ["overlap"])):
+        lay = Layout(g, [Cell("a", a, 0.0, Role.input("x")), Cell("b", b - k * math.ulp(b), 0.0, Role.normal())])
+        assert [v.rule for v in validate(lay)] == rules
+
+
+@pytest.mark.parametrize("x", [13.0, -13.0])
+def test_validate_dot_overlap_names_both_cells(x):
+    # the centres are 13 * sqrt(2) nm apart, more than cell_size, yet b's
+    # bottom-left (x = 13) or bottom-right (x = -13) dot sits on a dot of a
+    lay = Layout(GeometryParams(), [Cell("a", 0.0, 0.0, Role.input("x")), Cell("b", x, 13.0, Role.normal())])
+    message = "dots of cells a and b are closer than dot_diameter / 2"
+    assert validate(lay) == [Violation("dot-overlap", ("a", "b"), message)]
+
+
+def test_validate_dot_overlap_threshold_is_half_a_dot_diameter():
+    # b's bottom-left dot lies 2.5 nm (dot_diameter / 2) right of a's top-right dot, then 2.4 nm
+    g = GeometryParams()
+    ok = Layout(g, [Cell("a", 0.0, 0.0, Role.input("x")), Cell("b", 15.5, 13.0, Role.normal())])
+    bad = Layout(g, [Cell("a", 0.0, 0.0, Role.input("x")), Cell("b", 15.4, 13.0, Role.normal())])
+    assert validate(ok) == []
+    assert [v.rule for v in validate(bad)] == ["dot-overlap"]
 
 
 def test_validate_duplicate_label():

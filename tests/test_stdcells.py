@@ -25,13 +25,13 @@ from qcasim import (
 )
 
 GENERATORS = [
-    lambda: gen_wire(2),
-    lambda: gen_wire(9),
+    lambda geometry: gen_wire(2, geometry),
+    lambda geometry: gen_wire(9, geometry),
     gen_majority,
     gen_conventional_inverter,
-    lambda: gen_minimal_inverter(-1),
-    lambda: gen_minimal_inverter(0),
-    lambda: gen_minimal_inverter(3),
+    lambda geometry: gen_minimal_inverter(-1, geometry),
+    lambda geometry: gen_minimal_inverter(0, geometry),
+    lambda geometry: gen_minimal_inverter(3, geometry),
 ]
 
 
@@ -46,7 +46,7 @@ GEOMETRIES = st.builds(
         radius_of_effect=3 * pitch,
     ),
     st.floats(min_value=1e-300, max_value=1e300),
-    st.floats(min_value=0.5, max_value=1.0),
+    st.just(1.0) | st.floats(min_value=0.5, max_value=1.0),  # 1.0: cells touch, pitch == cell_size
     st.floats(min_value=1.0, max_value=20.0),
     st.sampled_from(ChargeModel),
 )
@@ -128,10 +128,13 @@ def pitch_neighbors(layout, cell):
 
 
 @pytest.mark.parametrize("build", GENERATORS)
-def test_generators_validate_clean_and_are_pure(build):
-    layout = build()
+@given(GEOMETRIES)
+@example(GeometryParams())
+@example(GeometryParams(cell_size=18.3, pitch=18.3))  # neighbours 18.299999999999997 apart
+def test_generators_validate_clean_and_are_pure(build, geometry):
+    layout = build(geometry)
     assert validate(layout) == []
-    assert build() == layout
+    assert build(geometry) == layout
     assert all(c.zone == 0 for c in layout.cells)
     assert [c.id for c in layout.cells] == [f"c{i}" for i in range(len(layout))]
 
