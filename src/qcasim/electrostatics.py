@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator, NamedTuple
 
-from .model import Cell, ChargeModel, GeometryParams, Layout, _corners, electron_positions, pairs_within
+from .model import Cell, ChargeModel, GeometryParams, Layout, electron_positions, pairs_within
 
 __all__ = [
     "COULOMB_K",
@@ -108,62 +108,61 @@ def kink_energy(a: Cell, b: Cell, geometry: GeometryParams) -> float:
     quadrupole -- which is why bare kink signs are orientation dependent
     and the neutralized model is the default.
 
-    Bit-identical to ``pair_energy(a, -1, b, +1, g) - pair_energy(a, -1, b, -1, g)``.
+    A function of the centre offset (b.x - a.x, b.y - a.y) alone, so two pairs
+    with the same float offset have the same energy; a translation can still
+    round the offset itself.  Bit-identical to ``pair_energy(a, -1, b, +1, g)
+    - pair_energy(a, -1, b, -1, g)`` wherever that definition's dot
+    coordinates x +- dot_offset and their differences are exact, as on grid
+    layouts.
     """
-    diffs = _differences(_corners(a, geometry), _corners(b, geometry))
-    d = _scaled_distances(diffs, geometry.relative_permittivity)
+    d = _scaled_distances(b.x - a.x, b.y - a.y, 2.0 * geometry.dot_offset, geometry.relative_permittivity)
     return _bare_kink(d) if geometry.charge_model is ChargeModel.BARE else _neutralized_kink(d)
 
 
 # k*q1*q2 of coulomb_energy, unsigned: bare (-e)(-e); neutralized (+-e/2)(+-e/2)
 _BARE_KQQ = COULOMB_K * ELEMENTARY_CHARGE * ELEMENTARY_CHARGE
 _HALF_KQQ = COULOMB_K * (0.5 * ELEMENTARY_CHARGE) * (0.5 * ELEMENTARY_CHARGE)
+# the neutralized weights of an edge and of the centre class, exact multiples
+_HALF_KQQ_EDGE, _HALF_KQQ_CENTRE = -2.0 * _HALF_KQQ, 4.0 * _HALF_KQQ
 
-# _layout_kinks keeps at most this many pair geometries: far more than a grid
-# layout has, and about 0.2 MB off the grid, where every pair has its own.
+# _layout_kinks keeps at most this many pair offsets: far more than a grid
+# layout has, and about 80 KB off the grid, where every pair has its own.
 _MEMO_KEYS = 512
 
 
-def _differences(a, b) -> tuple[float, ...]:
-    """The x and y differences of two ``_corners``, b's minus a's, named b's side first."""
-    ar, al, at, ab = a
-    br, bl, bt, bb = b
-    return br - ar, br - al, bl - ar, bl - al, bt - at, bt - ab, bb - at, bb - ab
-
-
-def _scaled_distances(diffs, eps: float) -> list[float]:
-    """coulomb_energy's denominator eps*r*1e-9 for the 16 dot pairs, row-major over
-    (dot of a, dot of b) in ``dot_positions`` order TR, TL, BL, BR, from the pair's
-    ``_differences``; k*q1*q2 divided by one is its term up to an exact sign."""
-    xrr, xrl, xlr, xll, ytt, ytb, ybt, ybb = diffs
+def _scaled_distances(dx: float, dy: float, w: float, eps: float) -> list[float]:
+    """coulomb_energy's denominator eps*r*1e-9 for the 9 classes of a pair's 16 dot
+    pairs, from its centre offset (dx, dy) and w = 2 * dot_offset.  A dot of b less
+    a dot of a is dx + (-w, 0, 0, +w) by dy + (-w, 0, 0, +w), so the classes are
+    row-major with x outer over (dx - w, dx, dx + w) and y over (dy - w, dy, dy + w),
+    (1, 2, 1) x (1, 2, 1) dot pairs each; k*q1*q2 divided by one is its term up to
+    an exact sign and factor."""
+    xm, xp, ym, yp = dx - w, dx + w, dy - w, dy + w
     hypot, nm = math.hypot, _NM
     return [
-        eps * hypot(xrr, ytt) * nm, eps * hypot(xlr, ytt) * nm, eps * hypot(xlr, ybt) * nm, eps * hypot(xrr, ybt) * nm,
-        eps * hypot(xrl, ytt) * nm, eps * hypot(xll, ytt) * nm, eps * hypot(xll, ybt) * nm, eps * hypot(xrl, ybt) * nm,
-        eps * hypot(xrl, ytb) * nm, eps * hypot(xll, ytb) * nm, eps * hypot(xll, ybb) * nm, eps * hypot(xrl, ybb) * nm,
-        eps * hypot(xrr, ytb) * nm, eps * hypot(xlr, ytb) * nm, eps * hypot(xlr, ybb) * nm, eps * hypot(xrr, ybb) * nm,
+        eps * hypot(xm, ym) * nm, eps * hypot(xm, dy) * nm, eps * hypot(xm, yp) * nm,
+        eps * hypot(dx, ym) * nm, eps * hypot(dx, dy) * nm, eps * hypot(dx, yp) * nm,
+        eps * hypot(xp, ym) * nm, eps * hypot(xp, dy) * nm, eps * hypot(xp, yp) * nm,
     ]
 
 
 def _bare_kink(d: list[float]) -> float:
-    # a's P = -1 electrons sit on TL, BR (rows 1, 3); b's on TR, BL (+1) or TL, BR (-1)
+    # a's P = -1 electrons sit on TL, BR; b's on TR, BL (+1), one pair in each of
+    # classes 7, 3, 5, 1, or on TL, BR (-1), two pairs in class 4 and one in 6 and 2
     k = _BARE_KQQ
     try:  # a distance is eps*r*1e-9 >= +0.0, so a zero fails its own division
-        opposite = math.fsum((k / d[4], k / d[6], k / d[12], k / d[14]))
-        return opposite - math.fsum((k / d[5], k / d[7], k / d[13], k / d[15]))
+        opposite = math.fsum((k / d[7], k / d[3], k / d[5], k / d[1]))
+        return opposite - math.fsum((2.0 * k / d[4], k / d[6], k / d[2]))
     except ZeroDivisionError:
         raise ZeroDistanceError("occupied dots of two cells coincide") from None
 
 
 def _neutralized_kink(d: list[float]) -> float:
-    d0, d1, d2, d3, d4, d5, d6, d7, d8, d9, d10, d11, d12, d13, d14, d15 = d
-    # k*q1*q2 at P_a = P_b = -1, row-major over (dot of a, dot of b): + on the same diagonal
-    k, n = _HALF_KQQ, -_HALF_KQQ
+    d0, d1, d2, d3, d4, d5, d6, d7, d8 = d
+    # k*q1*q2 at P_a = P_b = -1 summed over each class: [1, -2, 1] x [1, -2, 1] times k
+    k, n, c = _HALF_KQQ, _HALF_KQQ_EDGE, _HALF_KQQ_CENTRE
     try:  # as in _bare_kink, a zero fails its own division
-        equal = math.fsum((
-            k / d0, n / d1, k / d2, n / d3, n / d4, k / d5, n / d6, k / d7,
-            k / d8, n / d9, k / d10, n / d11, n / d12, k / d13, n / d14, k / d15,
-        ))
+        equal = math.fsum((k / d0, n / d1, k / d2, n / d3, c / d4, n / d5, k / d6, n / d7, k / d8))
     except ZeroDivisionError:
         raise ZeroDistanceError("dots of two cells coincide") from None
     # flipping b negates every term: E(opposite) = -E(equal) exactly
@@ -172,20 +171,21 @@ def _neutralized_kink(d: list[float]) -> float:
 
 def _layout_kinks(layout: Layout) -> Iterator[tuple[int, int, float]]:
     """(i, j, kink energy J) for each pair of ``pairs_within``, in its order,
-    under the layout's charge model.  A pair's energy depends only on its 8
-    ``_differences``, so each distinct set runs the kernel once: equal sets
+    under the layout's charge model.  A pair's energy depends only on its
+    centre offset, so each distinct offset runs the kernel once: equal offsets
     differ at most in a zero's sign, which ``hypot`` ignores, so every value
     is bit-identical to ``kink_energy``."""
     geometry = layout.geometry
-    eps = geometry.relative_permittivity
+    eps, w = geometry.relative_permittivity, 2.0 * geometry.dot_offset
     kink = _bare_kink if geometry.charge_model is ChargeModel.BARE else _neutralized_kink
-    corners = [_corners(cell, geometry) for cell in layout.cells]
-    memo: dict[tuple[float, ...], float] = {}
+    xs = [cell.x for cell in layout.cells]
+    ys = [cell.y for cell in layout.cells]
+    memo: dict[tuple[float, float], float] = {}
     for i, j, _ in pairs_within(layout.cells, geometry.radius_of_effect):
-        key = _differences(corners[i], corners[j])
+        key = dx, dy = xs[j] - xs[i], ys[j] - ys[i]
         e = memo.get(key)
         if e is None:
-            e = kink(_scaled_distances(key, eps))
+            e = kink(_scaled_distances(dx, dy, w, eps))
             if len(memo) < _MEMO_KEYS:
                 memo[key] = e
         yield i, j, e
@@ -213,15 +213,16 @@ class KinkReport(NamedTuple):
 
 def kink_pairs(layout: Layout) -> Iterator[KinkPair]:
     """One KinkPair per pair of ``pairs_within``, in its order, as it is computed; both
-    models share the pair's 16 distances, each bit-identical to per-pair ``kink_energy``.
+    models share the pair's 9 distances, each bit-identical to per-pair ``kink_energy``.
     Each pair is built by ``tuple.__new__``, skipping the NamedTuple's slower Python ``__new__``."""
     geometry = layout.geometry
-    eps = geometry.relative_permittivity
+    eps, w = geometry.relative_permittivity, 2.0 * geometry.dot_offset
     cells = layout.cells
     ids = [cell.id for cell in cells]
-    corners = [_corners(cell, geometry) for cell in cells]
+    xs = [cell.x for cell in cells]
+    ys = [cell.y for cell in cells]
     for i, j, distance in pairs_within(cells, geometry.radius_of_effect):
-        d = _scaled_distances(_differences(corners[i], corners[j]), eps)
+        d = _scaled_distances(xs[j] - xs[i], ys[j] - ys[i], w, eps)
         yield tuple.__new__(KinkPair, (ids[i], ids[j], distance, _bare_kink(d), _neutralized_kink(d)))
 
 

@@ -227,16 +227,16 @@ class Layout(_Record):
         return tuple(sorted(c.role.label for c in self.inputs()))
 
 
-def _corners(cell: Cell, geometry: GeometryParams) -> tuple[float, float, float, float]:
-    """(x + h, x - h, y + h, y - h): the dot coordinates that ``dot_positions``,
-    ``validate`` and the kink kernels all read."""
-    h = geometry.dot_offset
-    return cell.x + h, cell.x - h, cell.y + h, cell.y - h
-
-
 def dot_positions(cell: Cell, geometry: GeometryParams) -> tuple[tuple[float, float], ...]:
-    """Centers of the four dots: top-right, top-left, bottom-left, bottom-right."""
-    right, left, top, bottom = _corners(cell, geometry)
+    """Centers of the four dots: top-right, top-left, bottom-left, bottom-right.
+
+    Only the reference path (``cell_charges``, ``pair_energy``) places dots;
+    no command does.  Each x +- dot_offset is rounded, and is inf within
+    dot_offset of the largest double: the kink energy and ``validate`` read
+    only a pair's centre offset, and see neither.
+    """
+    h = geometry.dot_offset
+    right, left, top, bottom = cell.x + h, cell.x - h, cell.y + h, cell.y - h
     return (right, top), (left, top), (left, bottom), (right, bottom)
 
 
@@ -302,9 +302,10 @@ def validate(layout: Layout) -> list[Violation]:
     Rules: cell ids unique; input/output labels unique per role; no two
     cell centers closer than cell_size, less 4 ulps of the pair's largest
     coordinate, which grid rounding can take off; otherwise no two dots of
-    two cells closer than dot_diameter / 2, so every distance the kink
-    kernels divide by is nonzero; at least one input or fixed driver
-    whenever a free (normal/output) cell exists.
+    two cells closer than dot_diameter / 2, measured as the kink kernels
+    measure them, from the centre offset +- (cell_size - dot_diameter), so
+    every distance they divide by is nonzero; at least one input or fixed
+    driver whenever a free (normal/output) cell exists.
     """
     out: list[Violation] = []
     cells = layout.cells
@@ -329,23 +330,17 @@ def validate(layout: Layout) -> list[Violation]:
                 )
 
     geometry = layout.geometry
-    size, reach = geometry.cell_size, geometry.dot_diameter / 2
-    corners = [_corners(cell, geometry) for cell in cells]
-    # two dots closer than reach have centres less than size * sqrt(2) apart,
-    # give or take an ulp of the coordinates each corner is rounded to
-    farthest = max((max(abs(c.x), abs(c.y)) for c in cells), default=0.0)
-    for i, j, distance in pairs_within(cells, size * 1.5 + 4 * math.ulp(farthest)):
+    size, reach, w = geometry.cell_size, geometry.dot_diameter / 2, 2.0 * geometry.dot_offset
+    # two dots closer than reach need |dx|, |dy| < size - reach: centres < size * sqrt(2) apart
+    for i, j, distance in pairs_within(cells, size * 1.5):
         a, b = cells[i], cells[j]
         # the allowance is worked out only for the rare pair within size
         if distance < size and distance < size - 4 * math.ulp(max(abs(a.x), abs(a.y), abs(b.x), abs(b.y))):
             out.append(Violation("overlap", (a.id, b.id), f"cells {a.id} and {b.id} are closer than cell_size"))
             continue
-        # the nearest of the 16 dot pairs, from the floats the kink kernels subtract
-        ar, al, at, ab = corners[i]
-        br, bl, bt, bb = corners[j]
-        gap_x = min(abs(br - ar), abs(br - al), abs(bl - ar), abs(bl - al))
-        gap_y = min(abs(bt - at), abs(bt - ab), abs(bb - at), abs(bb - ab))
-        if math.hypot(gap_x, gap_y) < reach:
+        # the nearest of the 9 dot distance classes, from the offsets the kink kernels take
+        dx, dy = b.x - a.x, b.y - a.y
+        if math.hypot(min(abs(dx - w), abs(dx), abs(dx + w)), min(abs(dy - w), abs(dy), abs(dy + w))) < reach:
             message = f"dots of cells {a.id} and {b.id} are closer than dot_diameter / 2"
             out.append(Violation("dot-overlap", (a.id, b.id), message))
 

@@ -73,3 +73,19 @@ def brute_kink_energy(
 def brute_fixed_point(x_drive: float) -> float:
     """Closed-form bistable steady state for a single driven cell."""
     return x_drive / math.sqrt(1.0 + x_drive * x_drive)
+
+
+def brute_largest_term(
+    center_a: tuple[float, float],
+    center_b: tuple[float, float],
+    cell_size: float = 18.0,
+    dot_diameter: float = 5.0,
+    eps_r: float = 1.0,
+) -> float:
+    """k*e^2 / (eps_r * d_min), d_min the distance of the two cells' nearest
+    dots: the largest Coulomb term of the pair, a scale for rounding errors."""
+    half = (cell_size - dot_diameter) / 2.0
+    d_min = min(
+        math.hypot(xb - xa, yb - ya) for xa, ya in brute_dots(*center_a, half) for xb, yb in brute_dots(*center_b, half)
+    )
+    return K_COULOMB * CHARGE_E * CHARGE_E / (eps_r * d_min * 1e-9)

@@ -12,7 +12,7 @@ import time
 
 from conftest import record_acceptance
 from helpers import BARE, CLOCK, NEUT, ROOT, anti_ordered_chain, cell, run_python
-from oracle import brute_kink_energy
+from oracle import brute_kink_energy, brute_largest_term
 from qcasim import (
     InputSchedule,
     Layout,
@@ -184,15 +184,25 @@ def test_criterion_6_scaling_and_relabel():
                     permittivity_ok = False
 
     # relabeling logic levels flips every polarization; under the default
-    # net-neutral model the kink base does not matter, and a simulation of
-    # the complemented schedule mirrors the trace exactly
+    # net-neutral model the kink base does not matter (exactly, in the
+    # definition), and a simulation of the complemented schedule mirrors the
+    # trace exactly.  kink_energy has the definition's bits on the pitch grid
+    # and lies within 1e-13 of the pair's largest term off it.
+    def pitch_grid(centres):
+        (ax, ay), (bx, by) = centres
+        x, y = round(ax), round(ay)
+        return (x, y), (x + 20 * round((bx - ax) / 20), y + 20 * round((by - ay) / 20))
+
     relabel_kink_ok = True
     for _ in range(20):
-        (ax, ay), (bx, by) = random_pair(rng)
-        a, b = cell(ax, ay, "a"), cell(bx, by, "b")
-        flipped = pair_energy(a, +1, b, -1, NEUT) - pair_energy(a, +1, b, +1, NEUT)
-        if flipped != kink_energy(a, b, NEUT):
-            relabel_kink_ok = False
+        off_grid = random_pair(rng)
+        for centres, bound in ((off_grid, 1e-13), (pitch_grid(off_grid), 0.0)):
+            a, b = cell(*centres[0], "a"), cell(*centres[1], "b")
+            minus_base = pair_energy(a, -1, b, +1, NEUT) - pair_energy(a, -1, b, -1, NEUT)
+            flipped = pair_energy(a, +1, b, -1, NEUT) - pair_energy(a, +1, b, +1, NEUT)
+            error = abs(kink_energy(a, b, NEUT) - minus_base)
+            if flipped != minus_base or error > bound * brute_largest_term(*centres):
+                relabel_kink_ok = False
 
     layout = gen_minimal_inverter(1)
     trace = simulate(layout, CLOCK, InputSchedule.exhaustive(["a"]))

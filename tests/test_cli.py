@@ -658,6 +658,26 @@ class TestKink:
                 assert main([command, str(path)]) == 2
                 assert capsys.readouterr() == ("", invalid)
 
+    def test_dot_coordinates_that_overflow_print_no_nan(self, tmp_path, capsys):
+        # both cells sit at the largest double, where x + dot_offset is inf:
+        # the energies come from the centre offset (0, 20e299) and are finite
+        path = tmp_path / "far.qcl"
+        path.write_text(
+            "qcl 1\n"
+            "geometry cell_size=18e299 dot_diameter=5e299 pitch=20e299 radius=65e299\n"
+            "cell id=a x=1.7976931348623157e308 y=0 role=input label=a\n"
+            "cell id=b x=1.7976931348623157e308 y=20e299 role=output label=b\n"
+        )
+        assert main(["kink", str(path)]) == 0
+        out = capsys.readouterr().out
+        totals = dict(line.split("=") for line in out.splitlines())
+        assert all(math.isfinite(float(total)) and float(total) > 0 for total in totals.values())
+        # the coupling is far too weak to carry a signal, but it is a number
+        for argv, code in ((["sim", str(path)], 0), (["truth", str(path), "--expect", "id"], 1)):
+            assert main(argv) == code
+            out, err = capsys.readouterr()
+            assert "nan" not in out + err
+
     def test_a_dot_distance_that_underflows_exit_2(self, tmp_path, capsys):
         # no two dots share a point, but every dot distance in m would
         # underflow to 0: reading the geometry line fails, and gen rejects
@@ -763,9 +783,11 @@ class TestTruth:
         assert "needs 3 input(s)" in capsys.readouterr().err
 
     def test_requires_outputs(self, tmp_path, capsys):
+        # the measurement finds no output before it relaxes any sample
         path = tmp_path / "noout.qcl"
         path.write_text("qcl 1\ncell id=c0 x=0 y=0 role=input label=a\n")
         assert main(["truth", str(path), "--expect", "id"]) == 2
+        assert capsys.readouterr() == ("", "error: layout has no output cells\n")
 
 
 class TestTopLevel:

@@ -13,11 +13,11 @@ import random
 import struct
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 import frozen
 from helpers import BARE, NEUT, cell
-from oracle import brute_kink_energy
+from oracle import brute_kink_energy, brute_largest_term
 from qcasim import (
     Cell,
     ChargeModel,
@@ -40,8 +40,6 @@ from qcasim.electrostatics import (
     _BARE_KQQ,
     _HALF_KQQ,
     _bare_kink,
-    _corners,
-    _differences,
     _neutralized_kink,
     _scaled_distances,
     kink_pairs,
@@ -185,13 +183,20 @@ class TestKinkEnergy:
             assert kink_energy(a, b, g) == kink_energy(b, a, g)
 
     def test_base_choice_is_immaterial_under_neutralized(self):
+        # the two bases agree exactly, an identity of the definition; kink_energy
+        # has its bits on the grid, and off it, where the definition rounds each
+        # dot coordinate, lies within 1e-13 of the pair's largest term
         rng = random.Random(7)
         a = cell(0, 0, "a")
         for _ in range(20):
-            b = cell(rng.uniform(20, 60), rng.uniform(-60, 60), "b")
-            minus_base = pair_energy(a, -1, b, +1, NEUT) - pair_energy(a, -1, b, -1, NEUT)
-            plus_base = pair_energy(a, +1, b, -1, NEUT) - pair_energy(a, +1, b, +1, NEUT)
-            assert minus_base == plus_base == kink_energy(a, b, NEUT)
+            on_grid = rng.randint(20, 60), rng.randint(-60, 60)
+            off_grid = rng.uniform(20, 60), rng.uniform(-60, 60)
+            for centre, bound in ((on_grid, 0.0), (off_grid, 1e-13)):
+                b = cell(*centre, "b")
+                minus_base = pair_energy(a, -1, b, +1, NEUT) - pair_energy(a, -1, b, -1, NEUT)
+                plus_base = pair_energy(a, +1, b, -1, NEUT) - pair_energy(a, +1, b, +1, NEUT)
+                assert minus_base == plus_base
+                assert abs(kink_energy(a, b, NEUT) - minus_base) <= bound * brute_largest_term((0, 0), centre)
 
     def test_base_choice_matters_for_bare_diagonals(self):
         a, b = cell(0, 0, "a"), cell(20, 20, "b")
@@ -319,8 +324,25 @@ class TestCircuitKinkEnergy:
             assert report.radius_of_effect == 65.0
 
 
+def _dyadic_geometry(k, eps, model):
+    """The default geometry scaled by 2**k."""
+    s = 2.0**k
+    return GeometryParams(
+        cell_size=18.0 * s, dot_diameter=5.0 * s, pitch=20.0 * s, relative_permittivity=eps, charge_model=model,
+        radius_of_effect=65.0 * s,
+    )
+
+
+def _dyadic_pair(g, x, y, dx, dy):
+    """Cells at (x, y) and (x + dx, y + dy) times the scale of a ``_dyadic_geometry``."""
+    s = g.cell_size / 18.0
+    return cell(x * s, y * s, "a"), cell((x + dx) * s, (y + dy) * s, "b")
+
+
 class TestKernelMatchesReference:
-    """The shared-distance kernel against the pair_energy definition, off the grid."""
+    """The offset kernel against the pair_energy definition: its bits where
+    the definition's dot coordinates are exact, its value within rounding off
+    the grid, and the same bits for the same offset anywhere in the plane."""
 
     geometries = st.builds(
         lambda size, dot_share, eps, model: GeometryParams(
@@ -338,10 +360,17 @@ class TestKernelMatchesReference:
     centre = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
     offset = st.floats(-70.0, 70.0, allow_nan=False, allow_infinity=False)
     jitter = st.floats(-0.9, 0.9, allow_nan=False, allow_infinity=False)
+    # multiples of 1/64 nm: every dot coordinate x +- 6.5 and every difference
+    # of two is exact, at the default geometry and at its scalings by 2**k
+    dyadic_geometries = st.builds(
+        _dyadic_geometry, st.integers(-20, 20), st.sampled_from([1.0, 2, 3.7, 12.9]), st.sampled_from(list(ChargeModel))
+    )
+    dyadic_centre = st.integers(-64 * 10**6, 64 * 10**6).map(lambda n: n / 64)
+    dyadic_offset = st.integers(-64 * 70, 64 * 70).map(lambda n: n / 64)
 
-    @given(geometries, centre, centre, offset, offset)
+    @given(dyadic_geometries, dyadic_centre, dyadic_centre, dyadic_offset, dyadic_offset)
     def test_kink_energy_is_the_pair_energy_difference(self, g, x, y, dx, dy):
-        a, b = cell(x, y, "a"), cell(x + dx, y + dy, "b")
+        a, b = _dyadic_pair(g, x, y, dx, dy)
         try:
             want = pair_energy(a, -1, b, +1, g) - pair_energy(a, -1, b, -1, g)
         except ZeroDistanceError:
@@ -351,17 +380,53 @@ class TestKernelMatchesReference:
         assert kink_energy(a, b, g) == want
 
     @given(geometries, centre, centre, offset, offset)
-    def test_distance_table_is_the_dot_pair_comprehension(self, g, x, y, dx, dy):
-        # the value tests above can miss two swapped entries of the same sign
-        # and bare role, or a difference rounded another way; this pins every
-        # entry to its dot pair
+    def test_kink_energy_is_within_1e_13_of_the_largest_term_off_the_grid(self, g, x, y, dx, dy):
+        # the definition at the origin rounds only the dots of b, at the offset
         a, b = cell(x, y, "a"), cell(x + dx, y + dy, "b")
-        for c in (a, b):
-            right, left, top, bottom = _corners(c, g)
-            assert dot_positions(c, g) == ((right, top), (left, top), (left, bottom), (right, bottom))
-        eps = g.relative_permittivity
-        want = [eps * math.hypot(bx - ax, by - ay) * 1e-9 for ax, ay in dot_positions(a, g) for bx, by in dot_positions(b, g)]
-        assert _scaled_distances(_differences(_corners(a, g), _corners(b, g)), eps) == want
+        assume({v.rule for v in validate(Layout(g, [a, b]))} <= {"no-driver"})  # neither cell drives
+        at_offset = b.x - a.x, b.y - a.y
+        shape = g.cell_size, g.dot_diameter, g.relative_permittivity
+        want = brute_kink_energy((0.0, 0.0), at_offset, *shape, g.charge_model.value)
+        assert abs(kink_energy(a, b, g) - want) <= 1e-13 * brute_largest_term((0.0, 0.0), at_offset, *shape)
+
+    @given(
+        geometries,
+        st.one_of(st.floats(-1e4, 1e4), st.floats(-1e17, 1e17)),
+        st.one_of(st.floats(-1e4, 1e4), st.floats(-1e17, 1e17)),
+        offset,
+        offset,
+        st.floats(-1e4, 1e4),
+        st.floats(-1e4, 1e4),
+    )
+    def test_the_same_offset_gives_the_same_energy(self, g, x, y, dx, dy, tx, ty):
+        # a translation can round the offset itself; where it keeps the float
+        # offset, the energy keeps its bits (or the same error), under both models
+        a, b = cell(x, y, "a"), cell(x + dx, y + dy, "b")
+        a2 = cell(x + tx, y + ty, "a")
+        b2 = cell(a2.x + (b.x - a.x), a2.y + (b.y - a.y), "b")
+        assume((b2.x - a2.x, b2.y - a2.y) == (b.x - a.x, b.y - a.y))
+        for model in ChargeModel:
+            gm = g._replace(charge_model=model)
+            assert _outcome(kink_energy, a2, b2, gm) == _outcome(kink_energy, a, b, gm)
+
+    @given(dyadic_geometries, dyadic_centre, dyadic_centre, dyadic_offset, dyadic_offset)
+    def test_distance_table_is_the_dot_pair_comprehension(self, g, x, y, dx, dy):
+        # the value tests can miss two swapped entries of the same sign and
+        # bare role; this pins every entry to the dot pairs of its class, on
+        # a draw where the definition's dot coordinates are exact
+        a, b = _dyadic_pair(g, x, y, dx, dy)
+        eps, w = g.relative_permittivity, 2.0 * g.dot_offset
+        d = _scaled_distances(b.x - a.x, b.y - a.y, w, eps)
+        assert len(d) == 9
+        # TR, TL, BL, BR: a dot of b less a dot of a is dx + (right_b - right_a) * w
+        right, top = (1, 0, 0, 1), (1, 1, 0, 0)
+        pairs = [0] * 9
+        for i, (ax, ay) in enumerate(dot_positions(a, g)):
+            for j, (bx, by) in enumerate(dot_positions(b, g)):
+                k = 3 * (1 + right[j] - right[i]) + 1 + top[j] - top[i]
+                assert d[k] == eps * math.hypot(bx - ax, by - ay) * 1e-9
+                pairs[k] += 1
+        assert pairs == [1, 2, 1, 2, 4, 2, 1, 2, 1]
 
     @given(geometries, centre, centre, st.lists(st.tuples(jitter, jitter), min_size=2, max_size=9))
     def test_report_pairs_equal_per_pair_kink_energy(self, g, x0, y0, jitters):
@@ -433,15 +498,20 @@ _NEAR_A_DOT = st.builds(
 )
 
 
+_LARGEST = 1.7976931348623157e308
+
+
 @given(
     st.floats(-250.0, 250.0),
     st.floats(-200.0, 200.0),
     st.sampled_from(ChargeModel),
-    st.one_of(st.floats(-100.0, 100.0), st.floats(-1e18, 1e18)),
-    st.one_of(st.floats(-100.0, 100.0), st.floats(-1e18, 1e18)),
+    st.one_of(st.floats(-100.0, 100.0), st.floats(-1e18, 1e18), st.floats(-_LARGEST, _LARGEST)),
+    st.one_of(st.floats(-100.0, 100.0), st.floats(-1e18, 1e18), st.floats(-_LARGEST, _LARGEST)),
     _NEAR_A_DOT,
     _NEAR_A_DOT,
 )
+# both cells at x = the largest double, where x + dot_offset overflows to inf
+@example(299.0, 0.0, ChargeModel.NEUTRALIZED, _LARGEST / 1e299, 0.0, 0.0, 20.0)
 def test_a_layout_validate_accepts_evaluates_in_every_kernel(log_scale, log_eps, model, x, y, dx, dy):
     s = 10.0**log_scale
     try:
@@ -451,7 +521,10 @@ def test_a_layout_validate_accepts_evaluates_in_every_kernel(log_scale, log_eps,
         )
     except ValueError:  # eps * dot_diameter / 2 underflows in m: nothing to evaluate
         assume(False)
-    a, b = Cell("a", x * s, y * s, Role.input("a")), Cell("b", (x + dx) * s, (y + dy) * s, Role.output("b"))
+    try:
+        a, b = Cell("a", x * s, y * s, Role.input("a")), Cell("b", (x + dx) * s, (y + dy) * s, Role.output("b"))
+    except ValueError:  # a centre beyond the largest double
+        assume(False)
     layout = Layout(g, [a, b])
     assume(not validate(layout))
     for other in ChargeModel:
@@ -461,20 +534,27 @@ def test_a_layout_validate_accepts_evaluates_in_every_kernel(log_scale, log_eps,
     assert all(math.isfinite(e) for row in coupling_map(layout) for _, e in row)
 
 
-def test_dots_that_coincide_only_after_rounding_are_rejected():
-    # at 1e17 nm a float steps by 16 nm, so x +- 9.1 rounds to x +- 16: b's
-    # bottom-left dot lands on a's top-right dot, although the centres lie
-    # farther apart than cell_size * 1.5
+def test_dots_that_coincide_only_after_rounding_are_evaluated_at_the_offset():
+    # at 1e17 nm a float steps by 16 nm, so the definition's dots x +- 9.1
+    # round to x +- 16, and b's bottom-left dot lands on a's top-right dot;
+    # the kernel reads only the offset (32, 32), whose nearest dots lie
+    # 13.8 nm apart per axis, so validate accepts the pair and its energy is
+    # that of the same offset at the origin
     g = GeometryParams(cell_size=25.2, dot_diameter=7.0, pitch=28.0, radius_of_effect=91.0)
     a, b = Cell("a", 1e17, 1e17, Role.input("a")), Cell("b", 1e17 + 32, 1e17 + 32, Role.output("b"))
-    assert math.hypot(32, 32) > g.cell_size * 1.5
+    assert validate(Layout(g, [a, b])) == []
     with pytest.raises(ZeroDistanceError):
-        kink_energy(a, b, g)
-    assert [v.rule for v in validate(Layout(g, [a, b]))] == ["dot-overlap"]
+        pair_energy(a, -1, b, -1, g)
+    for model in ChargeModel:
+        gm = g._replace(charge_model=model)
+        assert _outcome(kink_energy, a, b, gm) == _outcome(kink_energy, cell(0, 0), cell(32, 32), gm)
 
 
-# the neutralized signs at P_a = P_b = -1, row-major over (dot of a, dot of b)
-_SIGNED_HALF_KQQ = tuple(_HALF_KQQ * (-1) ** (i + j) for i in range(4) for j in range(4))
+# the neutralized k*q1*q2 at P_a = P_b = -1 summed over each of the 9 classes
+_SIGNED_HALF_KQQ = tuple(_HALF_KQQ * cx * cy for cx in (1, -2, 1) for cy in (1, -2, 1))
+# how many of a's occupied dots (P = -1) meet b's at P = +1 and at P = -1, per class
+_BARE_OPPOSITE = (0, 1, 0, 1, 0, 1, 0, 1, 0)
+_BARE_EQUAL = (0, 0, 1, 0, 2, 0, 1, 0, 0)
 
 
 def _reference_neutralized_kink(d):
@@ -485,29 +565,29 @@ def _reference_neutralized_kink(d):
 
 
 def _reference_bare_kink(d):
-    if 0.0 in (d[4], d[5], d[6], d[7], d[12], d[13], d[14], d[15]):
+    if 0.0 in d[1:8]:
         raise ZeroDistanceError("occupied dots of two cells coincide")
     k = _BARE_KQQ
-    opposite = math.fsum((k / d[4], k / d[6], k / d[12], k / d[14]))
-    return opposite - math.fsum((k / d[5], k / d[7], k / d[13], k / d[15]))
+    opposite = math.fsum(n * k / r for n, r in zip(_BARE_OPPOSITE, d) if n)
+    return opposite - math.fsum(n * k / r for n, r in zip(_BARE_EQUAL, d) if n)
 
 
-def _outcome(kernel, d):
-    """The bits a kernel returns, or the type and message of what it raises."""
+def _outcome(f, *args):
+    """The bits ``f(*args)`` returns, or the type and message of what it raises."""
     try:
-        return struct.pack("<d", kernel(d))
+        return struct.pack("<d", f(*args))
     except Exception as error:  # any error, so that a different one shows
         return type(error), str(error)
 
 
 class TestKernelsMatchReferenceForms:
     """Each kernel against a reference that scans for a zero before any
-    division and sums a signed table: the same bits or the same error, on
+    division and sums a table of class weights: the same bits or the same error, on
     distances the geometry tests never reach (zeros, subnormals, huge
     values, inf and NaN)."""
 
     # eps*r*1e-9 of real layouts, where every term shows in the sum
-    distances = st.lists(st.floats(min_value=1e-10, max_value=1e-7), min_size=16, max_size=16)
+    distances = st.lists(st.floats(min_value=1e-10, max_value=1e-7), min_size=9, max_size=9)
     special = st.one_of(
         st.sampled_from([0.0, -0.0, math.inf, math.nan]),
         st.floats(min_value=5e-324, max_value=2.2e-308),  # subnormal
@@ -515,7 +595,7 @@ class TestKernelsMatchReferenceForms:
         st.floats(min_value=1e300, allow_infinity=False),  # huge
     )
 
-    @given(distances, st.dictionaries(st.integers(0, 15), special, max_size=4))
+    @given(distances, st.dictionaries(st.integers(0, 8), special, max_size=4))
     def test_same_bits_or_the_same_error(self, d, replaced):
         for k, value in replaced.items():
             d[k] = value
@@ -524,8 +604,8 @@ class TestKernelsMatchReferenceForms:
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_a_zero_raises_where_the_reference_does(self, zero):
-        for k in range(16):
-            d = [1e-8] * 16
+        for k in range(9):
+            d = [1e-8] * 9
             d[k] = zero
             for kernel, reference in ((_neutralized_kink, _reference_neutralized_kink), (_bare_kink, _reference_bare_kink)):
                 assert _outcome(kernel, d) == _outcome(reference, d)
