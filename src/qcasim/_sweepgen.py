@@ -60,8 +60,8 @@ def compile_sweep(rows: Sequence[engine.Row]) -> Callable[..., int]:
     """_sweep over ``rows`` as generated code: the same contract and the
     same float operations in the same order.  The source holds only integer
     indices, finite float reprs and fixed text, so every kink energy must
-    be finite."""
-    if engine._compile_cost(rows) == math.inf:
+    be finite; a kernel gives no other (a zero distance raises)."""
+    if not all(math.isfinite(e) for _, _, neighbours in rows for _, e in neighbours):
         raise ValueError("a sweep compiles only over finite kink energies")
     parts = [rows[k : k + ROWS_PER_PART] for k in range(0, len(rows), ROWS_PER_PART)]
     owner = {i: k for k, part in enumerate(parts) for i, _, _ in part}

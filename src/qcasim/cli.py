@@ -17,7 +17,7 @@ from contextlib import contextmanager
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 # circuit_kink_energy and kink_report_csv are unused here: names perfbench/tracer.py wraps
-from .electrostatics import ZeroDistanceError, circuit_kink_energy, kink_pairs, kink_totals
+from .electrostatics import circuit_kink_energy, kink_pairs, kink_totals
 from .engine import (
     ClockConfig,
     ConvergenceFailure,
@@ -235,8 +235,10 @@ def _parse_extra_range(text: str) -> list[int]:
             first = last = int(lo, 10)
     except ValueError:
         raise _CliError(f"bad --extra range {text!r}") from None
-    if first > last or first < -1 or last > 3:
+    if not (-1 <= first <= 3 and -1 <= last <= 3):
         raise _CliError("--extra must lie within -1..3")
+    if first > last:
+        raise _CliError(f"--extra range {first}..{last} runs backwards")
     return list(range(first, last + 1))
 
 
@@ -337,7 +339,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConvergenceFailure as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (_CliError, ParseError, NoOutputError, ZeroDistanceError, OSError) as err:
+    except (_CliError, ParseError, NoOutputError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -240,14 +240,6 @@ def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
 _COMPILE_FIXED, _COMPILE_PER_ROW, _COMPILED_CALL = 1500, 400, 10
 
 
-def _compile_cost(rows: Sequence[Row]) -> float:
-    """Cell updates after which compiling ``rows`` pays; inf where a kink
-    energy is not finite, since its repr is no float literal."""
-    if not all(math.isfinite(e) for _, _, neighbours in rows for _, e in neighbours):
-        return math.inf
-    return _COMPILE_FIXED + _COMPILE_PER_ROW * len(rows)
-
-
 def relax(
     layout: Layout,
     assignments: Mapping[str, int],
@@ -322,12 +314,12 @@ def _cycles(
     vectors order independent.  Pins and free-cell neighbour rows are
     built once per vector, and each sample runs ``relax``'s loop on them.
     The cell updates of this run, less a set-up allowance per sample, are
-    its work.  Once the work reaches ``_compile_cost``, or its mean per
-    relaxed sample times the samples left to relax (up to ``stop``, counted
-    before the first) reaches twice the cost, the samples run a loop compiled
-    for those rows instead, with the same bytes; every vector pins the same
-    cells, so later vectors reuse it.  The margin of 2 keeps interpreted a
-    run whose heaviest samples come first, as on a wire at eps_r 1.
+    its work.  Once its mean per relaxed sample times the samples left to
+    relax (up to ``stop``, counted before the first) reaches twice the
+    compile cost of the rows, the samples run a loop compiled for them
+    instead, with the same bytes; every vector pins the same cells, so
+    later vectors reuse it.  The margin of 2 keeps interpreted a run whose
+    heaviest samples come first, as on a wire at eps_r 1.
 
     A sample is not relaxed where the last one took one sweep that ended
     where it began, at the same gamma in each zone a free row uses: it
@@ -364,12 +356,12 @@ def _cycles(
             continue
         p = [0.0] * len(layout.cells)
         rows = _free_rows(layout, couplings, pinned, p)
-        cost, used = _compile_cost(rows), {zone for _, zone, _ in rows}
+        cost, used = _COMPILE_FIXED + _COMPILE_PER_ROW * len(rows), {zone for _, zone, _ in rows}
         key_of = operator.itemgetter(*used) if used else lambda gammas: ()
         block: list[TraceSample] = []
         state = fixed = None  # the last sample's P; the used gammas it is a fixed point at
         for s, gammas in enumerate(cycle):
-            if loop is _sweep and (work >= cost or done and work * (left - done) >= 2 * cost * done):
+            if loop is _sweep and done and work * (left - done) >= 2 * cost * done:
                 from ._sweepgen import compile_sweep  # parsed only by runs that switch
 
                 loop = compile_sweep(rows)

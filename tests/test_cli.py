@@ -493,7 +493,7 @@ class TestStreamedSim:
         # took 24 MB, the readings take under 1 MB.  Under tracemalloc the
         # generated sweep runs about 4x slower than the interpreted loop, so
         # the run stays interpreted; the tier does not change what it holds.
-        monkeypatch.setattr(engine, "_compile_cost", lambda rows: math.inf)
+        monkeypatch.setattr(engine, "_COMPILE_FIXED", math.inf)
         path = tmp_path / "wires8.qcl"
         path.write_text(serialize_qcl(independent_wires(8)))
         assert traced_peak(_exits_0, ["sim", str(path)]) / 1e6 < 5.0
@@ -752,8 +752,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("extra", ["0..4", "-2..0", "junk", "3..1"])
     def test_rejects_bad_ranges(self, capsys, extra):
+        message = {
+            "0..4": "--extra must lie within -1..3",
+            "-2..0": "--extra must lie within -1..3",
+            "junk": "bad --extra range 'junk'",
+            "3..1": "--extra range 3..1 runs backwards",
+        }[extra]
         assert main(["sweep", f"--extra={extra}"]) == 2
-        assert "--extra" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_rejects_unknown_base(self, capsys):
         assert main(["sweep", "--base", "wire"]) == 2

@@ -499,14 +499,15 @@ _NEAR_A_DOT = st.builds(
 
 
 _LARGEST = 1.7976931348623157e308
+_BASE = st.one_of(st.floats(-100.0, 100.0), st.floats(-1e18, 1e18), st.floats(-_LARGEST, _LARGEST))
 
 
 @given(
     st.floats(-250.0, 250.0),
     st.floats(-200.0, 200.0),
     st.sampled_from(ChargeModel),
-    st.one_of(st.floats(-100.0, 100.0), st.floats(-1e18, 1e18), st.floats(-_LARGEST, _LARGEST)),
-    st.one_of(st.floats(-100.0, 100.0), st.floats(-1e18, 1e18), st.floats(-_LARGEST, _LARGEST)),
+    _BASE,
+    _BASE,
     _NEAR_A_DOT,
     _NEAR_A_DOT,
 )
@@ -532,6 +533,41 @@ def test_a_layout_validate_accepts_evaluates_in_every_kernel(log_scale, log_eps,
     for pair in kink_pairs(layout):
         assert math.isfinite(pair.bare) and math.isfinite(pair.neutralized)
     assert all(math.isfinite(e) for row in coupling_map(layout) for _, e in row)
+
+
+@given(
+    st.floats(-320.0, 300.0),
+    st.floats(-300.0, 300.0),
+    _BASE,
+    _BASE,
+    st.lists(st.tuples(_NEAR_A_DOT, _NEAR_A_DOT), min_size=2, max_size=2),
+)
+# a distance in m of 2e-323, a few subnormal steps above 0: the largest terms
+@example(0.0, -299.0, 0.0, 0.0, [(13.000000000000002, 13.0), (18.0, 0.0)])
+def test_a_kernel_raises_or_gives_a_finite_energy_without_validate(log_scale, log_eps, x, y, offsets):
+    # compile_sweep is the only check that kink energies are finite: a
+    # distance in m is 0, and the kernel raises, or at least 5e-324, so each
+    # term k / d stays below 1e296 and no sum of 9 overflows
+    s = 10.0**log_scale
+    try:
+        g = GeometryParams(
+            cell_size=18 * s, dot_diameter=5 * s, pitch=20 * s, relative_permittivity=10.0**log_eps,
+            radius_of_effect=65 * s,
+        )
+        cells = [cell(x, y, "a"), *(cell(x + dx * s, y + dy * s, f"c{k}") for k, (dx, dy) in enumerate(offsets))]
+    except ValueError:  # eps * dot_diameter / 2 underflows in m, or a centre overflows
+        assume(False)
+    for model in ChargeModel:
+        layout = Layout(g._replace(charge_model=model), cells)
+        try:
+            energies = [e for row in coupling_map(layout) for _, e in row]
+        except ZeroDistanceError:
+            energies = []
+        try:
+            energies += [e for pair in kink_pairs(layout) for e in pair[3:]]
+        except ZeroDistanceError:
+            pass
+        assert all(math.isfinite(e) for e in energies)
 
 
 def test_dots_that_coincide_only_after_rounding_are_evaluated_at_the_offset():
