@@ -15,6 +15,7 @@ from .electrostatics import (
     cell_charges,
     circuit_kink_energy,
     coulomb_energy,
+    coupling_map,
     kink_energy,
     pair_energy,
 )
@@ -32,7 +33,6 @@ from .engine import (
     TruthResult,
     VectorVerdict,
     bistable_response,
-    coupling_map,
     gamma_at,
     measure,
     relax,

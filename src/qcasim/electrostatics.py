@@ -25,6 +25,7 @@ __all__ = [
     "cell_charges",
     "pair_energy",
     "kink_energy",
+    "coupling_map",
     "kink_pairs",
     "kink_totals",
     "circuit_kink_energy",
@@ -125,7 +126,7 @@ _HALF_KQQ = COULOMB_K * (0.5 * ELEMENTARY_CHARGE) * (0.5 * ELEMENTARY_CHARGE)
 # the neutralized weights of an edge and of the centre class, exact multiples
 _HALF_KQQ_EDGE, _HALF_KQQ_CENTRE = -2.0 * _HALF_KQQ, 4.0 * _HALF_KQQ
 
-# _layout_kinks keeps at most this many pair offsets: far more than a grid
+# coupling_map keeps at most this many pair offsets: far more than a grid
 # layout has, and about 80 KB off the grid, where every pair has its own.
 _MEMO_KEYS = 512
 
@@ -169,17 +170,18 @@ def _neutralized_kink(d: list[float]) -> float:
     return -equal - equal
 
 
-def _layout_kinks(layout: Layout) -> Iterator[tuple[int, int, float]]:
-    """(i, j, kink energy J) for each pair of ``pairs_within``, in its order,
-    under the layout's charge model.  A pair's energy depends only on its
-    centre offset, so each distinct offset runs the kernel once: equal offsets
-    differ at most in a zero's sign, which ``hypot`` ignores, so every value
-    is bit-identical to ``kink_energy``."""
+def coupling_map(layout: Layout) -> tuple[tuple[tuple[int, float], ...], ...]:
+    """Per-cell neighbour list: (neighbour index, kink energy J) for each pair of
+    ``pairs_within``, in its order, under the layout's charge model.  A pair's
+    energy depends only on its centre offset, so each distinct offset runs the
+    kernel once: equal offsets differ at most in a zero's sign, which ``hypot``
+    ignores, so every value is bit-identical to ``kink_energy``."""
     geometry = layout.geometry
     eps, w = geometry.relative_permittivity, 2.0 * geometry.dot_offset
     kink = _bare_kink if geometry.charge_model is ChargeModel.BARE else _neutralized_kink
     xs = [cell.x for cell in layout.cells]
     ys = [cell.y for cell in layout.cells]
+    neighbours: list[list[tuple[int, float]]] = [[] for _ in layout.cells]
     memo: dict[tuple[float, float], float] = {}
     for i, j, _ in pairs_within(layout.cells, geometry.radius_of_effect):
         key = dx, dy = xs[j] - xs[i], ys[j] - ys[i]
@@ -188,7 +190,9 @@ def _layout_kinks(layout: Layout) -> Iterator[tuple[int, int, float]]:
             e = kink(_scaled_distances(dx, dy, w, eps))
             if len(memo) < _MEMO_KEYS:
                 memo[key] = e
-        yield i, j, e
+        neighbours[i].append((j, e))
+        neighbours[j].append((i, e))
+    return tuple(tuple(row) for row in neighbours)
 
 
 class KinkPair(NamedTuple):

@@ -17,8 +17,8 @@ import math
 import operator
 from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-# kink_energy is unused here but stays: perfbench/tracer.py wraps engine.kink_energy
-from .electrostatics import _layout_kinks, kink_energy
+# perfbench/tracer.py wraps both names here; relax and _cycles call coupling_map, kink_energy is unused
+from .electrostatics import coupling_map, kink_energy
 from .model import Layout, RoleKind, _Record
 
 __all__ = [
@@ -125,10 +125,13 @@ def gamma_at(clock: ClockConfig, zone: int, sample: int) -> float:
 
 
 class InputSchedule(_Record):
-    """The input vectors a simulation steps through, one clock cycle each."""
+    """The input vectors a simulation steps through, one clock cycle each.
+    A repeated label raises ValueError: its vectors would pin one input twice."""
 
     def __init__(self, labels: tuple[str, ...], vectors: tuple[Vector, ...]) -> None:
         self.__dict__.update(labels=labels, vectors=vectors)
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError(f"input labels repeat: {self.labels}")
         if not self.vectors:
             raise ValueError("need at least one vector")
         for i, vector in enumerate(self.vectors):
@@ -163,16 +166,6 @@ def bistable_response(x: float) -> float:
     where x * x overflows."""
     xx = x * x
     return x / math.sqrt(1.0 + xx) if xx != math.inf else math.copysign(1.0, x)
-
-
-def coupling_map(layout: Layout) -> tuple[Neighbours, ...]:
-    """Per-cell neighbor list: (neighbor index, kink energy J) within
-    radius_of_effect, under the layout's configured charge model."""
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in layout.cells]
-    for i, j, e in _layout_kinks(layout):
-        neighbors[i].append((j, e))
-        neighbors[j].append((i, e))
-    return tuple(tuple(row) for row in neighbors)
 
 
 def _pinned_map(layout: Layout, assignments: Mapping[str, int]) -> dict[int, float]:

@@ -50,7 +50,7 @@ from qcasim import (
     trace_csv,
     truth_check,
 )
-from qcasim import _sweepgen, cli, engine
+from qcasim import _sweepgen, cli, electrostatics, engine
 from qcasim.engine import MAX_EXHAUSTIVE_INPUTS, MAX_GAMMA
 
 GAMMA_LOW4 = (CLOCK.gamma_low,) * 4
@@ -257,6 +257,13 @@ class TestInputSchedule:
             InputSchedule(("a", "b"), vectors)
         assert str(exc.value) == message
 
+    def test_a_repeated_label_is_rejected(self):
+        # exhaustive(["a", "a"]) would build vectors that pin input a to -1 and +1 at once
+        with pytest.raises(ValueError, match=r"^input labels repeat: \('a', 'a'\)$"):
+            InputSchedule.exhaustive(["a", "a"])
+        with pytest.raises(ValueError, match=r"^input labels repeat: \('a', 'a'\)$"):
+            InputSchedule(("a", "a"), ((("a", -1), ("a", 1)),))
+
 
 class TestCouplingMap:
     def test_wire_neighbor_lists(self):
@@ -303,6 +310,27 @@ class TestCouplingMap:
         assert report.pairs[0].distance_nm == 65.0
         assert report.pairs[0].neutralized == couplings[0][0][1]
 
+    @pytest.mark.parametrize(
+        "layout, run",
+        [
+            (gen_wire(3), lambda layout: relax(layout, {"c0": 1}, GAMMA_LOW4)),
+            (gen_wire(8), lambda layout: simulate(*exhaustive(layout))),
+            (gen_wire(8), lambda layout: engine.stream_measurement(*exhaustive(layout), peaks=False)),
+        ],
+        ids=["relax", "simulate", "stream_measurement"],
+    )
+    def test_the_engine_reads_the_table_by_its_own_name(self, monkeypatch, layout, run):
+        # perfbench/tracer.py times the table by rebinding engine.coupling_map,
+        # so each entry point must look the name up there, once per run
+        seen = []
+        table = engine.coupling_map
+        monkeypatch.setattr(engine, "coupling_map", lambda given: seen.append(given) or table(given))
+        run(layout)
+        assert len(seen) == 1 and seen[0] is layout
+
+    def test_one_function_under_every_name(self):
+        assert coupling_map is engine.coupling_map is electrostatics.coupling_map
+
 
 class TestRelax:
     def test_wire_follower_fixed_point(self):
@@ -338,28 +366,28 @@ class TestRelax:
         assert all(v > 0.99 for v in p)
 
     def test_initial_p_must_match_length(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^initial_p length must match cell count$"):
             relax(gen_wire(3), {"c0": 1}, GAMMA_LOW4, initial_p=[0.0, 0.0])
 
     @pytest.mark.parametrize("gammas", [(1e-22,) * 3, (1e-22,) * 5, (1e-22, 0.0, 1e-22, 1e-22)])
     def test_gamma_vector_validation(self, gammas):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^gamma_per_zone must be four positive energies$"):
             relax(gen_wire(2), {"c0": 1}, gammas)
 
     def test_assignment_validation(self):
         wire = gen_wire(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^assignment names unknown cell 'nope'$"):
             relax(wire, {"nope": 1}, GAMMA_LOW4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^assignment for 'c0' must be -1 or \\+1$"):
             relax(wire, {"c0": 0}, GAMMA_LOW4)
-        with pytest.raises(ValueError):
-            relax(wire, {}, GAMMA_LOW4)  # input c0 unassigned
+        with pytest.raises(ValueError, match=r"^input cell 'c0' \(a\) not assigned$"):
+            relax(wire, {}, GAMMA_LOW4)
 
     def test_assignment_may_not_contradict_fixed(self):
         layout = pair_layout(20.0, 0.0, pinned=+1)
         p, _ = relax(layout, {"drv": +1}, GAMMA_LOW4)  # agreeing is fine
         assert p[0] == 1.0
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^assignment contradicts fixed cell 'drv'$"):
             relax(layout, {"drv": -1}, GAMMA_LOW4)
 
     def test_failure_carries_residual(self):
