@@ -28,7 +28,7 @@ from .engine import (
     stream_measurement,
     truth_check,
 )
-from .model import ChargeModel, GeometryParams, Layout, validate
+from .model import GeometryParams, Layout, validate
 from .qcl import (
     GEOMETRY_FIELDS,
     ParseError,
@@ -36,6 +36,7 @@ from .qcl import (
     format_polarization,
     kink_report_csv,
     measurement_csv,
+    parse_fields,
     parse_qcl,
     parse_vectors,
     serialize_qcl,
@@ -132,13 +133,11 @@ def _load_layout(path: str) -> tuple[Layout, ClockConfig]:
 
 def _geometry_from_args(args: argparse.Namespace) -> GeometryParams:
     given = vars(args)
-    fields = {name: given[key] for key, (name, _, _) in GEOMETRY_FIELDS.items() if key in given}
-    if "charge_model" in fields:
-        fields["charge_model"] = ChargeModel(fields["charge_model"])
+    tokens = [f"{key}={given[key]}" for key in GEOMETRY_FIELDS if key in given]
     try:
-        return GeometryParams(**fields)
-    except ValueError as err:
-        raise _CliError(f"bad geometry: {err}") from None
+        return parse_fields(GeometryParams, GEOMETRY_FIELDS, tokens, 0)
+    except ParseError as err:
+        raise _CliError(f"bad geometry: {err.reason}") from None
 
 
 def _builder_for_kind(kind: str) -> Callable[[GeometryParams], Layout]:
@@ -283,16 +282,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate a standard circuit as .qcl")
+    gen = sub.add_parser(
+        "gen", help="generate a standard circuit as .qcl", epilog="geometry flag values: see docs/qcl-format.md"
+    )
     gen.add_argument("kind", help="wire:N | majority | inverter:conventional | inverter:K (K cells, 2..6)")
     gen.add_argument("--out", help="write the document here instead of stdout")
     # one flag per .qcl geometry key; a flag left out keeps the GeometryParams default
-    for key, (name, _, _) in GEOMETRY_FIELDS.items():
-        if name == "charge_model":
-            options = {"choices": [model.value for model in ChargeModel]}
-        else:
-            options = {"type": float}
-        gen.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS, **options)
+    for key in GEOMETRY_FIELDS:
+        gen.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS)
     gen.set_defaults(func=_cmd_gen)
 
     sim = sub.add_parser("sim", help="simulate a layout over input vectors")

@@ -434,11 +434,12 @@ def _read(
             write(block)
         if k is not None:
             per_vector.append([(0.0 - steady, peak) for steady, peak in per_vector[k]])
-        elif peaks:
-            rows = [s.polarizations for s in block]
-            per_vector.append([(rows[at][i], max(map(abs, map(operator.itemgetter(i), rows)))) for _, i, at in outputs])
         else:
-            per_vector.append([(block[at].polarizations[i], math.nan) for _, i, at in outputs])
+            rows = [s.polarizations for s in block]
+            per_vector.append([
+                (rows[at][i], max(map(abs, map(operator.itemgetter(i), rows))) if peaks else math.nan)
+                for _, i, at in outputs
+            ])
     if not outputs:
         raise NoOutputError("layout has no output cells")
     readings = (

@@ -176,9 +176,10 @@ _CONFIG_LINES = {
 }
 
 
-def _parse_fields(
+def parse_fields(
     cls: Callable[..., Any], fields: dict[str, _Field], tokens: Sequence[str], line: int
 ) -> Any:
+    """``cls`` from the key=value ``tokens`` of a geometry or clock line; ParseError on ``line``."""
     pairs = _key_values(tokens, line, fields)
     values = {
         name: parse(key, pairs[key], line)
@@ -217,7 +218,7 @@ def parse_qcl(text: str) -> tuple[Layout, ClockConfig | None]:
                 raise ParseError(line, f"duplicate {directive} line")
             if cells:
                 raise ParseError(line, f"{directive} line must precede cell lines")
-            configs[directive] = _parse_fields(*_CONFIG_LINES[directive], tokens, line)
+            configs[directive] = parse_fields(*_CONFIG_LINES[directive], tokens, line)
         elif directive == "cell":
             cell = _parse_cell(tokens, line)
             if cell.id in ids:

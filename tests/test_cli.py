@@ -37,7 +37,7 @@ from qcasim import (
 from qcasim import cli, engine
 from qcasim.cli import format_trend_comparison, main, run_sweep, sweep_csv
 from qcasim.electrostatics import kink_pairs
-from qcasim.qcl import write_kink_csv
+from qcasim.qcl import GEOMETRY_FIELDS, ParseError, parse_qcl, write_kink_csv
 
 
 @pytest.fixture
@@ -116,6 +116,24 @@ class TestGen:
     def test_rejects_inconsistent_geometry(self, capsys):
         assert main(["gen", "wire:2", "--pitch", "10"]) == 2
         assert "bad geometry" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, text",
+        [(key, text) for key in GEOMETRY_FIELDS for text in ("x", "nan", "1e400")]
+        + [("charge_model", "foo"), ("pitch", "10")],
+    )
+    def test_a_flag_fails_as_its_geometry_line_does(self, capsys, key, text):
+        with pytest.raises(ParseError) as line:
+            parse_qcl(f"qcl 1\ngeometry {key}={text}\n")
+        flag = "--" + key.replace("_", "-")
+        assert main(["gen", "wire:2", f"{flag}={text}"]) == 2
+        assert capsys.readouterr() == ("", f"error: bad geometry: {line.value.reason}\n")
+
+    def test_help_names_every_geometry_flag(self, capsys):
+        assert main(["gen", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"--{key.replace('_', '-')} " in out for key in GEOMETRY_FIELDS)
+        assert "docs/qcl-format.md" in out
 
     def test_a_grid_at_pitch_equal_to_cell_size_simulates(self, tmp_path, capsys):
         # 4 * 18.3 - 3 * 18.3 is 18.299999999999997: grid rounding puts

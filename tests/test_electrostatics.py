@@ -459,18 +459,20 @@ class TestKernelMatchesReference:
             list(stream)
 
     def test_coincident_dots_raise_where_the_definition_does(self):
-        # the centres are 13*sqrt(2) nm apart, more than cell_size, so
-        # validate accepts both pairs; b's bottom-left dot sits on a's
-        # top-right dot, which is empty at P = -1 and carries no bare charge
-        a, b = cell(0, 0, "a"), cell(13, 13, "b")
+        # validate reports both pairs as dot-overlap, but these kernels are
+        # also called on layouts that were never validated.  b's bottom-left
+        # dot sits on a's top-right dot, which is empty at P = -1 and carries
+        # no bare charge
+        a, b, c = cell(0, 0, "a"), cell(13, 13, "b"), cell(-13, 13, "c")
+        overlaps = [v.cell_ids for v in validate(Layout(NEUT, [a, b, c])) if v.rule == "dot-overlap"]
+        assert overlaps == [("a", "b"), ("a", "c")]
         with pytest.raises(ZeroDistanceError):
             kink_energy(a, b, NEUT)
         want = pair_energy(a, -1, b, +1, BARE) - pair_energy(a, -1, b, -1, BARE)
         assert kink_energy(a, b, BARE) == want
         with pytest.raises(ZeroDistanceError):
             circuit_kink_energy(Layout(BARE, [a, b]))
-        # b's bottom-right dot sits on a's occupied top-left dot
-        c = cell(-13, 13, "c")
+        # c's bottom-right dot sits on a's occupied top-left dot
         for g in (NEUT, BARE):
             with pytest.raises(ZeroDistanceError):
                 kink_energy(a, c, g)
