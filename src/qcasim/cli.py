@@ -28,7 +28,7 @@ from .engine import (
     stream_measurement,
     truth_check,
 )
-from .model import GeometryParams, Layout, validate
+from .model import ChargeModel, GeometryParams, Layout, validate
 from .qcl import (
     GEOMETRY_FIELDS,
     ParseError,
@@ -282,14 +282,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    models = " | ".join(model.value for model in ChargeModel)
     gen = sub.add_parser(
-        "gen", help="generate a standard circuit as .qcl", epilog="geometry flag values: see docs/qcl-format.md"
+        "gen", help="generate a standard circuit as .qcl",
+        epilog=f"geometry flag values: see docs/qcl-format.md; charge models: {models}",
     )
     gen.add_argument("kind", help="wire:N | majority | inverter:conventional | inverter:K (K cells, 2..6)")
     gen.add_argument("--out", help="write the document here instead of stdout")
     # one flag per .qcl geometry key; a flag left out keeps the GeometryParams default
-    for key in GEOMETRY_FIELDS:
-        gen.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS)
+    defaults = GeometryParams()
+    for key, (name, _, fmt) in GEOMETRY_FIELDS.items():
+        default = fmt(getattr(defaults, name))
+        gen.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS, help=f"default {default}")
     gen.set_defaults(func=_cmd_gen)
 
     sim = sub.add_parser("sim", help="simulate a layout over input vectors")

@@ -130,10 +130,14 @@ class TestGen:
         assert capsys.readouterr() == ("", f"error: bad geometry: {line.value.reason}\n")
 
     def test_help_names_every_geometry_flag(self, capsys):
+        # each flag with its default as a geometry line writes it, and the charge models
         assert main(["gen", "--help"]) == 0
-        out = capsys.readouterr().out
-        assert all(f"--{key.replace('_', '-')} " in out for key in GEOMETRY_FIELDS)
-        assert "docs/qcl-format.md" in out
+        out = " ".join(capsys.readouterr().out.split())
+        defaults = GeometryParams()
+        for key, (name, _, fmt) in GEOMETRY_FIELDS.items():
+            flag = f"--{key.replace('_', '-')} {key.upper()}"
+            assert f"{flag} default {fmt(getattr(defaults, name))} " in out, key
+        assert out.endswith("geometry flag values: see docs/qcl-format.md; charge models: bare | neutralized")
 
     def test_a_grid_at_pitch_equal_to_cell_size_simulates(self, tmp_path, capsys):
         # 4 * 18.3 - 3 * 18.3 is 18.299999999999997: grid rounding puts

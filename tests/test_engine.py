@@ -957,6 +957,50 @@ class TestCompiledSweep:
         for gammas in (GAMMA_LOW4, (CLOCK.gamma_high,) * 4, (1e-300,) * 4):
             assert outcome(compiled, rows, p, gammas) == outcome(engine._sweep, rows, p, gammas)
 
+    def test_falls_back_exactly_where_x_could_overflow(self, monkeypatch):
+        # zones 0 and 1 at eps_r 12.9; zone 1's gamma steps across the one
+        # where its largest row sum of |E| over 2 gamma reaches X_MARGIN
+        cells = [Cell("drv", 0.0, 0.0, Role.fixed(+1))]
+        cells += [Cell(f"c{k}", 20.0 * k, 0.0, Role.normal(), zone=k % 2) for k in range(1, 7)]
+        layout = Layout(GeometryParams(relative_permittivity=12.9), cells)
+        p = [0.0] * len(cells)
+        rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {}), p)
+        sweep, log = engine._sweep, record_tiers(monkeypatch)
+        compiled = _sweepgen.compile_sweep(rows)
+        widest = max(sum(abs(e) for _, e in neighbours) for _, zone, neighbours in rows if zone == 1)
+        limit = widest / _sweepgen.X_MARGIN
+        edge = limit / 2.0
+        steps = [edge]
+        for _ in range(3):
+            steps = [math.nextafter(steps[0], 0.0), *steps, math.nextafter(steps[-1], 1.0)]
+        fell_back = []
+        for gamma in steps:
+            gammas = (CLOCK.gamma_low, gamma, CLOCK.gamma_high, CLOCK.gamma_high)
+            log.clear()
+            assert outcome(compiled, rows, p, gammas) == outcome(sweep, rows, p, gammas)
+            fell_back.append(2.0 * gamma <= limit)
+            assert log == ["compiled", "interpreted"] if fell_back[-1] else ["compiled"]
+        assert fell_back[0] and not fell_back[-1]
+        for gammas in ((5e-324,) * 4, (CLOCK.gamma_low, 5e-324, CLOCK.gamma_low, CLOCK.gamma_low)):
+            log.clear()
+            assert outcome(compiled, rows, p, gammas) == outcome(sweep, rows, p, gammas)
+            assert log == ["compiled", "interpreted"]
+
+    def test_falls_back_where_a_row_sum_overflows(self, monkeypatch):
+        # row 3's sum of |E| passes DBL_MAX, where math.fsum raises; row 4's is
+        # finite, but over 2 gamma it overflows too: every call falls back, and none raises
+        energies = (8.9e307, -8.9e307, 8.9e307)
+        with pytest.raises(OverflowError):
+            math.fsum(map(abs, energies))
+        rows = [(3, 0, tuple(enumerate(energies))), (4, 1, ((3, 4.7e295), (0, -4.7e295)))]
+        p = [1.0, -1.0, 1.0, 0.0, 0.0]
+        sweep, log = engine._sweep, record_tiers(monkeypatch)
+        compiled = _sweepgen.compile_sweep(rows)
+        for gammas in (GAMMA_LOW4, (MAX_GAMMA,) * 4):
+            log.clear()
+            assert outcome(compiled, rows, p, gammas) == outcome(sweep, rows, p, gammas)
+            assert log == ["compiled", "interpreted"]
+
     def test_switches_tiers_partway_through_a_vector(self, monkeypatch):
         # one relaxed vector of 128 samples: the first ones interpreted, the
         # rest compiled; test_chained_relax_rebuilds_the_trace checks the bytes
@@ -1036,11 +1080,12 @@ class TestCompiledSweep:
         simulate(*exhaustive(Layout(wire.geometry, cells)))
         assert len(sources) == 2  # 63 free rows, in parts of 32
         fixed = {
-            "def", "part", "p", "try", "while", "True", "residual", "x", "xx", "new",
-            "sqrt", "if", "else", "inf", "copysign", "d", "abs", "yield", "finally",
+            "def", "part", "p", "try", "while", "True", "rise", "fall", "x", "new",
+            "sqrt", "if", "elif", "else", "d", "yield", "finally",
         }
         for source in sources:
-            for text in ["globals", "getattr", *hostile]:
+            # no overflow branch: the update calls nothing but sqrt
+            for text in ["globals", "getattr", "inf", "copysign", *hostile]:
                 assert text not in source
             for token in tokenize.generate_tokens(io.StringIO(source).readline):
                 if token.type == tokenize.NAME:
@@ -1048,7 +1093,7 @@ class TestCompiledSweep:
                 elif token.type == tokenize.NUMBER:
                     assert token.string == repr(float(token.string)) or token.string.isdigit()
                 elif token.type == tokenize.OP:
-                    assert token.string in "()[]:=+-*/,<>!=", token.string
+                    assert token.string in {*"()[]:=+-*/,<>"}, token.string
 
 
 class TestMeasure:
