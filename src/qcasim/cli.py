@@ -144,23 +144,20 @@ def _builder_for_kind(kind: str) -> Callable[[GeometryParams], Layout]:
     name, _, arg = kind.partition(":")
     if name == "majority" and not arg:
         return gen_majority
+    if kind == "inverter:conventional":
+        return gen_conventional_inverter
+    size = {"wire": "wire length", "inverter": "inverter size"}.get(name)  # what a sized kind's number counts
+    if size is None:
+        raise _CliError(f"unknown circuit kind {kind!r}")
+    try:
+        n = int(arg, 10)
+    except ValueError:
+        raise _CliError(f"bad {size} in {kind!r}") from None
     if name == "wire":
-        try:
-            n = int(arg, 10)
-        except ValueError:
-            raise _CliError(f"bad wire length in {kind!r}") from None
         return lambda geometry: gen_wire(n, geometry)
-    if name == "inverter":
-        if arg == "conventional":
-            return gen_conventional_inverter
-        try:
-            cells = int(arg, 10)
-        except ValueError:
-            raise _CliError(f"bad inverter size in {kind!r}") from None
-        if not 2 <= cells <= 6:
-            raise _CliError("minimal inverter supports 2..6 cells")
-        return lambda geometry: gen_minimal_inverter(cells - 3, geometry)
-    raise _CliError(f"unknown circuit kind {kind!r}")
+    if not 2 <= n <= 6:
+        raise _CliError("minimal inverter supports 2..6 cells")
+    return lambda geometry: gen_minimal_inverter(n - 3, geometry)
 
 
 def _schedule_for(args: argparse.Namespace, layout: Layout) -> InputSchedule:

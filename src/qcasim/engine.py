@@ -25,6 +25,7 @@ __all__ = [
     "TRUTH_MARGIN",
     "MAX_EXHAUSTIVE_INPUTS",
     "MAX_GAMMA",
+    "MAX_SAMPLES_PER_CYCLE",
     "ClockConfig",
     "ConvergenceFailure",
     "NoOutputError",
@@ -55,6 +56,9 @@ MAX_EXHAUSTIVE_INPUTS = 12
 # Physical ceiling on a clock barrier, J (about 6 eV; real barriers are near
 # 1e-22 J).  It keeps 2 gamma below 1 J, so total / (2 gamma) never underflows.
 MAX_GAMMA = 1e-18
+
+# Longest clock cycle, 512 times the default: a cycle table of about 6 MB (92 B a sample).
+MAX_SAMPLES_PER_CYCLE = 65536
 
 # Every relaxation stops at these; both sweep tiers read them at call time.
 _TOLERANCE, _MAX_SWEEPS = 1e-7, 1000
@@ -101,8 +105,8 @@ class ClockConfig(_Record):
         if not (MAX_GAMMA >= self.gamma_high > self.gamma_low > 0):
             raise ValueError(f"need 0 < gamma_low < gamma_high <= {MAX_GAMMA:g} J")
         n = self.samples_per_cycle
-        if not isinstance(n, int) or n < 8 or n % 4 != 0:
-            raise ValueError("samples_per_cycle must be an integer >= 8, multiple of 4")
+        if not isinstance(n, int) or not 8 <= n <= MAX_SAMPLES_PER_CYCLE or n % 4 != 0:
+            raise ValueError(f"samples_per_cycle must be an integer in 8..{MAX_SAMPLES_PER_CYCLE}, multiple of 4")
 
     @functools.cached_property
     def _cycle(self) -> tuple[tuple[float, float, float, float], ...]:

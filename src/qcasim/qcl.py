@@ -253,26 +253,15 @@ def serialize_qcl(layout: Layout, clock: ClockConfig | None = None) -> str:
 
 def parse_vectors(text: str, labels: Sequence[str]) -> list[dict[str, int]]:
     """Parse an explicit vector file: one vector per line, ``label=+-1``
-    tokens, every input label assigned on every line."""
+    tokens, every input label assigned on every line.  The .qcl line readers of
+    ``key=value`` tokens and integers read them, so a token fails as on a .qcl line."""
     wanted = set(labels)
     vectors: list[dict[str, int]] = []
     for line, content in _significant_lines(text):
-        row: dict[str, int] = {}
-        for token in content.split():
-            key, sep, value = token.partition("=")
-            if not sep or not key or not value:
-                raise ParseError(line, f"expected label=value, got {token!r}")
-            if key not in wanted:
-                raise ParseError(line, f"unknown input label {key!r}")
-            if key in row:
-                raise ParseError(line, f"duplicate label {key!r}")
-            try:
-                number = int(value, 10)
-            except ValueError:
-                raise ParseError(line, f"bad value for {key!r}: {value!r}") from None
-            if number not in (-1, 1):
-                raise ParseError(line, f"value for {key!r} must be -1 or +1")
-            row[key] = number
+        row = {key: _integer(key, value, line) for key, value in _key_values(content.split(), line, wanted).items()}
+        bad = [key for key, number in row.items() if number not in (-1, 1)]
+        if bad:
+            raise ParseError(line, f"value for {bad[0]!r} must be -1 or +1")
         missing = wanted - set(row)
         if missing:
             raise ParseError(line, f"vector missing input label(s) {sorted(missing)}")

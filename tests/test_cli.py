@@ -20,6 +20,7 @@ import qcasim
 from qcasim import (
     Cell,
     ChargeModel,
+    ClockConfig,
     GeometryParams,
     Layout,
     Role,
@@ -37,6 +38,7 @@ from qcasim import (
 from qcasim import cli, engine
 from qcasim.cli import format_trend_comparison, main, run_sweep, sweep_csv
 from qcasim.electrostatics import kink_pairs
+from qcasim.engine import MAX_SAMPLES_PER_CYCLE
 from qcasim.qcl import GEOMETRY_FIELDS, ParseError, parse_qcl, write_kink_csv
 
 
@@ -90,6 +92,24 @@ class TestGen:
     def test_rejects_bad_kinds(self, capsys, kind):
         assert main(["gen", kind]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("wire", "bad wire length in 'wire'"),
+            ("wire:x", "bad wire length in 'wire:x'"),
+            ("wire:1", "a wire needs at least 2 cells"),
+            ("inverter:", "bad inverter size in 'inverter:'"),
+            ("inverter:x", "bad inverter size in 'inverter:x'"),
+            ("inverter:1", "minimal inverter supports 2..6 cells"),
+            ("inverter:7", "minimal inverter supports 2..6 cells"),
+            ("majority:1", "unknown circuit kind 'majority:1'"),
+            ("foo:2", "unknown circuit kind 'foo:2'"),
+        ],
+    )
+    def test_a_bad_kind_names_its_fault(self, capsys, kind, message):
+        assert main(["gen", kind]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_geometry_flags_flow_into_the_document(self, capsys):
         argv = [
@@ -573,6 +593,12 @@ RESIDENT_PEAKS = {
     "kink-128x128": (
         lambda: serialize_qcl(_jittered_block(128, 128, GeometryParams())), ["kink", "--out", "pairs.csv"], 64
     ),
+    # the longest clock cycle: its table of 65,536 samples is about 6 MB
+    "truth-longest-cycle": (
+        lambda: serialize_qcl(gen_wire(2), ClockConfig(samples_per_cycle=MAX_SAMPLES_PER_CYCLE)),
+        ["truth", "--expect", "id"],
+        40,
+    ),
 }
 
 
@@ -809,6 +835,15 @@ class TestTruth:
     def test_arity_mismatch(self, wire3, capsys):
         assert main(["truth", wire3, "--expect", "maj"]) == 2
         assert "needs 3 input(s)" in capsys.readouterr().err
+
+    def test_clock_above_the_sample_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the clock line fails to parse, so stream_measurement, which would
+        # build the cycle table, is never called (called as None, it would raise)
+        path = tmp_path / "long.qcl"
+        path.write_text(serialize_qcl(gen_wire(2), ClockConfig(samples_per_cycle=8)).replace("=8\n", "=65540\n"))
+        monkeypatch.setattr(cli, "stream_measurement", None)
+        assert main(["truth", str(path), "--expect", "id"]) == 2
+        assert capsys.readouterr() == ("", "error: line 3: samples_per_cycle must be an integer in 8..65536, multiple of 4\n")
 
     def test_requires_outputs(self, tmp_path, capsys):
         # the measurement finds no output before it relaxes any sample

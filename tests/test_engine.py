@@ -51,7 +51,7 @@ from qcasim import (
     truth_check,
 )
 from qcasim import _sweepgen, cli, electrostatics, engine
-from qcasim.engine import MAX_EXHAUSTIVE_INPUTS, MAX_GAMMA
+from qcasim.engine import MAX_EXHAUSTIVE_INPUTS, MAX_GAMMA, MAX_SAMPLES_PER_CYCLE
 
 GAMMA_LOW4 = (CLOCK.gamma_low,) * 4
 
@@ -104,6 +104,12 @@ class TestClockConfig:
         for high in (math.nextafter(MAX_GAMMA, 1.0), 1e306, math.inf):
             with pytest.raises(ValueError, match="gamma_high <= 1e-18 J"):
                 ClockConfig(high, 1e-20)
+
+    def test_rejects_a_cycle_above_the_sample_cap(self):
+        # the cycle table grows with the samples: a cap keeps it a few MB
+        assert ClockConfig(samples_per_cycle=MAX_SAMPLES_PER_CYCLE).samples_per_cycle == 65536
+        with pytest.raises(ValueError, match=r"^samples_per_cycle must be an integer in 8\.\.65536, multiple of 4$"):
+            ClockConfig(samples_per_cycle=MAX_SAMPLES_PER_CYCLE + 4)
 
 
 class TestGammaAt:

@@ -379,23 +379,59 @@ class TestParseVectors:
         ]
 
     @pytest.mark.parametrize(
-        "text, line, fragment",
+        "text, line, reason",
         [
-            ("a=1 c=1\n", 1, "unknown input label"),
-            ("a=1 a=1\n", 1, "duplicate label"),
-            ("a=1 b=1\na=1\n", 2, "missing input label"),
-            ("a=2 b=1\n", 1, "must be -1 or +1"),
-            ("a=yes b=1\n", 1, "bad value"),
-            ("a b=1\n", 1, "expected label=value"),
-            ("", 1, "no vectors"),
-            ("# nothing\n", 1, "no vectors"),
+            # each id: the text, the line and a fragment of the reason
+            pytest.param("a=1 c=1\n", 1, "unknown key 'c'", id="a=1 c=1\n-1-unknown key"),
+            pytest.param("a=1 a=1\n", 1, "duplicate key 'a'", id="a=1 a=1\n-1-duplicate key"),
+            pytest.param(
+                "a=1 b=1\na=1\n", 2, "vector missing input label(s) ['b']", id="a=1 b=1\na=1\n-2-missing input label"
+            ),
+            pytest.param("a=2 b=1\n", 1, "value for 'a' must be -1 or +1", id="a=2 b=1\n-1-must be -1 or +1"),
+            pytest.param("a=yes b=1\n", 1, "bad integer for 'a': 'yes'", id="a=yes b=1\n-1-bad integer"),
+            pytest.param("a b=1\n", 1, "expected key=value, got 'a'", id="a b=1\n-1-expected key=value"),
+            pytest.param("", 1, "vector file has no vectors", id="-1-no vectors"),
+            pytest.param("# nothing\n", 1, "vector file has no vectors", id="# nothing\n-1-no vectors"),
         ],
     )
-    def test_rejects_malformed(self, text, line, fragment):
+    def test_rejects_malformed(self, text, line, reason):
         with pytest.raises(ParseError) as exc:
             parse_vectors(text, ["a", "b"])
         assert exc.value.line == line
-        assert fragment in exc.value.reason
+        assert exc.value.reason == reason
+
+    def test_token_errors_come_before_integer_errors(self):
+        with pytest.raises(ParseError, match="^line 1: unknown key 'c'$"):
+            parse_vectors("a=yes c=1\n", ["a", "b"])
+
+    @pytest.mark.parametrize(
+        "tokens, labels",
+        [
+            ("pitch", ["pitch"]),  # no '='
+            ("samples=1 pitch=1", ["samples"]),  # a key the line does not take
+            ("samples=1 samples=1", ["samples"]),
+            ("samples=yes", ["samples"]),
+        ],
+        ids=["no-equals", "unknown", "duplicate", "bad-integer"],
+    )
+    def test_a_token_fails_as_on_a_qcl_line(self, tokens, labels):
+        # a label named like a clock key: the vector line and the clock line
+        # read the same token and give the same reason
+        with pytest.raises(ParseError) as clock:
+            parse_qcl(f"qcl 1\nclock {tokens}\n")
+        with pytest.raises(ParseError) as vector:
+            parse_vectors(tokens + "\n", labels)
+        assert vector.value.reason == clock.value.reason
+
+    @given(st.one_of(st.text("ab=+-01 \n#", max_size=60), st.text(max_size=60)))
+    @settings(max_examples=300)
+    def test_any_text_reads_as_vectors_or_raises_parse_error(self, text):
+        try:
+            rows = parse_vectors(text, ["a", "b"])
+        except ParseError as e:
+            assert e.line >= 1
+        else:
+            InputSchedule.explicit(["a", "b"], rows)
 
     def test_form_feed_stays_inside_a_comment(self):
         assert parse_vectors("# a\fb=1\na=1\n", ["a"]) == [{"a": 1}]
