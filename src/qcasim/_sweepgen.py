@@ -1,5 +1,6 @@
 """Generated Gauss-Seidel sweeps.  ``engine._cycles`` imports this module
-only when a relaxation has run long enough to repay compiling one.  Their
+only when a relaxation has run long enough to repay compiling one.  A run of
+alike rows (``engine._runs``, as along a wire) compiles as one loop.  The
 update drops the overflow branch: with every P in [-1, 1], |x| <= row sum
 |E| / (2 gamma), and a call where that may reach X_MARGIN runs engine._sweep."""
 
@@ -14,10 +15,35 @@ from . import engine
 __all__ = ["compile_sweep"]
 
 # The compiler holds about 36 kB per row of source while it runs, so rows
-# compile in parts of ROWS_PER_PART; sums split every TERMS_PER_LINE terms
-# so no expression nests deep enough to exhaust the compiler's stack.  Under
-# X_MARGIN, x * x stays finite: sqrt(DBL_MAX) is about 1.34e154.
-ROWS_PER_PART, TERMS_PER_LINE, X_MARGIN = 32, 64, 1e150
+# compile in parts of ROWS_PER_PART, and a run of as many or more as one loop;
+# sums split every TERMS_PER_LINE terms so no expression nests deep enough to
+# exhaust the compiler's stack.  Under X_MARGIN, x * x stays finite:
+# sqrt(DBL_MAX) is about 1.34e154.
+ROWS_PER_PART, TERMS_PER_LINE, X_MARGIN = engine.ROWS_PER_PART, 64, 1e150
+
+
+def _update(zone: int, terms: list[str], cell: str) -> list[str]:
+    """Lines that set ``new`` to the update of ``cell`` from its ``terms``
+    (``e * P`` texts, in neighbour order) and fold its change into rise/fall."""
+    lines, x = [], "0.0"
+    for k in range(0, len(terms), TERMS_PER_LINE):
+        if k:
+            lines.append(f"x = {x}")
+            x = "x"
+        x = " + ".join([x, *terms[k : k + TERMS_PER_LINE]])
+    return lines + [
+        f"x = ({x}) / g{zone}",
+        "new = x / sqrt(1.0 + x * x)",
+        f"d = new - {cell}",
+        "if d > rise: rise = d",
+        "elif d < fall: fall = d",
+    ]
+
+
+def _part(lines: list[str]) -> Callable[..., Iterator[float]]:
+    namespace = dict(sqrt=math.sqrt)
+    exec(compile("\n".join(["def part(p, g0, g1, g2, g3):", *lines]), "<qcasim sweep>", "exec"), namespace)
+    return namespace["part"]
 
 
 def _compile_part(rows: Sequence[engine.Row], shared: set[int]) -> Callable[..., Iterator[float]]:
@@ -30,55 +56,60 @@ def _compile_part(rows: Sequence[engine.Row], shared: set[int]) -> Callable[...,
     reload = sorted((used & shared).difference(own))
     body = [f"c{j} = p[{j}]" for j in reload] + ["rise = fall = 0.0"]
     for i, zone, neighbours in rows:
-        x = "0.0"
-        for k in range(0, len(neighbours), TERMS_PER_LINE):
-            if k:
-                body.append(f"x = {x}")
-                x = "x"
-            x = " + ".join([x, *(f"{e!r} * c{j}" for j, e in neighbours[k : k + TERMS_PER_LINE])])
-        body += [
-            f"x = ({x}) / g{zone}",
-            "new = x / sqrt(1.0 + x * x)",
-            f"d = new - c{i}",
-            "if d > rise: rise = d",
-            "elif d < fall: fall = d",
-            f"c{i} = new",
-        ]
+        body += _update(zone, [f"{e!r} * c{j}" for j, e in neighbours], f"c{i}") + [f"c{i} = new"]
     body += [f"p[{i}] = c{i}" for i in own if i in shared] + ["yield -fall if -fall > rise else rise"]
-    source = "\n".join(
-        [
-            "def part(p, g0, g1, g2, g3):",
-            *(f"    c{j} = p[{j}]" for j in sorted(used.difference(reload))),
-            "    try:",
-            "        while True:",
-            *(f"            {line}" for line in body),
-            "    finally:",
-            *(f"        p[{i}] = c{i}" for i in own),
-        ]
+    return _part(
+        [f"    c{j} = p[{j}]" for j in sorted(used.difference(reload))]
+        + ["    try:", "        while True:", *(f"            {line}" for line in body), "    finally:"]
+        + [f"        p[{i}] = c{i}" for i in own]
     )
-    namespace = dict(sqrt=math.sqrt)
-    exec(compile(source, "<qcasim sweep>", "exec"), namespace)
-    return namespace["part"]
 
 
-def compile_sweep(rows: Sequence[engine.Row]) -> Callable[..., int]:
+def _compile_loop(rows: Sequence[engine.Row], shared: set[int]) -> Callable[..., Iterator[float]]:
+    """A generator that sweeps a run of ``rows`` once per step, as one loop
+    over i that reads and writes p (so it needs no ``shared``), and yields
+    the largest change.  Row i reads a window of locals (m3 holds p[i - 3],
+    w p[i], q1 p[i + 1], ...): each pass loads the newest and slides it."""
+    first, zone, neighbours = rows[0]
+    offsets = [j - first for j, _ in neighbours]
+    window = range(min(0, 0, *offsets), max(0, 0, *offsets) + 1)
+    name = {o: f"m{-o}" if o < 0 else f"q{o}" if o else "w" for o in window}
+    terms = [f"{e!r} * {name[o]}" for o, (_, e) in zip(offsets, neighbours)]
+    head = [f"{name[o]} = p[{first + o}]" for o in window[:-1]] + ["rise = fall = 0.0"]
+    body = [f"{name[window[-1]]} = p[i + {window[-1]}]", *_update(zone, terms, "w"), "p[i] = new"]
+    body += [f"{name[o]} = {'new' if o == -1 else name[o + 1]}" for o in window[:-1]]
+    return _part(
+        ["    while True:", *(f"        {line}" for line in head)]
+        + [f"        for i in range({first}, {first + len(rows)}):", *(f"            {line}" for line in body)]
+        + ["        yield -fall if -fall > rise else rise"]
+    )
+
+
+def compile_sweep(rows: Sequence[engine.Row], runs: Sequence[tuple[int, int]] | None = None) -> Callable[..., int]:
     """_sweep over ``rows`` as generated code: the same contract and the
     same float operations in the same order, less the overflow branch.  The
     source holds only integer indices, finite float reprs and fixed text, so
     every kink energy must be finite; a kernel gives no other (a zero
     distance raises).  With every P in [-1, 1], as pins and updates keep it,
     |x| <= the row's sum of |E| / (2 gamma): a call where that may reach
-    X_MARGIN in some zone runs ``engine._sweep`` instead."""
-    if not all(math.isfinite(e) for _, _, neighbours in rows for _, e in neighbours):
+    X_MARGIN in some zone runs ``engine._sweep`` instead.  ``runs`` is
+    ``engine._runs(rows, ROWS_PER_PART)``, found here if not given."""
+    parts, at = [], 0  # (compiler, rows) in sweep order; (len(rows), 0) adds the rows after the last run
+    for first, stop in [*(engine._runs(rows, ROWS_PER_PART) if runs is None else runs), (len(rows), 0)]:
+        parts += [(_compile_part, rows[k : min(k + ROWS_PER_PART, first)]) for k in range(at, first, ROWS_PER_PART)]
+        parts += [(_compile_loop, rows[first:stop])] if stop else []
+        at = stop
+    # a run's rows share their energies, and its first and last read all it reads but does not own
+    ends = [part if make is _compile_part else (part[0], part[-1]) for make, part in parts]
+    seen = [(k, row) for k, rows_of in enumerate(ends) for row in rows_of]
+    if not all(math.isfinite(e) for _, (_, _, neighbours) in seen for _, e in neighbours):
         raise ValueError("a sweep compiles only over finite kink energies")
     limits = [0.0] * 4  # per zone, the 2 gamma at or under which some |x| may reach X_MARGIN
-    for _, zone, neighbours in rows:  # a row sum of |E| that overflows makes its limit inf
+    for _, (_, zone, neighbours) in seen:  # a row sum of |E| that overflows makes its limit inf
         limits[zone] = max(limits[zone], sum(abs(e) for _, e in neighbours) / X_MARGIN)
-    parts = [rows[k : k + ROWS_PER_PART] for k in range(0, len(rows), ROWS_PER_PART)]
-    owner = {i: k for k, part in enumerate(parts) for i, _, _ in part}
-    reads = ((k, j) for k, part in enumerate(parts) for _, _, nb in part for j, _ in nb)
-    shared = {j for k, j in reads if owner.get(j, k) != k}
-    makers = [_compile_part(part, shared) for part in parts]
+    owner = {i: k for k, (_, part) in enumerate(parts) for i, _, _ in part}
+    shared = {j for k, (_, _, neighbours) in seen for j, _ in neighbours if owner.get(j, k) != k}
+    makers = [make(part, shared) for make, part in parts]
 
     def sweep(p, rows, gammas):
         g = [2.0 * gamma for gamma in gammas]

@@ -37,6 +37,7 @@ from .qcl import (
     kink_report_csv,
     measurement_csv,
     parse_fields,
+    parse_integer,
     parse_qcl,
     parse_vectors,
     serialize_qcl,
@@ -150,7 +151,7 @@ def _builder_for_kind(kind: str) -> Callable[[GeometryParams], Layout]:
     if size is None:
         raise _CliError(f"unknown circuit kind {kind!r}")
     try:
-        n = int(arg, 10)
+        n = parse_integer(arg)
     except ValueError:
         raise _CliError(f"bad {size} in {kind!r}") from None
     if name == "wire":
@@ -226,9 +227,9 @@ def _parse_extra_range(text: str) -> list[int]:
     lo, sep, hi = text.partition("..")
     try:
         if sep:
-            first, last = int(lo, 10), int(hi, 10)
+            first, last = parse_integer(lo), parse_integer(hi)
         else:
-            first = last = int(lo, 10)
+            first = last = parse_integer(lo)
     except ValueError:
         raise _CliError(f"bad --extra range {text!r}") from None
     if not (-1 <= first <= 3 and -1 <= last <= 3):

@@ -237,11 +237,27 @@ def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
 # A compile of some rows (_sweepgen) is repaid by about _COMPILE_FIXED +
 # _COMPILE_PER_ROW * rows cell updates run compiled instead of by _sweep, and
 # each compiled call's set-up costs what about _COMPILED_CALL such updates save.
-# CPython 3.11, 2-vCPU Xeon: a first compile in a fresh process takes 0.28 ms
-# + 0.13 ms per row, a compiled call 2.9 us more, and the compiled loop saves
-# 0.34 us per cell update (0.13 ms / 0.34 us ~ 390 -> 400, 2.9 us ~ 8.5 -> 10);
-# the fixed part (~830) is rounded up.
-_COMPILE_FIXED, _COMPILE_PER_ROW, _COMPILED_CALL = 1500, 400, 10
+# A run (_runs) of ROWS_PER_PART or more rows compiles as one loop and counts
+# as one row.  CPython 3.11, 2-vCPU Xeon, fresh process: importing _sweepgen
+# from source takes 2.2 ms (0.2 ms from a bytecode cache), a first compile
+# 0.25 ms + 0.09 ms per row, a compiled call 2 us more, and a compiled update
+# saves about 0.2 us (0.15 to 0.22; in a run's loop 0.1 to 0.17), so the
+# import and first compile weigh ~12,000 updates, a row ~450 and a call ~10.
+_COMPILE_FIXED, _COMPILE_PER_ROW, _COMPILED_CALL, ROWS_PER_PART = 12000, 400, 10, 32
+
+
+def _runs(rows: Sequence[Row], shortest: int) -> list[tuple[int, int]]:
+    """The (first, stop) slices of ``rows`` that _sweepgen compiles as loops: ``shortest`` or more
+    rows of consecutive cells in one zone whose neighbours lie at the same offsets, in the same
+    order, with the same energies, and fill every offset from the lowest to the highest but 0."""
+    runs, first, last = [], 0, None
+    for k, (i, zone, neighbours) in enumerate([*rows, (0, -1, ())]):  # zone -1 ends the last run
+        key = (i - k, zone, [j - i for j, _ in neighbours], [e for _, e in neighbours])
+        if key != last:
+            if k - first >= shortest and max(0, 0, *last[2]) - min(0, 0, *last[2]) == len(last[2]):
+                runs.append((first, k))
+            first, last = k, key
+    return runs
 
 
 def relax(
@@ -323,7 +339,9 @@ def _cycles(
     compile cost of the rows, the samples run a loop compiled for them
     instead, with the same bytes; every vector pins the same cells, so
     later vectors reuse it.  The margin of 2 keeps interpreted a run whose
-    heaviest samples come first, as on a wire at eps_r 1.
+    heaviest samples come first, as on wire:48 at eps_r 1; on wire:64 and
+    longer, most rows form one run (``_runs``), priced as one row, and the
+    switch comes after sample 0.
 
     A sample is not relaxed where the last one took one sweep that ended
     where it began, at the same gamma in each zone a free row uses: it
@@ -352,7 +370,7 @@ def _cycles(
     by_label = {c.role.label: c.id for c in layout.inputs()}
     couplings = coupling_map(layout)
     cycle, new = clock._cycle[:stop], tuple.__new__  # new skips the NamedTuple's Python __new__
-    loop, work, done, left = _sweep, 0, 0, sources.count(None) * len(cycle)
+    loop, work, done, left, runs = _sweep, 0, 0, sources.count(None) * len(cycle), None
     for vi, (vector, k) in enumerate(zip(schedule.vectors, sources)):
         pinned = _pinned_map(layout, {by_label[label]: value for label, value in vector})
         if k is not None:  # the last mirror of a block pops it
@@ -360,15 +378,17 @@ def _cycles(
             continue
         p = [0.0] * len(layout.cells)
         rows = _free_rows(layout, couplings, pinned, p)
-        cost, used = _COMPILE_FIXED + _COMPILE_PER_ROW * len(rows), {zone for _, zone, _ in rows}
-        key_of = operator.itemgetter(*used) if used else lambda gammas: ()
+        if runs is None:  # every relaxed vector pins the same cells, so has the same rows
+            runs, used = _runs(rows, ROWS_PER_PART), {zone for _, zone, _ in rows}
+            cost = _COMPILE_FIXED + _COMPILE_PER_ROW * (len(rows) - sum(stop - first - 1 for first, stop in runs))
+            key_of = operator.itemgetter(*used) if used else lambda gammas: ()
         block: list[TraceSample] = []
         state = fixed = None  # the last sample's P; the used gammas it is a fixed point at
         for s, gammas in enumerate(cycle):
             if loop is _sweep and done and work * (left - done) >= 2 * cost * done:
                 from ._sweepgen import compile_sweep  # parsed only by runs that switch
 
-                loop = compile_sweep(rows)
+                loop = compile_sweep(rows, runs)
             iters, key = 1, key_of(gammas)
             if key != fixed:
                 try:

@@ -80,9 +80,17 @@ def _number(key: str, text: str, line: int) -> float:
     return value
 
 
+def parse_integer(text: str) -> int:
+    """``text`` as ``[+-]?[0-9]+``, else ValueError: not int()'s ``_``, spaces or non-ASCII digits."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _integer(key: str, text: str, line: int) -> int:
     try:
-        return int(text, 10)
+        return parse_integer(text)
     except ValueError:
         raise ParseError(line, f"bad integer for {key!r}: {text!r}") from None
 

@@ -75,6 +75,7 @@ class TestGen:
             ("inverter:conventional", lambda: None),
             ("inverter:2", lambda: gen_minimal_inverter(-1)),
             ("inverter:6", lambda: gen_minimal_inverter(3)),
+            ("inverter:+6", lambda: gen_minimal_inverter(3)),  # a size may carry its sign
         ],
     )
     def test_inverter_kinds(self, capsys, kind, builder):
@@ -98,6 +99,7 @@ class TestGen:
         [
             ("wire", "bad wire length in 'wire'"),
             ("wire:x", "bad wire length in 'wire:x'"),
+            ("wire:1_0", "bad wire length in 'wire:1_0'"),  # int() reads 10
             ("wire:1", "a wire needs at least 2 cells"),
             ("inverter:", "bad inverter size in 'inverter:'"),
             ("inverter:x", "bad inverter size in 'inverter:x'"),
@@ -798,12 +800,13 @@ class TestSweep:
         assert main(["sweep", "--extra", "0..0", "--out", str(path), "--compare", str(path)]) == 0
         assert path.read_text() == format_trend_comparison(run_sweep([0]))
 
-    @pytest.mark.parametrize("extra", ["0..4", "-2..0", "junk", "3..1"])
+    @pytest.mark.parametrize("extra", ["0..4", "-2..0", "junk", "0.. 3", "3..1"])
     def test_rejects_bad_ranges(self, capsys, extra):
         message = {
             "0..4": "--extra must lie within -1..3",
             "-2..0": "--extra must lie within -1..3",
             "junk": "bad --extra range 'junk'",
+            "0.. 3": "bad --extra range '0.. 3'",  # int() strips the space
             "3..1": "--extra range 3..1 runs backwards",
         }[extra]
         assert main(["sweep", f"--extra={extra}"]) == 2

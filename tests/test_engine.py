@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import frozen
-from helpers import CLOCK, PAPER_CIRCUITS, anti_ordered_chain, exhaustive, independent_wires, run_python
+from helpers import CLOCK, PAPER_CIRCUITS, anti_ordered_chain, exhaustive, independent_wires, run_python, sha
 from oracle import brute_fixed_point
 from qcasim import (
     Cell,
@@ -580,8 +580,8 @@ def record_tiers(monkeypatch) -> list[str]:
         log.append("interpreted")
         return sweep(*args)
 
-    def compiled(rows):
-        loop = compile_sweep(rows)
+    def compiled(*args):
+        loop = compile_sweep(*args)
 
         def run(*args):
             log.append("compiled")
@@ -592,6 +592,18 @@ def record_tiers(monkeypatch) -> list[str]:
     monkeypatch.setattr(engine, "_sweep", interpreted)
     monkeypatch.setattr(_sweepgen, "compile_sweep", compiled)
     return log
+
+
+def record_sources(monkeypatch) -> list[str]:
+    """Log the source of every part _sweepgen compiles."""
+    sources: list[str] = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(_sweepgen, "compile", spy, raising=False)
+    return sources
 
 
 def repeats(block) -> list[int]:
@@ -923,6 +935,38 @@ def free_rows_and_state(draw):
     return rows, p, gammas
 
 
+@st.composite
+def wire_rows_and_state(draw):
+    """Free rows of a wire of up to 60 cells: zones change every drawn number
+    of cells, a few cells are fixed, and one may sit off the line, so its
+    neighbours' rows differ; the radius reaches 1 to 4 cells.  A random
+    starting P and four gammas up to the ceiling, down to subnormal."""
+    n = draw(st.integers(2, 60))
+    per_zone, reach = draw(st.integers(1, 64)), draw(st.integers(1, 4))
+    fixed = draw(st.sets(st.integers(0, n - 1), max_size=4))
+    displaced = draw(st.none() | st.integers(0, n - 1))
+    cells = [
+        Cell(
+            f"c{k}",
+            20.0 * k,
+            2.0 if k == displaced else 0.0,
+            Role.fixed(draw(st.sampled_from([-1, 1]))) if k in fixed else Role.normal(),
+            zone=(k // per_zone) % 4,
+        )
+        for k in range(n)
+    ]
+    geometry = GeometryParams(
+        relative_permittivity=draw(st.sampled_from([1.0, 12.9])),
+        charge_model=draw(st.sampled_from(list(ChargeModel))),
+        radius_of_effect=20.0 * reach + 5.0,
+    )
+    layout = Layout(geometry, cells)
+    p = [draw(st.floats(-1.0, 1.0)) for _ in cells]
+    rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {}), p)
+    gammas = tuple(draw(st.floats(5e-324, MAX_GAMMA, exclude_min=False)) for _ in range(4))
+    return rows, p, gammas
+
+
 def outcome(loop, rows, p, gammas, tolerance=engine._TOLERANCE, max_iters=engine._MAX_SWEEPS):
     """(repr of the final P, sweeps used or the failure's residual), with
     the engine's limits patched to ``tolerance`` and ``max_iters``."""
@@ -948,6 +992,61 @@ class TestCompiledSweep:
         assert outcome(compiled, rows, p, gammas, *limits) == outcome(
             engine._sweep, rows, p, gammas, *limits
         )
+
+    @given(
+        wire_rows_and_state(),
+        st.sampled_from([(1e-7, 1000), (1e-7, 2), (0.0, 0), (0.0, 1), (0.0, 3)]),
+    )
+    def test_a_wire_matches_the_interpreted_loop(self, state, limits):
+        # at a run threshold of 2 or 3 most wires hold a loop part, at 32 the longer ones
+        rows, p, gammas = state
+        for rows_per_part in (2, 3, _sweepgen.ROWS_PER_PART):
+            with mock.patch.object(_sweepgen, "ROWS_PER_PART", rows_per_part):
+                compiled = _sweepgen.compile_sweep(rows)
+            assert outcome(compiled, rows, p, gammas, *limits) == outcome(
+                engine._sweep, rows, p, gammas, *limits
+            )
+
+    @pytest.mark.parametrize(
+        "build, first",
+        [
+            # cells 3..36 are one run, and its first window reads the input, p[0]
+            (lambda: gen_wire(40), "m3 = p[0]"),
+            # each of cells 2..39 reads the two cells before it: the run ends
+            # at the last cell, whose newest window cell is itself
+            (lambda: [(i, 1, ((i - 2, 3e-21), (i - 1, -2e-21))) for i in range(2, 40)], "m2 = p[0]"),
+            # each of cells 0..37 reads the two after it, which end at p[39]
+            (lambda: [(i, 2, ((i + 1, -2e-21), (i + 2, 3e-21))) for i in range(38)], "w = p[0]"),
+            # each of cells 70..109 reads the 70 before it: a sum over more than one line
+            (
+                lambda: [(i, 3, tuple((i - o, o * 1e-22) for o in range(70, 0, -1))) for i in range(70, 110)],
+                "m70 = p[0]",
+            ),
+        ],
+        ids=["window_holds_the_input", "run_ends_at_the_last_cell", "forward_only", "long_window"],
+    )
+    def test_a_run_compiles_as_one_loop(self, monkeypatch, build, first):
+        built = build()
+        p = [math.sin(k) for k in range(110)]
+        rows = built
+        if isinstance(built, Layout):
+            rows = engine._free_rows(built, coupling_map(built), engine._pinned_map(built, {"c0": 1}), p)
+        sources = record_sources(monkeypatch)
+        compiled = _sweepgen.compile_sweep(rows)
+        loops = [source for source in sources if "for i in range(" in source]
+        assert len(loops) == 1 and first in loops[0]
+        for gammas in (GAMMA_LOW4, (CLOCK.gamma_high,) * 4, (1e-300,) * 4):
+            assert outcome(compiled, rows, p, gammas) == outcome(engine._sweep, rows, p, gammas)
+
+    def test_a_layout_without_a_run_compiles_the_parts_it_did(self, monkeypatch):
+        # zones change every 16 cells, so no 32 rows are alike: the 127 free
+        # rows compile in 4 straight-line parts, the same source as before runs
+        sources = record_sources(monkeypatch)
+        layout = zoned_gaas_wire(128)
+        rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {"c0": 1}), [0.0] * 128)
+        _sweepgen.compile_sweep(rows)
+        assert len(sources) == 4
+        assert sha("\n".join(sources).encode()) == "e9fbde34157d53480049c139d71dd7ac055d846258bed1f28d1bb5823caf5af4"
 
     def test_long_rows_split_across_lines(self):
         # 99 neighbours per row, more than one expression of the source holds
@@ -1022,12 +1121,16 @@ class TestCompiledSweep:
             # 938 sweeps x 2 rows; each count here is of loop calls, and a
             # sample at an exact fixed point makes none
             (lambda: gen_majority(), 273),
-            # 233 sweeps x 511 rows, the heaviest samples first: sample 0's
-            # work projected over the rest reads 1.25 x the compile cost,
-            # under the margin of 2, and later samples project less
-            (lambda: gen_wire(512), 71),
+            # 233 sweeps x 511 rows, the heaviest samples first: 506 of the
+            # rows are one run, a loop priced as one row, so sample 0's work
+            # projected over the rest reads 17.9 x the compile cost (1.25 x
+            # while each row was priced, and the run stayed interpreted)
+            (lambda: gen_wire(512), 1),
+            # a run of 42 rows: 1.57 x the compile cost after sample 0, under
+            # the margin of 2, and later samples project less
+            (lambda: gen_wire(48), 71),
             # 2,419 sweeps x 127 rows: sample 0's work projected over the
-            # other 127 samples reads 13.5 x the compile cost
+            # other 127 samples reads 11.3 x the compile cost
             (lambda: zoned_gaas_wire(128), 1),
             # one free cell, 32 relaxed vectors: about 2 updates a sample
             # never repay a compiled call's set-up
@@ -1036,11 +1139,11 @@ class TestCompiledSweep:
             (lambda: gen_wire(8), 71),
             (lambda: gen_minimal_inverter(0), 69),
             # 12 free rows, 32 relaxed vectors: sample 0's work projected
-            # over the other 4,095 samples reads 24.7 x the compile cost
+            # over the other 4,095 samples reads 9.3 x the compile cost
             (lambda: independent_wires(6), 1),
         ],
         ids=[
-            "majority", "wire512", "gaas_zoned128", "one_row_many_vectors",
+            "majority", "wire512", "wire48", "gaas_zoned128", "one_row_many_vectors",
             "conventional", "wire8", "minimal_inverter", "six_wires",
         ],
     )
@@ -1052,12 +1155,16 @@ class TestCompiledSweep:
 
     def test_only_a_run_that_switches_tiers_imports_the_compiler(self, tmp_path):
         # _cycles imports _sweepgen when a run first switches tiers: a CLI run
-        # on wire:8 never does, the 128-cell zoned GaAs wire does
-        wire8, gaas = tmp_path / "wire8.qcl", tmp_path / "gaas128.qcl"
+        # on wire:8 never does; the 128-cell zoned GaAs wire does, and so does
+        # wire:512, whose run of 506 alike rows compiles as one loop
+        wire8, gaas, wire512 = tmp_path / "wire8.qcl", tmp_path / "gaas128.qcl", tmp_path / "wire512.qcl"
         wire8.write_text(serialize_qcl(gen_wire(8)))
         gaas.write_text(serialize_qcl(zoned_gaas_wire(128)))
+        wire512.write_text(serialize_qcl(gen_wire(512)))
         code = "import sys, qcasim.cli\nprint(qcasim.cli.main(sys.argv[1:]), 'qcasim._sweepgen' in sys.modules)"
-        for argv, loaded in ((["truth", str(wire8), "--expect", "id"], False), (["sim", str(gaas)], True)):
+        for argv, loaded in (
+            (["truth", str(wire8), "--expect", "id"], False), (["sim", str(gaas)], True), (["sim", str(wire512)], True)
+        ):
             result = run_python("-c", code, *argv, capture_output=True, check=True)
             assert result.stdout.splitlines()[-1] == f"0 {loaded}"
 
@@ -1068,38 +1175,34 @@ class TestCompiledSweep:
 
     def test_source_holds_no_text_from_the_layout(self, monkeypatch):
         # ids and labels that read as code; the generated source may hold
-        # only its fixed names, c<index>/g<zone> locals and number literals
+        # only its fixed names, c<index>/g<zone> locals, a loop's window
+        # locals and number literals
         hostile = ["__import__", "os.system", "exec:1", "eval+open", "breakpoint"]
-        wire = zoned_gaas_wire(64)
-        cells = [
-            c._replace(id=f"{hostile[i % 5]}.{i}") for i, c in enumerate(wire.cells)
-        ]
-        cells[0] = cells[0]._replace(role=Role.input("globals"))
-        cells[-1] = cells[-1]._replace(role=Role.output("getattr"))
-        sources = []
-
-        def spy(source, *args):
-            sources.append(source)
-            return builtins.compile(source, *args)
-
-        monkeypatch.setattr(_sweepgen, "compile", spy, raising=False)
-        simulate(*exhaustive(Layout(wire.geometry, cells)))
-        assert len(sources) == 2  # 63 free rows, in parts of 32
         fixed = {
             "def", "part", "p", "try", "while", "True", "rise", "fall", "x", "new",
-            "sqrt", "if", "elif", "else", "d", "yield", "finally",
+            "sqrt", "if", "elif", "else", "d", "yield", "finally", "for", "in", "range", "i", "w",
         }
-        for source in sources:
-            # no overflow branch: the update calls nothing but sqrt
-            for text in ["globals", "getattr", "inf", "copysign", *hostile]:
-                assert text not in source
-            for token in tokenize.generate_tokens(io.StringIO(source).readline):
-                if token.type == tokenize.NAME:
-                    assert token.string in fixed or re.fullmatch(r"[cg][0-9]+", token.string)
-                elif token.type == tokenize.NUMBER:
-                    assert token.string == repr(float(token.string)) or token.string.isdigit()
-                elif token.type == tokenize.OP:
-                    assert token.string in {*"()[]:=+-*/,<>"}, token.string
+        sources = record_sources(monkeypatch)
+        # 63 free rows in parts of 32; a loop over cells 3..60 between two short parts
+        for wire, parts, loops in ((zoned_gaas_wire(64), 2, 0), (gen_wire(64), 3, 1)):
+            cells = [c._replace(id=f"{hostile[i % 5]}.{i}") for i, c in enumerate(wire.cells)]
+            cells[0] = cells[0]._replace(role=Role.input("globals"))
+            cells[-1] = cells[-1]._replace(role=Role.output("getattr"))
+            sources.clear()
+            simulate(*exhaustive(Layout(wire.geometry, cells)))
+            assert len(sources) == parts
+            assert sum("for i in range(" in source for source in sources) == loops
+            for source in sources:
+                # no overflow branch: the update calls nothing but sqrt
+                for text in ["globals", "getattr", "inf", "copysign", *hostile]:
+                    assert text not in source
+                for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                    if token.type == tokenize.NAME:
+                        assert token.string in fixed or re.fullmatch(r"[cg][0-9]+|[mq][1-9][0-9]*", token.string)
+                    elif token.type == tokenize.NUMBER:
+                        assert token.string == repr(float(token.string)) or token.string.isdigit()
+                    elif token.type == tokenize.OP:
+                        assert token.string in {*"()[]:=+-*/,<>"}, token.string
 
 
 class TestMeasure:

@@ -201,6 +201,8 @@ class TestParse:
             ),
             ("cell id=c0 x=0 y=0 role=fixed label=x p=1", "line 2: fixed role takes no label"),
             ("cell id=c0 x=0 y=0 role=input p=x", "line 2: bad integer for 'p': 'x'"),
+            # integers are [+-]?[0-9]+: int() would also read 1_28 as 128
+            ("clock samples=1_28", "line 2: bad integer for 'samples': '1_28'"),
             ("cell id=c0 x=0 y=0 role=fixed p=0", "line 2: fixed role needs polarization -1 or +1"),
             ("cell id=c0 x=0 y=0 role=driver", "line 2: unknown role 'driver'"),
         ],
@@ -389,6 +391,8 @@ class TestParseVectors:
             ),
             pytest.param("a=2 b=1\n", 1, "value for 'a' must be -1 or +1", id="a=2 b=1\n-1-must be -1 or +1"),
             pytest.param("a=yes b=1\n", 1, "bad integer for 'a': 'yes'", id="a=yes b=1\n-1-bad integer"),
+            # an Arabic-Indic one, which int() reads as 1
+            pytest.param("a=\u0661 b=1\n", 1, "bad integer for 'a': '\u0661'", id="a=U+0661 b=1\n-1-bad integer"),
             pytest.param("a b=1\n", 1, "expected key=value, got 'a'", id="a b=1\n-1-expected key=value"),
             pytest.param("", 1, "vector file has no vectors", id="-1-no vectors"),
             pytest.param("# nothing\n", 1, "vector file has no vectors", id="# nothing\n-1-no vectors"),
@@ -399,6 +403,9 @@ class TestParseVectors:
             parse_vectors(text, ["a", "b"])
         assert exc.value.line == line
         assert exc.value.reason == reason
+
+    def test_a_value_may_carry_its_sign(self):
+        assert parse_vectors("a=+1 b=-1\n", ["a", "b"]) == [{"a": 1, "b": -1}]
 
     def test_token_errors_come_before_integer_errors(self):
         with pytest.raises(ParseError, match="^line 1: unknown key 'c'$"):
