@@ -240,7 +240,7 @@ def _parse_extra_range(text: str) -> list[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    rows = run_sweep(_parse_extra_range(args.extra))
+    rows = run_sweep(map(gen_minimal_inverter, _parse_extra_range(args.extra)))
     # the CSV lands first, then the comparison
     with _replacing(args.out, args.compare) as (csv_out, compare_out):
         if csv_out:

@@ -1,14 +1,14 @@
-"""The minimal-inverter sweep: kink energy and output polarization against
-cell count, and its three tables (CSV, reference comparison, terminal)."""
+"""The design table: kink energy and output polarization of each layout it is
+given, and its three tables (CSV, reference comparison, terminal)."""
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .electrostatics import kink_pairs, kink_totals
 from .engine import ClockConfig, InputSchedule, stream_measurement
+from .model import Layout
 from .qcl import format_energy, format_polarization
-from .stdcells import gen_minimal_inverter
 
 __all__ = [
     "REFERENCE_TREND",
@@ -31,7 +31,7 @@ REFERENCE_TREND: tuple[tuple[int, float, float], ...] = (
 
 
 class SweepRow(NamedTuple):
-    """One minimal-inverter size: kink totals and output polarization."""
+    """One design: its cell count, kink totals and output polarization."""
 
     total_cells: int
     kink_bare: float
@@ -40,24 +40,18 @@ class SweepRow(NamedTuple):
     steady_p: tuple[float, ...]  # per vector, exhaustive order
 
 
-def run_sweep(extras: Sequence[int]) -> tuple[SweepRow, ...]:
-    """Simulate gen_minimal_inverter(k) for each k at the default geometry and clock."""
+def run_sweep(layouts: Iterable[Layout]) -> tuple[SweepRow, ...]:
+    """One row per layout under the default clock.  The tables show one output
+    over two vectors, so ValueError unless a layout has one input and one output."""
     clock, rows = ClockConfig(), []
-    for extra in extras:
-        layout = gen_minimal_inverter(extra)
+    for layout in layouts:
+        labels, outputs = layout.input_labels(), layout.outputs()
+        if len(labels) != 1 or len(outputs) != 1:
+            raise ValueError(f"a sweep row needs 1 input and 1 output, layout has {len(labels)} and {len(outputs)}")
         kink_bare, kink_neut = kink_totals(kink_pairs(layout))
-        schedule = InputSchedule.exhaustive(layout.input_labels())
-        measurement = stream_measurement(layout, clock, schedule)
-        readings = [measurement.reading("b", vi) for vi in range(len(schedule.vectors))]
-        rows.append(
-            SweepRow(
-                total_cells=len(layout.cells),
-                kink_bare=kink_bare,
-                kink_neut=kink_neut,
-                max_abs_p=max(r.max_abs for r in readings),
-                steady_p=tuple(r.steady for r in readings),
-            )
-        )
+        readings = stream_measurement(layout, clock, InputSchedule.exhaustive(labels)).readings
+        steady = tuple(r.steady for r in readings)
+        rows.append(SweepRow(len(layout.cells), kink_bare, kink_neut, max(r.max_abs for r in readings), steady))
     return tuple(rows)
 
 

@@ -104,7 +104,7 @@ def test_criterion_4_truth_tables():
 
 
 def test_criterion_5_size_sweep_trend():
-    rows = run_sweep([-1, 0, 1, 2, 3])
+    rows = run_sweep(map(gen_minimal_inverter, [-1, 0, 1, 2, 3]))
     two_cell, family = rows[0], rows[1:]
 
     in_decade = all(

@@ -758,7 +758,7 @@ class TestSweep:
     def test_csv_matches_library_sweep(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", "--out", str(out)]) == 0
-        assert out.read_text() == sweep_csv(run_sweep(range(0, 4)))
+        assert out.read_text() == sweep_csv(run_sweep(map(gen_minimal_inverter, range(0, 4))))
 
     def test_extra_range_can_include_the_two_cell_variant(self, capsys):
         assert main(["sweep", "--extra=-1..0"]) == 0
@@ -769,7 +769,7 @@ class TestSweep:
         path = tmp_path / "trend.md"
         assert main(["sweep", "--compare", str(path)]) == 0
         text = path.read_text()
-        assert text == format_trend_comparison(run_sweep(range(0, 4)))
+        assert text == format_trend_comparison(run_sweep(map(gen_minimal_inverter, range(0, 4))))
         assert "| 6 |" in text and "6.83800e-20" in text
 
     def test_extra_value_with_a_leading_dash_needs_no_equals_sign(self, tmp_path, capsys):
@@ -798,7 +798,38 @@ class TestSweep:
         # one path for both files ends as the comparison, written last
         path = tmp_path / "both"
         assert main(["sweep", "--extra", "0..0", "--out", str(path), "--compare", str(path)]) == 0
-        assert path.read_text() == format_trend_comparison(run_sweep([0]))
+        assert path.read_text() == format_trend_comparison(run_sweep(map(gen_minimal_inverter, [0])))
+
+    @pytest.mark.parametrize("kind", ["inverter:conventional", "inverter:3"])
+    def test_row_repeats_kink_and_sim_measure_of_the_same_file(self, tmp_path, capsys, kind):
+        qcl, kinks, readings = tmp_path / "d.qcl", tmp_path / "k.csv", tmp_path / "m.csv"
+        assert main(["gen", kind, "--out", str(qcl)]) == 0
+        cells = capsys.readouterr().out.split()[0]
+        assert main(["kink", str(qcl), "--out", str(kinks)]) == 0
+        assert main(["sim", str(qcl), "--measure", str(readings)]) == 0
+        capsys.readouterr()
+        total = kinks.read_text().splitlines()[-1].split(",")
+        v0, v1 = (line.split(",") for line in readings.read_text().splitlines()[1:])
+        assert total[0] == "TOTAL" and (v0[:2], v1[:2]) == (["b", "0"], ["b", "1"])
+        expected = [cells, total[3], total[4], max(v0[3], v1[3], key=float), v0[2], v1[2]]
+        row = sweep_csv(run_sweep([parse_qcl(qcl.read_text())[0]])).splitlines()[1]
+        assert row.split(",") == expected
+
+    def test_rejects_a_layout_its_table_cannot_show(self, monkeypatch):
+        # the tables show one output over two vectors; the check comes
+        # before any kink or relaxation work
+        for name in ("kink_pairs", "stream_measurement"):
+            monkeypatch.setattr(f"qcasim.sweep.{name}", lambda *args, name=name: pytest.fail(f"{name} ran"))
+        two_outputs = Layout(GeometryParams(), [
+            Cell("a", 0.0, 0.0, Role.input("a")), Cell("b", 20.0, 0.0, Role.output("b")),
+            Cell("c", 40.0, 0.0, Role.output("c")),
+        ])
+        no_inputs = Layout(GeometryParams(), [Cell("d", 0.0, 0.0, Role.fixed(1)), Cell("b", 20.0, 0.0, Role.output("b"))])
+        cases = [(gen_majority(), 3, 1), (two_outputs, 1, 2), (no_inputs, 0, 1)]
+        for layout, inputs, outputs in cases:
+            with pytest.raises(ValueError) as caught:
+                run_sweep([layout])
+            assert str(caught.value) == f"a sweep row needs 1 input and 1 output, layout has {inputs} and {outputs}"
 
     @pytest.mark.parametrize("extra", ["0..4", "-2..0", "junk", "0.. 3", "3..1"])
     def test_rejects_bad_ranges(self, capsys, extra):
