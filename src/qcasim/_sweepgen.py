@@ -1,6 +1,7 @@
 """Generated Gauss-Seidel sweeps.  ``engine._cycles`` imports this module
 only when a relaxation has run long enough to repay compiling one.  A run of
-alike rows (``engine._runs``, as along a wire) compiles as one loop.  The
+alike rows (``engine._runs``, as along a wire) compiles as one loop, which
+fills a flat stretch of rows with one slice store (see _compile_loop).  The
 update drops the overflow branch: with every P in [-1, 1], |x| <= row sum
 |E| / (2 gamma), and a call where that may reach X_MARGIN runs engine._sweep."""
 
@@ -8,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 from . import engine
@@ -41,7 +43,7 @@ def _update(zone: int, terms: list[str], cell: str) -> list[str]:
 
 
 def _part(lines: list[str]) -> Callable[..., Iterator[float]]:
-    namespace = dict(sqrt=math.sqrt)
+    namespace = dict(sqrt=math.sqrt, islice=islice)
     exec(compile("\n".join(["def part(p, g0, g1, g2, g3):", *lines]), "<qcasim sweep>", "exec"), namespace)
     return namespace["part"]
 
@@ -69,18 +71,30 @@ def _compile_loop(rows: Sequence[engine.Row], shared: set[int]) -> Callable[...,
     """A generator that sweeps a run of ``rows`` once per step, as one loop
     over i that reads and writes p (so it needs no ``shared``), and yields
     the largest change.  Row i reads a window of locals (m3 holds p[i - 3],
-    w p[i], q1 p[i + 1], ...): each pass loads the newest and slides it."""
+    w p[i], q1 p[i + 1], ...): each pass loads the newest and slides it.
+    Where the window is flat (new equals every m, and w every q), each next
+    row whose newest cell p[k] still equals w reads the same window, so
+    computes the same new and d: one slice stores new into them all and the
+    loop resumes at the first other row.  Float == is bit equality here: a
+    +-0.0 term cannot change a sum that starts 0.0 +, new is never -0.0, so
+    new - w has the same bits for w = +-0.0, and a NaN equals nothing."""
     first, zone, neighbours = rows[0]
     offsets = [j - first for j, _ in neighbours]
     window = range(min(0, 0, *offsets), max(0, 0, *offsets) + 1)
     name = {o: f"m{-o}" if o < 0 else f"q{o}" if o else "w" for o in window}
     terms = [f"{e!r} * {name[o]}" for o, (_, e) in zip(offsets, neighbours)]
-    head = [f"{name[o]} = p[{first + o}]" for o in window[:-1]] + ["rise = fall = 0.0"]
-    body = [f"{name[window[-1]]} = p[i + {window[-1]}]", *_update(zone, terms, "w"), "p[i] = new"]
+    hi, stop = window[-1], first + len(rows)
+    chains = (["new", *(name[o] for o in reversed(window) if o < 0)], [name[o] for o in window if o >= 0])
+    flat = " and ".join(" == ".join(chain) for chain in chains if len(chain) > 1) or "True"
+    head = [f"{name[o]} = p[{first + o}]" for o in window[:-1]] + [f"rows = iter(range({first}, {stop}))", "rise = fall = 0.0"]
+    body = [f"{name[hi]} = p[i + {hi}]", *_update(zone, terms, "w"), "p[i] = new", f"if {flat}:"]
+    body += [f"    k = i + {hi + 1}", f"    while k < {stop + hi} and p[k] == w:", "        k += 1"]
+    body += [f"    if k > i + {hi + 1}:", f"        p[i + 1:k - {hi}] = [new] * (k - i - {hi + 1})"]
+    body += [f"        next(islice(rows, k - i - {hi + 2}, None))"]
     body += [f"{name[o]} = {'new' if o == -1 else name[o + 1]}" for o in window[:-1]]
     return _part(
         ["    while True:", *(f"        {line}" for line in head)]
-        + [f"        for i in range({first}, {first + len(rows)}):", *(f"            {line}" for line in body)]
+        + ["        for i in rows:", *(f"            {line}" for line in body)]
         + ["        yield -fall if -fall > rise else rise"]
     )
 

@@ -243,6 +243,8 @@ def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
 # 0.25 ms + 0.09 ms per row, a compiled call 2 us more, and a compiled update
 # saves about 0.2 us (0.15 to 0.22; in a run's loop 0.1 to 0.17), so the
 # import and first compile weigh ~12,000 updates, a row ~450 and a call ~10.
+# A loop also fills the rows after a flat window by one slice store, which
+# these prices leave out: it makes a settled wire's updates cheaper still.
 _COMPILE_FIXED, _COMPILE_PER_ROW, _COMPILED_CALL, ROWS_PER_PART = 12000, 400, 10, 32
 
 

@@ -967,6 +967,32 @@ def wire_rows_and_state(draw):
     return rows, p, gammas
 
 
+@st.composite
+def flat_runs_and_state(draw):
+    """Rows alike but for a pinned cell or a zone change that may split
+    them, each reading 1 to 4 cells before it, after it, both or none, and
+    a starting P drawn as stretches of one value (0.0 and -0.0 mixed in a
+    stretch of zeros, NaN, +-1.0 or any P), so many windows are flat; the
+    last stretch may reach the last row and the last cell a row reads."""
+    reach = draw(st.integers(1, 4))
+    before, after = [*range(-reach, 0)], [*range(1, reach + 1)]
+    offsets = draw(st.sampled_from([before, after, before + after, []]))
+    energies = [draw(st.floats(-2e-20, 2e-20)) for _ in offsets]
+    n = draw(st.integers(2, 70))
+    gap, split = draw(st.none() | st.integers(reach, reach + n - 1)), draw(st.integers(reach, reach + n))
+    rows = [
+        (i, int(i >= split), tuple((i + o, e) for o, e in zip(offsets, energies)))
+        for i in range(reach, reach + n)
+        if i != gap
+    ]
+    values, p = st.sampled_from([0.0, math.nan, 1.0, -1.0]) | st.floats(-1.0, 1.0), []
+    while len(p) < n + 2 * reach:
+        value, length = draw(values), draw(st.integers(1, n + 2 * reach))
+        p += [draw(st.sampled_from([0.0, -0.0])) if value == 0.0 else value for _ in range(length)]
+    gamma = st.sampled_from([CLOCK.gamma_low, CLOCK.gamma_high]) | st.floats(1e-24, MAX_GAMMA)
+    return rows, p[: n + 2 * reach], tuple(draw(gamma) for _ in range(4))
+
+
 def outcome(loop, rows, p, gammas, tolerance=engine._TOLERANCE, max_iters=engine._MAX_SWEEPS):
     """(repr of the final P, sweeps used or the failure's residual), with
     the engine's limits patched to ``tolerance`` and ``max_iters``."""
@@ -1007,6 +1033,42 @@ class TestCompiledSweep:
                 engine._sweep, rows, p, gammas, *limits
             )
 
+    @given(flat_runs_and_state())
+    def test_a_flat_window_matches_the_interpreted_loop(self, state):
+        # a loop fills the rows after a flat window with one slice store; a
+        # wrong fill shows in P after a sweep or two, or in the sweeps used
+        rows, p, gammas = state
+        for rows_per_part in (2, 3, _sweepgen.ROWS_PER_PART):
+            with mock.patch.object(_sweepgen, "ROWS_PER_PART", rows_per_part):
+                compiled = _sweepgen.compile_sweep(rows)
+            for limits in ((1e-7, 1000), (1e-7, 2), (0.0, 1), (0.0, 3)):
+                assert outcome(compiled, rows, p, gammas, *limits) == outcome(
+                    engine._sweep, rows, p, gammas, *limits
+                )
+
+    def test_a_flat_stretch_is_filled_by_slices(self):
+        # sample 0 of wire:512 from zeros, 4 sweeps of its run of rows 3..508:
+        # in each, once the updates left of a row settle to one float and the
+        # zeros right of it are unchanged, one slice store fills the rest of
+        # the run (1,968 of its 2,024 updates); later the wire's far end
+        # changes the last few rows, so the fill stops short of them
+        class Counted(list):
+            def __setitem__(self, key, value):
+                if isinstance(key, slice):
+                    self.slices.append((key.start, key.stop))
+                super().__setitem__(key, value)
+
+        layout = gen_wire(512)
+        p = Counted([0.0] * 512)
+        p.slices = []
+        rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {"c0": 1}), p)
+        gammas = tuple(gamma_at(CLOCK, z, 0) for z in range(4))
+        compiled = _sweepgen.compile_sweep(rows)
+        reference = list(p)
+        assert compiled(p, rows, gammas) == engine._sweep(reference, rows, gammas)
+        assert repr(list(p)) == repr(reference)
+        assert p.slices == [(17, 509), (14, 509), (13, 506), (15, 503)]
+
     @pytest.mark.parametrize(
         "build, first",
         [
@@ -1033,7 +1095,7 @@ class TestCompiledSweep:
             rows = engine._free_rows(built, coupling_map(built), engine._pinned_map(built, {"c0": 1}), p)
         sources = record_sources(monkeypatch)
         compiled = _sweepgen.compile_sweep(rows)
-        loops = [source for source in sources if "for i in range(" in source]
+        loops = [source for source in sources if "for i in rows:" in source]
         assert len(loops) == 1 and first in loops[0]
         for gammas in (GAMMA_LOW4, (CLOCK.gamma_high,) * 4, (1e-300,) * 4):
             assert outcome(compiled, rows, p, gammas) == outcome(engine._sweep, rows, p, gammas)
@@ -1181,6 +1243,7 @@ class TestCompiledSweep:
         fixed = {
             "def", "part", "p", "try", "while", "True", "rise", "fall", "x", "new",
             "sqrt", "if", "elif", "else", "d", "yield", "finally", "for", "in", "range", "i", "w",
+            "rows", "iter", "k", "and", "next", "islice", "None",
         }
         sources = record_sources(monkeypatch)
         # 63 free rows in parts of 32; a loop over cells 3..60 between two short parts
@@ -1191,7 +1254,7 @@ class TestCompiledSweep:
             sources.clear()
             simulate(*exhaustive(Layout(wire.geometry, cells)))
             assert len(sources) == parts
-            assert sum("for i in range(" in source for source in sources) == loops
+            assert sum("for i in rows:" in source for source in sources) == loops
             for source in sources:
                 # no overflow branch: the update calls nothing but sqrt
                 for text in ["globals", "getattr", "inf", "copysign", *hostile]:
@@ -1202,7 +1265,7 @@ class TestCompiledSweep:
                     elif token.type == tokenize.NUMBER:
                         assert token.string == repr(float(token.string)) or token.string.isdigit()
                     elif token.type == tokenize.OP:
-                        assert token.string in {*"()[]:=+-*/,<>"}, token.string
+                        assert token.string in {*"()[]:=+-*/,<>", "==", "+="}, token.string
 
 
 class TestMeasure:
