@@ -2,8 +2,7 @@
 only when a relaxation has run long enough to repay compiling one.  A run of
 alike rows (``engine._runs``, as along a wire) compiles as one loop, which
 fills a flat stretch of rows with one slice store (see _compile_loop).  The
-update drops the overflow branch: with every P in [-1, 1], |x| <= row sum
-|E| / (2 gamma), and a call where that may reach X_MARGIN runs engine._sweep."""
+update drops the overflow branch (see compile_sweep)."""
 
 from __future__ import annotations
 
@@ -17,11 +16,11 @@ from . import engine
 __all__ = ["compile_sweep"]
 
 # The compiler holds about 36 kB per row of source while it runs, so rows
-# compile in parts of ROWS_PER_PART, and a run of as many or more as one loop;
-# sums split every TERMS_PER_LINE terms so no expression nests deep enough to
-# exhaust the compiler's stack.  Under X_MARGIN, x * x stays finite:
+# compile in parts of engine.ROWS_PER_PART, and a run of as many or more as one
+# loop; sums split every TERMS_PER_LINE terms so no expression nests deep
+# enough to exhaust the compiler's stack.  Under X_MARGIN, x * x stays finite:
 # sqrt(DBL_MAX) is about 1.34e154.
-ROWS_PER_PART, TERMS_PER_LINE, X_MARGIN = engine.ROWS_PER_PART, 64, 1e150
+TERMS_PER_LINE, X_MARGIN = 64, 1e150
 
 
 def _update(zone: int, terms: list[str], cell: str) -> list[str]:
@@ -99,18 +98,18 @@ def _compile_loop(rows: Sequence[engine.Row], shared: set[int]) -> Callable[...,
     )
 
 
-def compile_sweep(rows: Sequence[engine.Row], runs: Sequence[tuple[int, int]] | None = None) -> Callable[..., int]:
+def compile_sweep(rows: Sequence[engine.Row], runs: Sequence[tuple[int, int]]) -> Callable[..., int]:
     """_sweep over ``rows`` as generated code: the same contract and the
-    same float operations in the same order, less the overflow branch.  The
-    source holds only integer indices, finite float reprs and fixed text, so
-    every kink energy must be finite; a kernel gives no other (a zero
-    distance raises).  With every P in [-1, 1], as pins and updates keep it,
-    |x| <= the row's sum of |E| / (2 gamma): a call where that may reach
-    X_MARGIN in some zone runs ``engine._sweep`` instead.  ``runs`` is
-    ``engine._runs(rows, ROWS_PER_PART)``, found here if not given."""
-    parts, at = [], 0  # (compiler, rows) in sweep order; (len(rows), 0) adds the rows after the last run
-    for first, stop in [*(engine._runs(rows, ROWS_PER_PART) if runs is None else runs), (len(rows), 0)]:
-        parts += [(_compile_part, rows[k : min(k + ROWS_PER_PART, first)]) for k in range(at, first, ROWS_PER_PART)]
+    same float operations in the same order, less the overflow branch.
+    ``runs`` is the plan _cycles priced, ``engine._runs(rows)``.  The source
+    holds only integer indices, finite float reprs and fixed text, so every
+    kink energy must be finite; a kernel gives no other (a zero distance
+    raises).  With every P in [-1, 1], as pins and updates keep it, |x| <=
+    the row's sum of |E| / (2 gamma): a call where that may reach X_MARGIN
+    in some zone runs ``engine._sweep`` instead."""
+    parts, at, size = [], 0, engine.ROWS_PER_PART  # (compiler, rows) in sweep order
+    for first, stop in [*runs, (len(rows), 0)]:  # (len(rows), 0) adds the rows after the last run
+        parts += [(_compile_part, rows[k : min(k + size, first)]) for k in range(at, first, size)]
         parts += [(_compile_loop, rows[first:stop])] if stop else []
         at = stop
     # a run's rows share their energies, and its first and last read all it reads but does not own

@@ -207,10 +207,9 @@ def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
     """The Gauss-Seidel loop: update the free rows of ``p`` in place until
     the largest change in one sweep drops below ``_TOLERANCE``.  Returns the
     sweeps used; raises ConvergenceFailure after ``_MAX_SWEEPS`` sweeps.  It
-    is relax's loop, _cycles' first tier and the reference for _sweepgen,
-    whose update drops the overflow branch: with every P in [-1, 1], |x| <=
-    row sum |E| / (2 gamma), and a call where that may reach X_MARGIN runs
-    this loop.  The residual, max |d|, is the largest rise or fall."""
+    is relax's loop, _cycles' first tier and the reference for
+    _sweepgen.compile_sweep, whose update drops the overflow branch (its
+    docstring says why).  The residual, max |d|, is the largest rise or fall."""
     g = (2.0 * gammas[0], 2.0 * gammas[1], 2.0 * gammas[2], 2.0 * gammas[3])  # cheaper than a comprehension
     residual = 0.0
     for sweep in range(1, _MAX_SWEEPS + 1):
@@ -237,26 +236,27 @@ def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
 # A compile of some rows (_sweepgen) is repaid by about _COMPILE_FIXED +
 # _COMPILE_PER_ROW * rows cell updates run compiled instead of by _sweep, and
 # each compiled call's set-up costs what about _COMPILED_CALL such updates save.
-# A run (_runs) of ROWS_PER_PART or more rows compiles as one loop and counts
-# as one row.  CPython 3.11, 2-vCPU Xeon, fresh process: importing _sweepgen
-# from source takes 2.2 ms (0.2 ms from a bytecode cache), a first compile
-# 0.25 ms + 0.09 ms per row, a compiled call 2 us more, and a compiled update
-# saves about 0.2 us (0.15 to 0.22; in a run's loop 0.1 to 0.17), so the
-# import and first compile weigh ~12,000 updates, a row ~450 and a call ~10.
+# ROWS_PER_PART is the one threshold and part size: a run (_runs) of that many
+# rows or more compiles as one loop and counts as one row.  CPython 3.11,
+# 2-vCPU Xeon, fresh process: importing _sweepgen from source takes 2.2 ms
+# (0.2 ms from a bytecode cache), a first compile 0.25 ms + 0.09 ms per row, a
+# compiled call 2 us more, and a compiled update saves about 0.2 us (0.15 to
+# 0.22; in a run's loop 0.1 to 0.17), so the import and first compile weigh
+# ~12,000 updates, a row ~450 and a call ~10.
 # A loop also fills the rows after a flat window by one slice store, which
 # these prices leave out: it makes a settled wire's updates cheaper still.
 _COMPILE_FIXED, _COMPILE_PER_ROW, _COMPILED_CALL, ROWS_PER_PART = 12000, 400, 10, 32
 
 
-def _runs(rows: Sequence[Row], shortest: int) -> list[tuple[int, int]]:
-    """The (first, stop) slices of ``rows`` that _sweepgen compiles as loops: ``shortest`` or more
-    rows of consecutive cells in one zone whose neighbours lie at the same offsets, in the same
+def _runs(rows: Sequence[Row]) -> list[tuple[int, int]]:
+    """The (first, stop) slices of ``rows`` that _sweepgen compiles as loops: ``ROWS_PER_PART`` or
+    more rows of consecutive cells in one zone whose neighbours lie at the same offsets, in the same
     order, with the same energies, and fill every offset from the lowest to the highest but 0."""
     runs, first, last = [], 0, None
     for k, (i, zone, neighbours) in enumerate([*rows, (0, -1, ())]):  # zone -1 ends the last run
         key = (i - k, zone, [j - i for j, _ in neighbours], [e for _, e in neighbours])
         if key != last:
-            if k - first >= shortest and max(0, 0, *last[2]) - min(0, 0, *last[2]) == len(last[2]):
+            if k - first >= ROWS_PER_PART and max(0, 0, *last[2]) - min(0, 0, *last[2]) == len(last[2]):
                 runs.append((first, k))
             first, last = k, key
     return runs
@@ -381,7 +381,7 @@ def _cycles(
         p = [0.0] * len(layout.cells)
         rows = _free_rows(layout, couplings, pinned, p)
         if runs is None:  # every relaxed vector pins the same cells, so has the same rows
-            runs, used = _runs(rows, ROWS_PER_PART), {zone for _, zone, _ in rows}
+            runs, used = _runs(rows), {zone for _, zone, _ in rows}
             cost = _COMPILE_FIXED + _COMPILE_PER_ROW * (len(rows) - sum(stop - first - 1 for first, stop in runs))
             key_of = operator.itemgetter(*used) if used else lambda gammas: ()
         block: list[TraceSample] = []

@@ -5,12 +5,15 @@ of each cell, assign occupancy-dependent charge coefficients, and sum
 k*q1*q2/r over every cross-cell pair with plain sqrt arithmetic.  The only
 things shared with the implementation are the published constants and the
 documented conventions (P = +1 on the main diagonal; the equal-polarization
-base of the kink difference is both cells at -1).
+base of the kink difference is both cells at -1).  ``product_state_energy``
+takes the package's kink energies as given: it checks the relaxation, not
+the electrostatics.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Mapping, Sequence
 
 K_COULOMB = 8.9875e9  # N*m^2/C^2
 CHARGE_E = 1.602e-19  # C
@@ -89,3 +92,23 @@ def brute_largest_term(
         math.hypot(xb - xa, yb - ya) for xa, ya in brute_dots(*center_a, half) for xb, yb in brute_dots(*center_b, half)
     )
     return K_COULOMB * CHARGE_E * CHARGE_E / (eps_r * d_min * 1e-9)
+
+
+def product_state_energy(
+    couplings: Sequence[Sequence[tuple[int, float]]], free: Mapping[int, int], gammas: Sequence[float], p: Sequence[float]
+) -> float:
+    """U(P) = -sum (E_ij / 2) P_i P_j - sum gamma_zone(i) sqrt(1 - P_i^2), the
+    energy of a product state of two-state cells (Lent & Tougaw 1997).  The
+    first sum runs over the pairs of ``couplings`` (cell i's (j, E_ij), both
+    ways) that hold at least one cell of ``free`` (index -> zone), each pair
+    once; the second over ``free``.  U is strictly convex in each free P_i,
+    and its minimiser there is x / sqrt(1 + x^2) with x = sum_j E_ij P_j /
+    (2 gamma_zone(i)): a Gauss-Seidel sweep of that update never raises U
+    but by rounding (Hopfield, PNAS 81, 1984)."""
+    pairs = math.fsum(
+        e / 2.0 * p[i] * p[j]
+        for i, neighbours in enumerate(couplings)
+        for j, e in neighbours
+        if i < j and (i in free or j in free)
+    )
+    return -pairs - math.fsum(gammas[zone] * math.sqrt(1.0 - p[i] * p[i]) for i, zone in free.items())

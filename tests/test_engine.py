@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 import frozen
 from helpers import CLOCK, PAPER_CIRCUITS, anti_ordered_chain, exhaustive, independent_wires, run_python, sha
-from oracle import brute_fixed_point
+from oracle import brute_fixed_point, product_state_energy
 from qcasim import (
     Cell,
     ChargeModel,
@@ -49,6 +49,7 @@ from qcasim import (
     simulate,
     trace_csv,
     truth_check,
+    validate,
 )
 from qcasim import _sweepgen, cli, electrostatics, engine
 from qcasim.engine import MAX_EXHAUSTIVE_INPUTS, MAX_GAMMA, MAX_SAMPLES_PER_CYCLE
@@ -993,6 +994,39 @@ def flat_runs_and_state(draw):
     return rows, p[: n + 2 * reach], tuple(draw(gamma) for _ in range(4))
 
 
+@st.composite
+def pinned_layout_and_state(draw):
+    """A layout with one or more fixed cells and at least one free one:
+    either 2 to 9 cells on distinct, jittered spots of a 3 x 3 grid with a
+    P in [-1, 1] per cell, or a wire of up to 80 cells whose zones change
+    every drawn number of cells, whose radius reaches 1 to 4 cells and whose
+    P comes in stretches of one value, so its loops fill flat windows; and
+    the gammas of one sample of the default clock."""
+    n = draw(st.integers(2, 9)) if draw(st.booleans()) else draw(st.integers(10, 80))
+    geometry = GeometryParams(
+        relative_permittivity=draw(st.sampled_from([1.0, 12.9])),
+        charge_model=draw(st.sampled_from(list(ChargeModel))),
+    )
+    if n <= 9:
+        jitter = st.floats(-0.9, 0.9)
+        spots = draw(st.permutations(range(9)))[:n]
+        places = [(20.0 * (s % 3) + draw(jitter), 20.0 * (s // 3) + draw(jitter), draw(st.integers(0, 3))) for s in spots]
+        p = [draw(st.floats(-1.0, 1.0)) for _ in range(n)]
+    else:
+        geometry = geometry._replace(radius_of_effect=20.0 * draw(st.integers(1, 4)) + 5.0)
+        per_zone, p = draw(st.integers(1, 64)), []
+        places = [(20.0 * k, 0.0, (k // per_zone) % 4) for k in range(n)]
+        while len(p) < n:
+            p += [draw(st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0))] * draw(st.integers(1, n))
+    fixed = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=min(4, n - 1)))
+    cells = [
+        Cell(f"c{k}", x, y, Role.fixed(draw(st.sampled_from([-1, 1]))) if k in fixed else Role.normal(), zone=zone)
+        for k, (x, y, zone) in enumerate(places)
+    ]
+    s = draw(st.integers(0, CLOCK.samples_per_cycle - 1))
+    return Layout(geometry, cells), p[:n], tuple(gamma_at(CLOCK, z, s) for z in range(4))
+
+
 def outcome(loop, rows, p, gammas, tolerance=engine._TOLERANCE, max_iters=engine._MAX_SWEEPS):
     """(repr of the final P, sweeps used or the failure's residual), with
     the engine's limits patched to ``tolerance`` and ``max_iters``."""
@@ -1009,12 +1043,12 @@ class TestCompiledSweep:
     @given(
         free_rows_and_state(),
         st.sampled_from([(1e-7, 1000), (1e-7, 2), (0.0, 0), (0.0, 1), (0.0, 3)]),
-        st.sampled_from([1, 3, _sweepgen.ROWS_PER_PART]),
+        st.sampled_from([1, 3, engine.ROWS_PER_PART]),
     )
     def test_matches_the_interpreted_loop(self, state, limits, rows_per_part):
         rows, p, gammas = state
-        with mock.patch.object(_sweepgen, "ROWS_PER_PART", rows_per_part):
-            compiled = _sweepgen.compile_sweep(rows)
+        with mock.patch.object(engine, "ROWS_PER_PART", rows_per_part):
+            compiled = _sweepgen.compile_sweep(rows, engine._runs(rows))
         assert outcome(compiled, rows, p, gammas, *limits) == outcome(
             engine._sweep, rows, p, gammas, *limits
         )
@@ -1026,9 +1060,9 @@ class TestCompiledSweep:
     def test_a_wire_matches_the_interpreted_loop(self, state, limits):
         # at a run threshold of 2 or 3 most wires hold a loop part, at 32 the longer ones
         rows, p, gammas = state
-        for rows_per_part in (2, 3, _sweepgen.ROWS_PER_PART):
-            with mock.patch.object(_sweepgen, "ROWS_PER_PART", rows_per_part):
-                compiled = _sweepgen.compile_sweep(rows)
+        for rows_per_part in (2, 3, engine.ROWS_PER_PART):
+            with mock.patch.object(engine, "ROWS_PER_PART", rows_per_part):
+                compiled = _sweepgen.compile_sweep(rows, engine._runs(rows))
             assert outcome(compiled, rows, p, gammas, *limits) == outcome(
                 engine._sweep, rows, p, gammas, *limits
             )
@@ -1038,13 +1072,35 @@ class TestCompiledSweep:
         # a loop fills the rows after a flat window with one slice store; a
         # wrong fill shows in P after a sweep or two, or in the sweeps used
         rows, p, gammas = state
-        for rows_per_part in (2, 3, _sweepgen.ROWS_PER_PART):
-            with mock.patch.object(_sweepgen, "ROWS_PER_PART", rows_per_part):
-                compiled = _sweepgen.compile_sweep(rows)
+        for rows_per_part in (2, 3, engine.ROWS_PER_PART):
+            with mock.patch.object(engine, "ROWS_PER_PART", rows_per_part):
+                compiled = _sweepgen.compile_sweep(rows, engine._runs(rows))
             for limits in ((1e-7, 1000), (1e-7, 2), (0.0, 1), (0.0, 3)):
                 assert outcome(compiled, rows, p, gammas, *limits) == outcome(
                     engine._sweep, rows, p, gammas, *limits
                 )
+
+    @given(pinned_layout_and_state())
+    def test_a_relaxation_never_raises_the_product_state_energy(self, state):
+        # each update minimises U (oracle.product_state_energy) in its cell,
+        # so neither tier's relaxation may raise U beyond rounding: a check
+        # of _sweep itself, where the tests above compare the tiers with it
+        layout, p, gammas = state
+        assert validate(layout) == []
+        couplings = coupling_map(layout)
+        rows = engine._free_rows(layout, couplings, engine._pinned_map(layout, {}), p)
+        free = {i: zone for i, zone, _ in rows}
+        scale = sum(sum(abs(e) for _, e in neighbours) / 2.0 + gammas[zone] for _, zone, neighbours in rows)
+        before = product_state_energy(couplings, free, gammas, p)
+        loops = [engine._sweep]
+        for rows_per_part in (2, 3, 32):
+            with mock.patch.object(engine, "ROWS_PER_PART", rows_per_part):
+                loops.append(_sweepgen.compile_sweep(rows, engine._runs(rows)))
+        for loop in loops:
+            relaxed = list(p)
+            with contextlib.suppress(ConvergenceFailure):
+                loop(relaxed, rows, gammas)
+            assert product_state_energy(couplings, free, gammas, relaxed) <= before + 1e-12 * scale
 
     def test_a_flat_stretch_is_filled_by_slices(self):
         # sample 0 of wire:512 from zeros, 4 sweeps of its run of rows 3..508:
@@ -1063,7 +1119,7 @@ class TestCompiledSweep:
         p.slices = []
         rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {"c0": 1}), p)
         gammas = tuple(gamma_at(CLOCK, z, 0) for z in range(4))
-        compiled = _sweepgen.compile_sweep(rows)
+        compiled = _sweepgen.compile_sweep(rows, engine._runs(rows))
         reference = list(p)
         assert compiled(p, rows, gammas) == engine._sweep(reference, rows, gammas)
         assert repr(list(p)) == repr(reference)
@@ -1094,7 +1150,7 @@ class TestCompiledSweep:
         if isinstance(built, Layout):
             rows = engine._free_rows(built, coupling_map(built), engine._pinned_map(built, {"c0": 1}), p)
         sources = record_sources(monkeypatch)
-        compiled = _sweepgen.compile_sweep(rows)
+        compiled = _sweepgen.compile_sweep(rows, engine._runs(rows))
         loops = [source for source in sources if "for i in rows:" in source]
         assert len(loops) == 1 and first in loops[0]
         for gammas in (GAMMA_LOW4, (CLOCK.gamma_high,) * 4, (1e-300,) * 4):
@@ -1106,7 +1162,7 @@ class TestCompiledSweep:
         sources = record_sources(monkeypatch)
         layout = zoned_gaas_wire(128)
         rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {"c0": 1}), [0.0] * 128)
-        _sweepgen.compile_sweep(rows)
+        _sweepgen.compile_sweep(rows, engine._runs(rows))
         assert len(sources) == 4
         assert sha("\n".join(sources).encode()) == "e9fbde34157d53480049c139d71dd7ac055d846258bed1f28d1bb5823caf5af4"
 
@@ -1120,7 +1176,7 @@ class TestCompiledSweep:
         p = [0.0] * 100
         rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {}), p)
         assert min(len(neighbours) for _, _, neighbours in rows) > _sweepgen.TERMS_PER_LINE
-        compiled = _sweepgen.compile_sweep(rows)
+        compiled = _sweepgen.compile_sweep(rows, engine._runs(rows))
         for gammas in (GAMMA_LOW4, (CLOCK.gamma_high,) * 4, (1e-300,) * 4):
             assert outcome(compiled, rows, p, gammas) == outcome(engine._sweep, rows, p, gammas)
 
@@ -1133,7 +1189,7 @@ class TestCompiledSweep:
         p = [0.0] * len(cells)
         rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {}), p)
         sweep, log = engine._sweep, record_tiers(monkeypatch)
-        compiled = _sweepgen.compile_sweep(rows)
+        compiled = _sweepgen.compile_sweep(rows, engine._runs(rows))
         widest = max(sum(abs(e) for _, e in neighbours) for _, zone, neighbours in rows if zone == 1)
         limit = widest / _sweepgen.X_MARGIN
         edge = limit / 2.0
@@ -1162,7 +1218,7 @@ class TestCompiledSweep:
         rows = [(3, 0, tuple(enumerate(energies))), (4, 1, ((3, 4.7e295), (0, -4.7e295)))]
         p = [1.0, -1.0, 1.0, 0.0, 0.0]
         sweep, log = engine._sweep, record_tiers(monkeypatch)
-        compiled = _sweepgen.compile_sweep(rows)
+        compiled = _sweepgen.compile_sweep(rows, engine._runs(rows))
         for gammas in (GAMMA_LOW4, (MAX_GAMMA,) * 4):
             log.clear()
             assert outcome(compiled, rows, p, gammas) == outcome(sweep, rows, p, gammas)
@@ -1233,7 +1289,7 @@ class TestCompiledSweep:
     def test_compile_sweep_refuses_a_non_finite_kink_energy(self):
         rows = [(1, 0, ((0, math.inf),)), (2, 0, ((1, 1e-21),))]
         with pytest.raises(ValueError, match="finite"):
-            _sweepgen.compile_sweep(rows)
+            _sweepgen.compile_sweep(rows, engine._runs(rows))
 
     def test_source_holds_no_text_from_the_layout(self, monkeypatch):
         # ids and labels that read as code; the generated source may hold
