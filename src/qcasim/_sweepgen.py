@@ -74,9 +74,12 @@ def _compile_loop(rows: Sequence[engine.Row], shared: set[int]) -> Callable[...,
     Where the window is flat (new equals every m, and w every q), each next
     row whose newest cell p[k] still equals w reads the same window, so
     computes the same new and d: one slice stores new into them all and the
-    loop resumes at the first other row.  Float == is bit equality here: a
-    +-0.0 term cannot change a sum that starts 0.0 +, new is never -0.0, so
-    new - w has the same bits for w = +-0.0, and a NaN equals nothing."""
+    loop resumes at the first other row.  The scan for it gallops, slices of
+    n cells against [w] * n with n doubling, then halving.  Float == is bit
+    equality here: a +-0.0 term cannot change a sum that starts 0.0 +, new
+    is never -0.0, so new - w has the same bits for w = +-0.0.  List ==
+    (identity, then ==) differs from float == only for a NaN, and p holds
+    none here: every P stays in [-1, 1] (see compile_sweep)."""
     first, zone, neighbours = rows[0]
     offsets = [j - first for j, _ in neighbours]
     window = range(min(0, 0, *offsets), max(0, 0, *offsets) + 1)
@@ -87,7 +90,10 @@ def _compile_loop(rows: Sequence[engine.Row], shared: set[int]) -> Callable[...,
     flat = " and ".join(" == ".join(chain) for chain in chains if len(chain) > 1) or "True"
     head = [f"{name[o]} = p[{first + o}]" for o in window[:-1]] + [f"rows = iter(range({first}, {stop}))", "rise = fall = 0.0"]
     body = [f"{name[hi]} = p[i + {hi}]", *_update(zone, terms, "w"), "p[i] = new", f"if {flat}:"]
-    body += [f"    k = i + {hi + 1}", f"    while k < {stop + hi} and p[k] == w:", "        k += 1"]
+    # k ends at the first cell from i + hi + 1 that differs from w, or at the limit stop + hi
+    body += [f"    k, n = i + {hi + 1}, 1", f"    while k + n <= {stop + hi} and p[k:k + n] == [w] * n:"]
+    body += ["        k += n", "        n += n", "    while n > 1:", "        n >>= 1"]
+    body += [f"        if k + n <= {stop + hi} and p[k:k + n] == [w] * n:", "            k += n"]
     body += [f"    if k > i + {hi + 1}:", f"        p[i + 1:k - {hi}] = [new] * (k - i - {hi + 1})"]
     body += [f"        next(islice(rows, k - i - {hi + 2}, None))"]
     body += [f"{name[o]} = {'new' if o == -1 else name[o + 1]}" for o in window[:-1]]
@@ -131,7 +137,7 @@ def compile_sweep(rows: Sequence[engine.Row], runs: Sequence[tuple[int, int]]) -
         running = [make(p, *g) for make in makers]
         try:
             residual = 0.0
-            for n in range(1, engine._MAX_SWEEPS + 1):
+            for n in range(1, engine._sweep_limit(rows) + 1):
                 residual = 0.0
                 for part in running:
                     r = next(part)

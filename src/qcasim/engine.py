@@ -61,7 +61,10 @@ MAX_GAMMA = 1e-18
 MAX_SAMPLES_PER_CYCLE = 65536
 
 # Every relaxation stops at these; both sweep tiers read them at call time.
-_TOLERANCE, _MAX_SWEEPS = 1e-7, 1000
+# A relaxation may take _MAX_SWEEPS sweeps or, if more, _SWEEP_BUDGET cell
+# updates: where a clock ramp destabilises the unpolarized state (at eps_r
+# 12.9, say) Gauss-Seidel slows down, and a few cells can need 10^4 sweeps.
+_TOLERANCE, _MAX_SWEEPS, _SWEEP_BUDGET = 1e-7, 1000, 10**6
 
 Vector = tuple[tuple[str, int], ...]  # ((label, +-1), ...) sorted by label
 Neighbours = tuple[tuple[int, float], ...]  # (neighbour index, kink energy J), ...
@@ -203,16 +206,22 @@ def _free_rows(
     return [(i, c.zone, couplings[i]) for i, c in enumerate(layout.cells) if i not in pinned]
 
 
+def _sweep_limit(rows: Sequence[Row]) -> int:
+    """The most sweeps one relaxation of ``rows`` may take: max(_MAX_SWEEPS,
+    _SWEEP_BUDGET // free rows)."""
+    return max(_MAX_SWEEPS, _SWEEP_BUDGET // len(rows)) if rows else _MAX_SWEEPS
+
+
 def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
     """The Gauss-Seidel loop: update the free rows of ``p`` in place until
     the largest change in one sweep drops below ``_TOLERANCE``.  Returns the
-    sweeps used; raises ConvergenceFailure after ``_MAX_SWEEPS`` sweeps.  It
+    sweeps used; raises ConvergenceFailure after ``_sweep_limit`` sweeps.  It
     is relax's loop, _cycles' first tier and the reference for
     _sweepgen.compile_sweep, whose update drops the overflow branch (its
     docstring says why).  The residual, max |d|, is the largest rise or fall."""
     g = (2.0 * gammas[0], 2.0 * gammas[1], 2.0 * gammas[2], 2.0 * gammas[3])  # cheaper than a comprehension
     residual = 0.0
-    for sweep in range(1, _MAX_SWEEPS + 1):
+    for sweep in range(1, _sweep_limit(rows) + 1):
         rise = fall = 0.0
         for i, zone, neighbours in rows:
             total = 0.0
@@ -273,9 +282,10 @@ def relax(
     ``assignments`` pins cells by id (every input must be covered; fixed
     cells are pinned automatically).  Sweeps update free cells in layout
     order until the largest per-sweep change drops below 1e-7.  Returns
-    (polarizations, sweeps used); raises ConvergenceFailure if 1,000 sweeps
-    are not enough.  Chained over a clock cycle via ``initial_p`` from
-    zeros, it reproduces ``simulate``'s trace exactly.
+    (polarizations, sweeps used); raises ConvergenceFailure if
+    max(1,000, 10^6 // free cells) sweeps are not enough.  Chained over a
+    clock cycle via ``initial_p`` from zeros, it reproduces ``simulate``'s
+    trace exactly.
     """
     if len(gamma_per_zone) != 4 or any(g <= 0 for g in gamma_per_zone):
         raise ValueError("gamma_per_zone must be four positive energies")

@@ -186,7 +186,8 @@ class Cell(_Record):
         self.__dict__.update(id=id, x=x, y=y, role=role, zone=zone)
         if not isinstance(self.id, str) or not TOKEN_RE.match(self.id):
             raise ValueError(f"cell id {self.id!r} is not a valid token")
-        if not all(isinstance(v, (int, float)) and abs(v) <= sys.float_info.max for v in (self.x, self.y)):
+        largest = sys.float_info.max
+        if not (isinstance(x, (int, float)) and abs(x) <= largest and isinstance(y, (int, float)) and abs(y) <= largest):
             raise ValueError(f"cell {self.id}: position must be finite")
         if not isinstance(self.role, Role):
             raise ValueError(f"cell {self.id}: role must be a Role")
@@ -275,8 +276,17 @@ def pairs_within(cells: Sequence[Cell], radius: float) -> Iterator[tuple[int, in
     buckets: dict[tuple[int, int], list[int]] = {}
     for i, key in enumerate(keys):
         buckets.setdefault(key, []).append(i)
+    # the 3 x 3 buckets around one are three column triples: each bucket's own
+    # triple is built once, and a column beside it with no bucket at its
+    # middle (so no triple, and ``or`` moves on) is its other two
+    get, empty = buckets.get, []
+    column = {(kx, ky): get((kx, ky - 1), empty) + mid + get((kx, ky + 1), empty) for (kx, ky), mid in buckets.items()}
     around = {
-        (kx, ky): sorted(j for dx in (-1, 0, 1) for dy in (-1, 0, 1) for j in buckets.get((kx + dx, ky + dy), ()))
+        (kx, ky): sorted(
+            (column.get((kx - 1, ky)) or get((kx - 1, ky - 1), empty) + get((kx - 1, ky + 1), empty))
+            + column[kx, ky]
+            + (column.get((kx + 1, ky)) or get((kx + 1, ky - 1), empty) + get((kx + 1, ky + 1), empty))
+        )
         for kx, ky in buckets
     }
     for i, (ax, ay) in enumerate(centers):

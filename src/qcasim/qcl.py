@@ -44,7 +44,7 @@ class ParseError(ValueError):
         self.reason = reason
 
 
-_CELL_KEYS = ("id", "x", "y", "role", "label", "p", "zone")
+_CELL_KEYS = frozenset(("id", "x", "y", "role", "label", "p", "zone"))
 _ROLE_NAMES = {kind.value: kind for kind in RoleKind}
 
 
@@ -102,34 +102,34 @@ def _charge_model(key: str, text: str, line: int) -> ChargeModel:
         raise ParseError(line, f"unknown {key} {text!r}") from None
 
 
-def _construct(line: int, cls: Callable[..., Any], **fields: Any) -> Any:
-    """``cls(**fields)``, its ValueError reported as a ParseError on ``line``."""
+def _construct(line: int, cls: Callable[..., Any], *args: Any, **fields: Any) -> Any:
+    """``cls(*args, **fields)``, its ValueError reported as a ParseError on ``line``."""
     try:
-        return cls(**fields)
+        return cls(*args, **fields)
     except ValueError as err:
         raise ParseError(line, str(err)) from None
 
 
-def _parse_cell(tokens: Sequence[str], line: int) -> Cell:
-    """Convert a cell line's text; Role and Cell decide which values are valid."""
+def _parse_cell(tokens: Sequence[str], line: int, roles: dict[tuple[str, str | None, str | None], Role]) -> Cell:
+    """Convert a cell line's text; Role and Cell decide which values are valid.
+    ``roles`` holds the Role of each (role, label, p) text read so far: a Role
+    is immutable and its checks read only that text, so one serves each line
+    that repeats it, and a text that fails is not kept."""
     pairs = _key_values(tokens, line, _CELL_KEYS)
     for key in ("id", "x", "y", "role"):
         if key not in pairs:
             raise ParseError(line, f"cell line missing required key {key!r}")
-    kind = _ROLE_NAMES.get(pairs["role"])
-    if kind is None:
-        raise ParseError(line, f"unknown role {pairs['role']!r}")
-    polarization = _integer("p", pairs["p"], line) if "p" in pairs else None
-    role = _construct(line, Role, kind=kind, label=pairs.get("label"), polarization=polarization)
-    return _construct(
-        line,
-        Cell,
-        id=pairs["id"],
-        x=_number("x", pairs["x"], line),
-        y=_number("y", pairs["y"], line),
-        role=role,
-        zone=_integer("zone", pairs.get("zone", "0"), line),
-    )
+    text = (pairs["role"], pairs.get("label"), pairs.get("p"))
+    role = roles.get(text)
+    if role is None:
+        name, label, p = text
+        kind = _ROLE_NAMES.get(name)
+        if kind is None:
+            raise ParseError(line, f"unknown role {name!r}")
+        polarization = None if p is None else _integer("p", p, line)
+        role = roles[text] = _construct(line, Role, kind=kind, label=label, polarization=polarization)
+    x, y = _number("x", pairs["x"], line), _number("y", pairs["y"], line)
+    return _construct(line, Cell, pairs["id"], x, y, role, _integer("zone", pairs.get("zone", "0"), line))
 
 
 def _format_length(value: float) -> str:
@@ -219,6 +219,7 @@ def parse_qcl(text: str) -> tuple[Layout, ClockConfig | None]:
     configs: dict[str, Any] = {}
     cells: list[Cell] = []
     ids: set[str] = set()
+    roles: dict[tuple[str, str | None, str | None], Role] = {}
     for line, content in lines:
         directive, *tokens = content.split()
         if directive in _CONFIG_LINES:
@@ -228,7 +229,7 @@ def parse_qcl(text: str) -> tuple[Layout, ClockConfig | None]:
                 raise ParseError(line, f"{directive} line must precede cell lines")
             configs[directive] = parse_fields(*_CONFIG_LINES[directive], tokens, line)
         elif directive == "cell":
-            cell = _parse_cell(tokens, line)
+            cell = _parse_cell(tokens, line, roles)
             if cell.id in ids:
                 raise ParseError(line, f"duplicate cell id {cell.id!r}")
             ids.add(cell.id)

@@ -398,11 +398,49 @@ class TestRelax:
             relax(layout, {"drv": -1}, GAMMA_LOW4)
 
     def test_failure_carries_residual(self):
-        with mock.patch.object(engine, "_MAX_SWEEPS", 1), pytest.raises(ConvergenceFailure) as exc:
+        # no budget beyond _MAX_SWEEPS, which would give 19 free rows 52,631 sweeps
+        limits = mock.patch.multiple(engine, _MAX_SWEEPS=1, _SWEEP_BUDGET=0)
+        with limits, pytest.raises(ConvergenceFailure) as exc:
             relax(gen_wire(20), {"c0": +1}, GAMMA_LOW4)
         assert exc.value.residual > 0.0
         assert exc.value.vector_index is None
         assert exc.value.sample_index is None
+
+
+def slow_gaas_layout() -> Layout:
+    """Seven cells in one zone at eps_r 12.9, input a and output b, whose
+    sample 1 needs more than 1,000 sweeps."""
+    normal = [(20.0, -20.0), (60.0, 0.0), (80.0, -20.0), (80.0, 0.0), (80.0, 20.0)]
+    cells = [Cell("a", 0.0, -20.0, Role.input("a"))]
+    cells += [Cell(f"n{k}", x, y, Role.normal()) for k, (x, y) in enumerate(normal)]
+    cells.append(Cell("b", 80.0, 40.0, Role.output("b")))
+    return Layout(GeometryParams(relative_permittivity=12.9), cells)
+
+
+@st.composite
+def small_gaas_layouts(draw):
+    """2 to 8 cells on distinct spots of a 5 x 5 grid at the default pitch
+    and eps_r 12.9: the first an input, the rest normal, fixed, output or
+    (up to 3 in all) input cells, in one zone or in drawn zones."""
+    n = draw(st.integers(2, 8))
+    spots = draw(st.permutations(range(25)))[:n]
+    one_zone = draw(st.booleans())
+    cells, inputs, outputs = [], 0, 0
+    for k, spot in enumerate(spots):
+        kind = "input" if k == 0 else draw(st.sampled_from(["normal"] * 5 + ["output"] * 2 + ["fixed", "input"]))
+        if kind == "input" and inputs < 3:
+            inputs += 1
+            role = Role.input(f"i{inputs}")
+        elif kind == "output":
+            outputs += 1
+            role = Role.output(f"o{outputs}")
+        elif kind == "fixed":
+            role = Role.fixed(draw(st.sampled_from([-1, 1])))
+        else:
+            role = Role.normal()
+        zone = 0 if one_zone else draw(st.integers(0, 3))
+        cells.append(Cell(f"c{k}", 20.0 * (spot % 5), 20.0 * (spot // 5), role, zone=zone))
+    return Layout(GeometryParams(relative_permittivity=12.9), cells)
 
 
 class TestSimulate:
@@ -490,6 +528,40 @@ class TestSimulate:
         assert exc.value.sample_index == 0
         assert exc.value.residual > 0.1
         assert "vector 0" in str(exc.value)
+
+    def test_the_sweep_limit_grows_as_free_rows_shrink(self):
+        # max(1,000, 10^6 // free rows): anti_ordered_chain(1101)'s 1,100 rows keep 1,000
+        assert [engine._sweep_limit([(0, 0, ())] * n) for n in (0, 1, 6, 999, 1000, 1001, 1100)] == [
+            1000, 1000000, 166666, 1001, 1000, 1000, 1000
+        ]
+
+    def test_a_slowly_converging_gaas_layout_converges(self):
+        # one zone at eps_r 12.9, where the default clock's ramp takes the
+        # unpolarized state through its loss of stability and Gauss-Seidel
+        # slows down: sample 1 needs 1,156 sweeps, and once raised
+        # ConvergenceFailure at 1,000; both tiers take it within the limit
+        layout = slow_gaas_layout()
+        trace = simulate(*exhaustive(layout))
+        iterations = [s.iterations for s in trace.samples]
+        assert iterations[:4] == [108, 1156, 148, 55]
+        assert (max(iterations), sum(iterations)) == (1311, 7406)
+        steady = [trace.samples[at].polarizations[-1] for at in (63, 191)]
+        assert [repr(v) for v in steady] == ["-0.9977038732364144", "0.9977038732364144"]
+        p = list(trace.samples[0].polarizations)  # vector 0 pins a to -1
+        rows = engine._free_rows(layout, coupling_map(layout), engine._pinned_map(layout, {"a": -1}), p)
+        compiled = _sweepgen.compile_sweep(rows, engine._runs(rows))
+        gammas, budget = trace.samples[1].gammas, engine._SWEEP_BUDGET
+        reference = outcome(engine._sweep, rows, p, gammas, budget=budget)
+        assert reference[1] == ("sweeps", 1156)
+        assert outcome(compiled, rows, p, gammas, budget=budget) == reference
+
+    @settings(deadline=None)
+    @given(small_gaas_layouts())
+    def test_a_small_gaas_layout_converges(self, layout):
+        # valid layouts of 2 to 8 cells at eps_r 12.9 under the default
+        # clock, where about 1 in 300 once raised ConvergenceFailure
+        assert validate(layout) == []
+        simulate(*exhaustive(layout))
 
 
 def zoned_wire(n_cells: int, per_zone: int, geometry: GeometryParams = GeometryParams()) -> Layout:
@@ -995,6 +1067,34 @@ def flat_runs_and_state(draw):
 
 
 @st.composite
+def power_of_two_stretches_and_state(draw):
+    """One run of rows, each reading 1 to 3 cells before it, after it or
+    both, over a P of stretches of one value whose lengths are a power of
+    two or one off it (0.0 and -0.0 mixed in a stretch of zeros), so a
+    loop's scan for the end of a flat stretch doubles and halves its slices
+    to the last cell of each.  The last stretch ends before the last cell
+    the run reads, one short of it or at it, the scan's limit; up to 3 cells
+    of its value may follow that cell, which no row reads."""
+    reach = draw(st.integers(1, 3))
+    before, after = [*range(-reach, 0)], [*range(1, reach + 1)]
+    offsets = draw(st.sampled_from([before + after, after, before]))
+    lo, hi = -min(0, *offsets), max(0, *offsets)
+    energies = [draw(st.floats(-2e-20, 2e-20)) for _ in offsets]
+    values, p = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-1.0, 1.0), []
+    while len(p) < lo + hi + 2 or len(p) < 300 and draw(st.booleans()):
+        value, length = draw(values), max(1, 2 ** draw(st.integers(0, 7)) + draw(st.integers(-1, 1)))
+        p += [draw(st.sampled_from([0.0, -0.0])) if value == 0.0 else value for _ in range(length)]
+    last = p[-1]
+    p += [0.5 if last != 0.5 else -0.5] * draw(st.sampled_from([0, 1]) | st.integers(2, 2 * hi + 3))
+    limit = len(p)
+    p += [last] * draw(st.integers(0, 3))
+    zone = draw(st.integers(0, 3))
+    rows = [(i, zone, tuple((i + o, e) for o, e in zip(offsets, energies))) for i in range(lo, limit - hi)]
+    gamma = st.sampled_from([CLOCK.gamma_low, CLOCK.gamma_high]) | st.floats(1e-24, MAX_GAMMA)
+    return rows, p, tuple(draw(gamma) for _ in range(4))
+
+
+@st.composite
 def pinned_layout_and_state(draw):
     """A layout with one or more fixed cells and at least one free one:
     either 2 to 9 cells on distinct, jittered spots of a 3 x 3 grid with a
@@ -1027,11 +1127,12 @@ def pinned_layout_and_state(draw):
     return Layout(geometry, cells), p[:n], tuple(gamma_at(CLOCK, z, s) for z in range(4))
 
 
-def outcome(loop, rows, p, gammas, tolerance=engine._TOLERANCE, max_iters=engine._MAX_SWEEPS):
+def outcome(loop, rows, p, gammas, tolerance=engine._TOLERANCE, max_iters=engine._MAX_SWEEPS, budget=0):
     """(repr of the final P, sweeps used or the failure's residual), with
-    the engine's limits patched to ``tolerance`` and ``max_iters``."""
+    the engine's limits patched to ``tolerance`` and ``max_iters``, and by
+    default no budget of updates beyond ``max_iters`` sweeps."""
     p = list(p)
-    with mock.patch.multiple(engine, _TOLERANCE=tolerance, _MAX_SWEEPS=max_iters):
+    with mock.patch.multiple(engine, _TOLERANCE=tolerance, _MAX_SWEEPS=max_iters, _SWEEP_BUDGET=budget):
         try:
             result = ("sweeps", loop(p, rows, gammas))
         except ConvergenceFailure as fail:
@@ -1080,6 +1181,21 @@ class TestCompiledSweep:
                     engine._sweep, rows, p, gammas, *limits
                 )
 
+    @settings(deadline=None)  # up to 1,000 interpreted sweeps of a few hundred rows
+    @given(power_of_two_stretches_and_state())
+    def test_a_flat_stretch_of_any_length_matches_the_interpreted_loop(self, state):
+        # the scan for a flat stretch's end compares slices of 1, 2, 4, ...
+        # cells, then halves them: a stretch one off a power of two, or one
+        # that ends at or next to the scan's limit, shows an off-by-one there
+        rows, p, gammas = state
+        loops = []
+        for rows_per_part in (2, engine.ROWS_PER_PART):
+            with mock.patch.object(engine, "ROWS_PER_PART", rows_per_part):
+                loops.append(_sweepgen.compile_sweep(rows, engine._runs(rows)))
+        for limits in ((1e-7, 1000), (1e-7, 2), (0.0, 1), (0.0, 3)):
+            expected = outcome(engine._sweep, rows, p, gammas, *limits)
+            assert [outcome(loop, rows, p, gammas, *limits) for loop in loops] == [expected] * 2
+
     @given(pinned_layout_and_state())
     def test_a_relaxation_never_raises_the_product_state_energy(self, state):
         # each update minimises U (oracle.product_state_energy) in its cell,
@@ -1098,7 +1214,9 @@ class TestCompiledSweep:
                 loops.append(_sweepgen.compile_sweep(rows, engine._runs(rows)))
         for loop in loops:
             relaxed = list(p)
-            with contextlib.suppress(ConvergenceFailure):
+            # at most 1,000 sweeps: a slow relaxation descends no differently
+            # within the budget, which can reach 10^6 updates per loop
+            with mock.patch.object(engine, "_SWEEP_BUDGET", 0), contextlib.suppress(ConvergenceFailure):
                 loop(relaxed, rows, gammas)
             assert product_state_energy(couplings, free, gammas, relaxed) <= before + 1e-12 * scale
 
@@ -1299,7 +1417,7 @@ class TestCompiledSweep:
         fixed = {
             "def", "part", "p", "try", "while", "True", "rise", "fall", "x", "new",
             "sqrt", "if", "elif", "else", "d", "yield", "finally", "for", "in", "range", "i", "w",
-            "rows", "iter", "k", "and", "next", "islice", "None",
+            "rows", "iter", "k", "n", "and", "next", "islice", "None",
         }
         sources = record_sources(monkeypatch)
         # 63 free rows in parts of 32; a loop over cells 3..60 between two short parts
@@ -1321,7 +1439,7 @@ class TestCompiledSweep:
                     elif token.type == tokenize.NUMBER:
                         assert token.string == repr(float(token.string)) or token.string.isdigit()
                     elif token.type == tokenize.OP:
-                        assert token.string in {*"()[]:=+-*/,<>", "==", "+="}, token.string
+                        assert token.string in {*"()[]:=+-*/,<>", "==", "<=", "+=", ">>="}, token.string
 
 
 class TestMeasure:

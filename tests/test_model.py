@@ -371,16 +371,38 @@ coordinate = st.floats(-200.0, 200.0, allow_nan=False, allow_infinity=False)
 far_shift = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 
 
+@st.composite
+def integer_points(draw):
+    """Up to 30 integer points within 150 of one spot, which may lie above
+    2^53, where a conversion to float before the subtraction would lose them."""
+    spots = st.sampled_from([0, 2**53 - 64, 2**53 + 1, 2**60, -(2**62)])
+    bx, by, offset = draw(spots), draw(spots), st.integers(-150, 150)
+    return [(bx + draw(offset), by + draw(offset)) for _ in range(draw(st.integers(0, 30)))]
+
+
+@st.composite
+def lattices(draw):
+    """30 to 80 cells, in drawn order, on spots of a jittered lattice 8 to
+    16 columns wide with up to half of its columns empty: at most radii its
+    cells span many buckets, and some buckets have no bucket beside them."""
+    columns, rows = draw(st.integers(8, 16)), draw(st.integers(8, 12))
+    empty = draw(st.sets(st.integers(0, columns - 1), max_size=columns // 2))
+    spots = [(c, r) for c in range(columns) if c not in empty for r in range(rows)]
+    chosen = draw(st.permutations(spots))[: draw(st.integers(30, min(80, len(spots))))]
+    pitch, jitter = draw(st.sampled_from([7.0, 20.0, 45.5])), st.floats(-0.4, 0.4)
+    return [(pitch * (c + draw(jitter)), pitch * (r + draw(jitter))) for c, r in chosen]
+
+
 @given(
-    st.lists(st.tuples(coordinate, coordinate), max_size=12),
+    st.lists(st.tuples(coordinate, coordinate), max_size=12) | integer_points() | lattices(),
     st.floats(0.0, 150.0),
     far_shift,
     far_shift,
 )
 def test_pairs_within_matches_brute_force(points, radius, shift_x, shift_y):
     # the layout as drawn, and the same layout translated far from the origin
-    for sx, sy in ((0.0, 0.0), (shift_x, shift_y)):
-        cells = [Cell(f"c{i}", x + sx, y + sy, Role.normal()) for i, (x, y) in enumerate(points)]
+    for drawn in (points, [(x + shift_x, y + shift_y) for x, y in points]):
+        cells = [Cell(f"c{i}", x, y, Role.normal()) for i, (x, y) in enumerate(drawn)]
         distances = [
             (i, j, math.hypot(b.x - a.x, b.y - a.y))
             for (i, a), (j, b) in itertools.combinations(enumerate(cells), 2)

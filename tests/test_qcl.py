@@ -205,6 +205,7 @@ class TestParse:
             ("clock samples=1_28", "line 2: bad integer for 'samples': '1_28'"),
             ("cell id=c0 x=0 y=0 role=fixed p=0", "line 2: fixed role needs polarization -1 or +1"),
             ("cell id=c0 x=0 y=0 role=driver", "line 2: unknown role 'driver'"),
+            ("cell id=c0 x=0 y=0 role=normal q=1", "line 2: unknown key 'q'"),
         ],
     )
     def test_bad_field_message_names_the_line_once(self, body, message):
@@ -245,6 +246,25 @@ class TestParse:
         e = err(doc)
         assert e.line == 3
         assert "duplicate cell id" in e.reason
+
+    def test_cells_of_one_role_text_share_one_role(self):
+        # a Role is immutable, so the parser builds one per (role, label, p)
+        # text: the 510 normal cells of wire:512 share one
+        wire = gen_wire(512)
+        layout, _ = parse_qcl(serialize_qcl(wire))
+        roles = [cell.role for cell in layout.cells]
+        assert roles == [cell.role for cell in wire.cells]
+        assert len({id(role) for role in roles[1:-1]}) == 1 and roles[1] == Role.normal()
+        assert len({id(role) for role in roles}) == 3
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [("2", "line 5: fixed role needs polarization -1 or +1"), ("x", "line 5: bad integer for 'p': 'x'")],
+    )
+    def test_a_bad_p_after_good_fixed_lines_fails_at_its_own_line(self, p, message):
+        doc = "qcl 1\n" + "".join(f"cell id=f{k} x={20 * k} y=0 role=fixed p=+1\n" for k in range(3))
+        doc += f"cell id=bad x=60 y=0 role=fixed p={p}\ncell id=f3 x=80 y=0 role=fixed p={p}\n"
+        assert str(err(doc)) == message
 
     @given(st.text(max_size=200))
     @settings(max_examples=200)
