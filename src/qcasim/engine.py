@@ -220,25 +220,29 @@ def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
     _sweepgen.compile_sweep, whose update drops the overflow branch (its
     docstring says why).  The residual, max |d|, is the largest rise or fall."""
     g = (2.0 * gammas[0], 2.0 * gammas[1], 2.0 * gammas[2], 2.0 * gammas[3])  # cheaper than a comprehension
-    residual = 0.0
-    for sweep in range(1, _sweep_limit(rows) + 1):
-        rise = fall = 0.0
-        for i, zone, neighbours in rows:
-            total = 0.0
-            for j, e_kink in neighbours:
-                total += e_kink * p[j]
-            x = total / g[zone]
-            xx = x * x  # bistable_response, inlined: one call less per update
-            new = x / math.sqrt(1.0 + xx) if xx != math.inf else math.copysign(1.0, x)
-            d = new - p[i]
-            if d > rise:
-                rise = d
-            elif d < fall:
-                fall = d
-            p[i] = new
-        residual = -fall if -fall > rise else rise
-        if residual < _TOLERANCE:
-            return sweep
+    # _sweep_limit is read only past _MAX_SWEEPS sweeps: reading it costs about
+    # 0.2 us, a fifth of a call that converges at once on a 5-cell layout
+    residual, done, limit = 0.0, 0, _MAX_SWEEPS
+    while done < limit:
+        for sweep in range(done + 1, limit + 1):
+            rise = fall = 0.0
+            for i, zone, neighbours in rows:
+                total = 0.0
+                for j, e_kink in neighbours:
+                    total += e_kink * p[j]
+                x = total / g[zone]
+                xx = x * x  # bistable_response, inlined: one call less per update
+                new = x / math.sqrt(1.0 + xx) if xx != math.inf else math.copysign(1.0, x)
+                d = new - p[i]
+                if d > rise:
+                    rise = d
+                elif d < fall:
+                    fall = d
+                p[i] = new
+            residual = -fall if -fall > rise else rise
+            if residual < _TOLERANCE:
+                return sweep
+        done, limit = limit, limit if done else _sweep_limit(rows)
     raise ConvergenceFailure(residual)
 
 

@@ -1143,7 +1143,8 @@ def outcome(loop, rows, p, gammas, tolerance=engine._TOLERANCE, max_iters=engine
 class TestCompiledSweep:
     @given(
         free_rows_and_state(),
-        st.sampled_from([(1e-7, 1000), (1e-7, 2), (0.0, 0), (0.0, 1), (0.0, 3)]),
+        # (tolerance, _MAX_SWEEPS[, _SWEEP_BUDGET]): a budget of 40 updates lets rows past 2 sweeps
+        st.sampled_from([(1e-7, 1000), (1e-7, 2), (0.0, 0), (0.0, 1), (0.0, 3), (1e-7, 1, 40), (0.0, 2, 40)]),
         st.sampled_from([1, 3, engine.ROWS_PER_PART]),
     )
     def test_matches_the_interpreted_loop(self, state, limits, rows_per_part):
@@ -1156,7 +1157,7 @@ class TestCompiledSweep:
 
     @given(
         wire_rows_and_state(),
-        st.sampled_from([(1e-7, 1000), (1e-7, 2), (0.0, 0), (0.0, 1), (0.0, 3)]),
+        st.sampled_from([(1e-7, 1000), (1e-7, 2), (0.0, 0), (0.0, 1), (0.0, 3), (1e-7, 1, 40), (0.0, 2, 40)]),
     )
     def test_a_wire_matches_the_interpreted_loop(self, state, limits):
         # at a run threshold of 2 or 3 most wires hold a loop part, at 32 the longer ones
