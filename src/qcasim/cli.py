@@ -13,7 +13,7 @@ import itertools
 import os
 import stat
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 # circuit_kink_energy and kink_report_csv are unused here: names perfbench/tracer.py wraps
@@ -86,7 +86,10 @@ def _replacing(*paths: str | None) -> Iterator[tuple[TextIO | None, ...]]:
                 continue
             target = os.path.realpath(path)
             folder, name = os.path.split(target)
-            old = os.stat(target) if os.path.exists(target) else None
+            try:
+                old = os.stat(target)
+            except OSError:  # no file to keep (or gone since): the open or replace reports any error
+                old = None
             replaceable = old is None or stat.S_ISREG(old.st_mode) and os.access(target, os.W_OK)
             if not (replaceable and os.access(folder, os.W_OK)):
                 files.append(open(path, "w", encoding="utf-8", newline=""))
@@ -108,8 +111,8 @@ def _replacing(*paths: str | None) -> Iterator[tuple[TextIO | None, ...]]:
         for out in files:
             if out:
                 out.close()
-        for part in parts:
-            if os.path.exists(part):
+        for part in parts:  # a part already replaced, never made or removed by someone else is gone
+            with suppress(FileNotFoundError, NotADirectoryError):
                 os.remove(part)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+from itertools import groupby, islice
 from typing import Any, Callable, Container, Iterable, Iterator, Sequence, TextIO
 
 from .engine import ClockConfig, Measurement, Trace, TraceSample
@@ -327,11 +328,14 @@ def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable
     row per sample it is given: vector, sample, the four zone gammas, every P.
     The text of each clock sample's gammas (the first 1,024 without a zero) is
     kept, and so is the P text of the last row, for a row whose P is the same
-    tuple object.  A row formats each distinct P once until a row of its
-    vector has more than a quarter of its values distinct or zero; from that
-    row on, the vector's P tuples are one %-format each."""
+    tuple object.  A row of at most a quarter as many runs of equal P as
+    values formats each run's P once and repeats its text; any other row
+    formats each distinct P once.  A zero is formatted on its own.  Once a row
+    of a vector has more than a quarter of its values distinct or zero, the
+    vector's later P tuples are one %-format each."""
     out.write(",".join(["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3", *cell_ids]) + "\n")
     values = f",{POLARIZATION_FORMAT}" * len(cell_ids)
+    value, room = "," + POLARIZATION_FORMAT, len(cell_ids) // 4
     gamma_row, gamma_texts = ",".join([ENERGY_FORMAT] * 4), {}
     # the vector written last, whether its rows still repeat, its last P tuple and that P's text
     vector, repeating, last, text = None, True, None, ""
@@ -348,10 +352,15 @@ def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable
                 vector, repeating = vi, True
             if p is not last:
                 if repeating:
-                    try:
-                        text = "".join(map(_Texts(len(p) // 4).__getitem__, p))
-                    except KeyError:
-                        repeating = False
+                    runs = groupby(p)  # 0.0 == -0.0, so a run of zeros may hold both
+                    texts = [(value % v) * len(list(run)) if v else "".join(map(value.__mod__, run)) for v, run in islice(runs, room)]
+                    if next(runs, None) is None:
+                        text = "".join(texts)
+                    else:
+                        try:
+                            text = "".join(map(_Texts(room).__getitem__, p))
+                        except KeyError:
+                            repeating = False
                 if not repeating:
                     text = values % tuple(p)
                 last = p

@@ -390,7 +390,11 @@ class TestStreamedSim:
         assert main(["sim", wire3, "--out", str(folder)]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.endswith(f": {str(folder)!r}\n")
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["a dir", "wire3.qcl"]
+        inside_a_file = tmp_path / "a file" / "t.csv"
+        inside_a_file.parent.write_text("")
+        assert main(["sim", wire3, "--out", str(inside_a_file)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}: {str(inside_a_file)!r}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a dir", "a file", "wire3.qcl"]
 
     def test_unwritable_measure_leaves_no_trace(self, wire3, tmp_path, capsys):
         trace = tmp_path / "t.csv"
@@ -515,6 +519,32 @@ class TestStreamedSim:
         assert main(["sim", wire3, "--out", str(path)]) == 0
         trace = simulate(*exhaustive(gen_wire(3)))
         assert path.stat().st_ino == inode and path.read_bytes() == trace_csv(trace).encode()
+
+    def test_an_output_file_gone_since_a_probe_is_a_new_file(self, wire3, tmp_path, monkeypatch, capsys):
+        # a probe still reports the old file, which another process has
+        # removed since: the output is written as a new file, with no error
+        path = tmp_path / "t.csv"
+        exists = os.path.exists
+        monkeypatch.setattr(os.path, "exists", lambda p: os.path.basename(p) == path.name or exists(p))
+        assert main(["sim", wire3, "--out", str(path)]) == 0
+        monkeypatch.undo()
+        trace = simulate(*exhaustive(gen_wire(3)))
+        assert path.read_bytes() == trace_csv(trace).encode()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "wire3.qcl"]
+
+    def test_a_part_removed_by_someone_else_hides_no_error(self, tmp_path, monkeypatch, capsys):
+        # the temporary file is gone when the rename fails: the error still
+        # names the user's file, not a failed clean-up of the temporary one
+        path = tmp_path / "w.qcl"
+
+        def removed_then_failed(src, dst):
+            os.remove(src)
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+        monkeypatch.setattr(os, "replace", removed_then_failed)
+        assert main(["gen", "wire:3", "--out", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}: {str(path)!r}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_import_loads_no_new_standard_module(self):
         # the modules qcasim names at its top level, imported first, in a

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import random
+from itertools import groupby
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -58,6 +59,35 @@ CSV_VALUES = st.one_of(
     st.integers(-10**9, 10**9).map(lambda k: (k + 0.5) / 1e9),
     st.floats(),
 )
+
+
+# Trace rows made of stretches: a value repeated, zeros of either sign mixed,
+# NaN as one object repeated or as a new object per cell, or two values
+# alternating (the shape of a wire's sample 11, whose runs outnumber its values).
+STRETCH_VALUES = st.one_of(st.sampled_from([1.0, -1.0, math.inf, -math.inf, 0.5]), CSV_VALUES)
+
+
+@st.composite
+def stretched_row(draw, n: int, busy: bool = False) -> tuple:
+    """A row of ``n`` P values; a busy row draws each value on its own."""
+    if busy:
+        return tuple(draw(st.lists(STRETCH_VALUES, min_size=n, max_size=n)))
+    row: list = []
+    while len(row) < n:
+        length = draw(st.integers(1, n))
+        kind = draw(st.sampled_from(["same", "zeros", "shared nan", "new nans", "alternating"]))
+        if kind == "same":
+            row += [draw(STRETCH_VALUES)] * length
+        elif kind == "zeros":
+            row += draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=length, max_size=length))
+        elif kind == "shared nan":
+            row += [math.nan] * length
+        elif kind == "new nans":
+            row += [float("nan") for _ in range(length)]
+        else:
+            pair = (draw(STRETCH_VALUES), draw(STRETCH_VALUES))
+            row += [pair[k % 2] for k in range(length)]
+    return tuple(row[:n])
 
 
 def per_value_trace_csv(cell_ids, samples) -> str:
@@ -541,9 +571,11 @@ class TestCsvExports:
             assert [format_energy(g) for g in s.gammas] == [f"{g:.5e}" for g in s.gammas]
             assert [format_polarization(p) for p in s.polarizations] == [f"{p:.9f}" for p in s.polarizations]
 
-    # Rows of 16 values; the writer formats each distinct P of a row once while
-    # its vector's rows have at most 4 values distinct or zero.
+    # Rows of 16 values; the writer formats each run of a row with at most 4
+    # runs once, and else each distinct P once while its vector's rows have at
+    # most 4 values distinct or zero.
     REPEATING = (0.25,) * 14 + (0.0, -0.0)
+    ALTERNATING = (0.25, 0.5) * 8
     GAMMAS = (9.8e-22, 3.8e-23, 3.8e-23, 9.8e-22)
 
     def _written(self, cell_ids, samples, one_per_call) -> str:
@@ -583,24 +615,54 @@ class TestCsvExports:
         self._check([f"c{k}" for k in range(16)], [TraceSample(5, si, self.GAMMAS, p, 1) for si, p in enumerate([*distinct, self.REPEATING])])
         self._check([], [TraceSample(vi, 0, self.GAMMAS, (), 1) for vi in range(3)])
 
+    @given(st.data())
+    def test_runs_match_per_value_formatting(self, data):
+        n = data.draw(st.integers(0, 40))
+        samples = []
+        for vi in range(data.draw(st.integers(1, 3))):
+            rows = [data.draw(stretched_row(n, busy=data.draw(st.booleans())))]
+            for _ in range(data.draw(st.integers(0, 5))):
+                again = data.draw(st.sampled_from(["new", "same tuple", "equal tuple"]))
+                if again == "new":
+                    rows.append(data.draw(stretched_row(n)))
+                else:
+                    rows.append(rows[-1] if again == "same tuple" else tuple(list(rows[-1])))
+            samples += [TraceSample(vi, si, self.GAMMAS, p, 1) for si, p in enumerate(rows)]
+        self._check([f"c{k}" for k in range(n)], samples)
+
     def test_the_memo_stops_for_the_rest_of_a_vector(self, monkeypatch):
-        tried = []
+        # each row is tried as runs, then with the memo; a row that fails both
+        # leaves the rest of its vector to the %-format, a row that fails only
+        # the runs does not
+        grouped, tried = [], []
 
         class Counted(qcl._Texts):
             def __init__(self, room):
                 tried.append(room)
                 super().__init__(room)
 
+        def counted_groupby(p):
+            grouped.append(p)
+            return groupby(p)
+
         monkeypatch.setattr(qcl, "_Texts", Counted)
+        monkeypatch.setattr(qcl, "groupby", counted_groupby)
         distinct = tuple(k / 16 for k in range(1, 17))
         # vector 1's rows are equal but distinct tuples: the same tuple again would reuse its text
         again = [tuple(list(self.REPEATING)) for _ in range(2)]
-        rows = [(0, self.REPEATING), (0, distinct), (0, self.REPEATING), (1, again[0]), (1, again[1])]
+        rows = [
+            (0, self.REPEATING), (0, distinct), (0, self.REPEATING),
+            (1, again[0]), (1, self.ALTERNATING), (1, again[1]),
+        ]
         samples = [TraceSample(vi, si, self.GAMMAS, p, 1) for si, (vi, p) in enumerate(rows)]
+        cell_ids = [f"c{k}" for k in range(16)]
         for one_per_call in (False, True):
+            grouped.clear()
             tried.clear()
-            self._written([f"c{k}" for k in range(16)], samples, one_per_call)
-            assert tried == [4, 4, 4, 4]  # not vector 0's third row
+            assert self._written(cell_ids, samples, one_per_call) == per_value_trace_csv(cell_ids, samples)
+            # not vector 0's third row
+            assert [id(p) for p in grouped] == [id(p) for p in (self.REPEATING, distinct, again[0], self.ALTERNATING, again[1])]
+            assert tried == [4, 4]  # distinct, ALTERNATING
 
     def test_a_repeated_tuple_is_formatted_once(self):
         # the same P tuple object again, within a vector or across one, reuses
@@ -614,8 +676,9 @@ class TestCsvExports:
 
         cell_ids = [f"c{k}" for k in range(16)]
         distinct = tuple(k / 16 for k in range(1, 17))
-        # the memo formats REPEATING; distinct fails the memo, then is %-formatted
-        for p, formats in ((self.REPEATING, 1), (distinct, 2)):
+        # REPEATING is formatted by runs; distinct fails the runs and the memo,
+        # then is %-formatted
+        for p, formats in ((self.REPEATING, 1), (distinct, 3)):
             one = Seen(p)
             for rows in ([one] * 4, [Seen(p) for _ in range(4)]):
                 samples = [TraceSample(si // 2, si, self.GAMMAS, q, 1) for si, q in enumerate(rows)]
