@@ -76,7 +76,8 @@ def _replacing(*paths: str | None) -> Iterator[tuple[TextIO | None, ...]]:
     regular file is replaced, through any symlink, only when the block
     completes and every file has been closed, in the order given; a device, a
     pipe, a read-only file or a file in a folder that takes no new file is
-    written in place."""
+    written in place.  A loop of symlinks raises ELOOP naming the path as
+    given, and the links stay as they are."""
     files: list[TextIO | None] = []
     parts: dict[str, tuple[str, str]] = {}  # temporary file -> (target, path as given)
     try:
@@ -88,7 +89,11 @@ def _replacing(*paths: str | None) -> Iterator[tuple[TextIO | None, ...]]:
             folder, name = os.path.split(target)
             try:
                 old = os.stat(target)
-            except OSError:  # no file to keep (or gone since): the open or replace reports any error
+            except OSError as err:  # no file to keep (or gone since): the open or replace reports any error
+                import errno  # loaded only when a path names no file, so not by importing qcasim.cli
+
+                if err.errno == errno.ELOOP:  # but a loop of links is a mistake, not a new file
+                    raise OSError(err.errno, err.strerror, path) from None
                 old = None
             replaceable = old is None or stat.S_ISREG(old.st_mode) and os.access(target, os.W_OK)
             if not (replaceable and os.access(folder, os.W_OK)):

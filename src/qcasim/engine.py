@@ -32,6 +32,7 @@ __all__ = [
     "InputSchedule",
     "TraceSample",
     "Trace",
+    "MirroredBlock",
     "OutputReading",
     "Measurement",
     "OutputVerdict",
@@ -320,17 +321,33 @@ class Trace(NamedTuple):
     samples: tuple[TraceSample, ...]
 
 
-def _negated(block: Iterable[TraceSample], vi: int, pinned: Mapping[int, float]) -> Iterator[TraceSample]:
-    """``block``'s samples as those of its mirror ``vi``, one by one; a run of
-    samples sharing one P tuple is negated once and shares the mirrored one."""
-    source = mirrored = None
-    for _, s, gammas, polarizations, iters in block:
-        if polarizations is not source:
-            source, flipped = polarizations, [0.0 - v for v in polarizations]
-            for i, value in pinned.items():  # one float per pin, as when relaxed
-                flipped[i] = value
-            mirrored = tuple(flipped)
-        yield tuple.__new__(TraceSample, (vi, s, gammas, mirrored, iters))
+class MirroredBlock:
+    """The samples of mirrored vector ``vector``: those of relaxed ``block``
+    (vector ``source``), each free P negated as ``0.0 - v`` and each pin
+    taken from ``pinned``.  Iterating yields them one by one; a run of
+    samples sharing one P tuple shares one negated tuple.  A layout with
+    fixed cells never mirrors, so every pin is ``0.0 -`` the source's, and a
+    trace writer may format a row from the source P alone (see
+    ``qcl.trace_csv_writer``)."""
+
+    __slots__ = ("block", "source", "vector", "pinned")
+
+    def __init__(self, block: Sequence[TraceSample], source: int, vector: int, pinned: Mapping[int, float]) -> None:
+        self.block, self.source, self.vector, self.pinned = block, source, vector, pinned
+
+    def negated(self, polarizations: Sequence[float]) -> tuple[float, ...]:
+        """A source P as the mirror's: one float per pin, as when relaxed."""
+        flipped = [0.0 - v for v in polarizations]
+        for i, value in self.pinned.items():
+            flipped[i] = value
+        return tuple(flipped)
+
+    def __iter__(self) -> Iterator[TraceSample]:
+        source = mirrored = None
+        for _, s, gammas, polarizations, iters in self.block:
+            if polarizations is not source:
+                source, mirrored = polarizations, self.negated(polarizations)
+            yield tuple.__new__(TraceSample, (self.vector, s, gammas, mirrored, iters))
 
 
 def _cycles(
@@ -338,7 +355,10 @@ def _cycles(
 ) -> Iterator[tuple[Iterable[TraceSample] | None, int | None]]:
     """Every run's generator: per vector, its samples and the vector it
     mirrors (None if relaxed).  With ``hold`` a relaxed block is held until
-    its last mirror takes it; without, a mirror comes without samples.  With
+    its last mirror takes it, and a mirror's samples come as a
+    ``MirroredBlock`` of it, which negates each P only when iterated (a
+    trace writer that kept the runs of that block's P tuples formats a row
+    from them instead); without, a mirror comes without samples.  With
     ``stop`` a relaxed block ends after its first ``stop`` samples.
 
     Inputs stay pinned at the vector's values for the whole cycle while the
@@ -390,7 +410,7 @@ def _cycles(
     for vi, (vector, k) in enumerate(zip(schedule.vectors, sources)):
         pinned = _pinned_map(layout, {by_label[label]: value for label, value in vector})
         if k is not None:  # the last mirror of a block pops it
-            yield (_negated(held.pop(k) if last[k] == vi else held[k], vi, pinned) if hold else None), k
+            yield (MirroredBlock(held.pop(k) if last[k] == vi else held[k], k, vi, pinned) if hold else None), k
             continue
         p = [0.0] * len(layout.cells)
         rows = _free_rows(layout, couplings, pinned, p)
@@ -512,7 +532,8 @@ def stream_measurement(
 ) -> Measurement:
     """``measure(simulate(layout, clock, schedule), layout)`` without keeping
     the samples.  ``write``, if given, takes each vector's samples in trace
-    order, and only the relaxed blocks a later mirror still needs are held.
+    order (a mirror's as a ``MirroredBlock``), and only the relaxed blocks a
+    later mirror still needs are held.
     With ``peaks=False`` each ``max_abs`` is NaN (not measured), and without
     ``write`` each cycle is relaxed only through the last output's steady
     sample: the steady bits stay, but a ConvergenceFailure after it is not seen."""

@@ -17,7 +17,7 @@ import math
 from itertools import groupby, islice
 from typing import Any, Callable, Container, Iterable, Iterator, Sequence, TextIO
 
-from .engine import ClockConfig, Measurement, Trace, TraceSample
+from .engine import ClockConfig, Measurement, MirroredBlock, Trace, TraceSample
 from .electrostatics import KinkPair, KinkReport, kink_totals
 from .model import Cell, ChargeModel, GeometryParams, Layout, Role, RoleKind
 
@@ -332,39 +332,67 @@ def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable
     values formats each run's P once and repeats its text; any other row
     formats each distinct P once.  A zero is formatted on its own.  Once a row
     of a vector has more than a quarter of its values distinct or zero, the
-    vector's later P tuples are one %-format each."""
+    vector's later P tuples are one %-format each.
+
+    The runs of each P tuple written by runs in the last vector not mirrored
+    are kept as (value, count) pairs by the tuple's id, never the tuple (a
+    run of zeros keeps its zeros in place of the count).  A
+    ``MirroredBlock`` of that vector, whose block keeps those tuples alive,
+    formats such a row's text from them, ``0.0 - value`` once per run; its
+    other rows, and every row of a mirror of an older vector, are written
+    from the negated P as above."""
     out.write(",".join(["vector", "sample", "gamma_z0", "gamma_z1", "gamma_z2", "gamma_z3", *cell_ids]) + "\n")
     values = f",{POLARIZATION_FORMAT}" * len(cell_ids)
     value, room = "," + POLARIZATION_FORMAT, len(cell_ids) // 4
     gamma_row, gamma_texts = ",".join([ENERGY_FORMAT] * 4), {}
     # the vector written last, whether its rows still repeat, its last P tuple and that P's text
     vector, repeating, last, text = None, True, None, ""
+    # the last vector written that is not a mirror, and its P runs by the tuple's id
+    kept_vector, kept = None, {}
 
     def write(samples: Iterable[TraceSample]) -> None:
-        nonlocal vector, repeating, last, text
-        for vi, si, gammas, p, _ in samples:
+        nonlocal vector, repeating, last, text, kept_vector, kept
+        mirror = samples if isinstance(samples, MirroredBlock) else None
+        known = kept if mirror and mirror.source == kept_vector else {}
+        if mirror:  # its rows name their source's P tuples, whose text is not theirs
+            last = None
+        for vi, si, gammas, p, _ in mirror.block if mirror else samples:
             g = gamma_texts.get(gammas)
             if g is None:
                 g = gamma_row % gammas
                 if 0.0 not in gammas and len(gamma_texts) < 1024:
                     gamma_texts[gammas] = g
+            if mirror:
+                vi = mirror.vector
             if vi != vector:
                 vector, repeating = vi, True
+                if not mirror:
+                    kept_vector, kept = vi, {}
             if p is not last:
-                if repeating:
-                    runs = groupby(p)  # 0.0 == -0.0, so a run of zeros may hold both
-                    texts = [(value % v) * len(list(run)) if v else "".join(map(value.__mod__, run)) for v, run in islice(runs, room)]
-                    if next(runs, None) is None:
-                        text = "".join(texts)
-                    else:
-                        try:
-                            text = "".join(map(_Texts(room).__getitem__, p))
-                        except KeyError:
-                            repeating = False
-                if not repeating:
-                    text = values % tuple(p)
-                last = p
+                last, runs = p, known.get(id(p))
+                if runs is not None:  # 0.0 - (+-0.0) is +0.0, so a run of zeros is one text too
+                    text = "".join([(value % (0.0 - v)) * (n if v else len(n)) for v, n in runs])
+                else:
+                    if mirror:
+                        p = mirror.negated(p)
+                    if repeating:
+                        # each run's length, or its values for zeros: 0.0 == -0.0, so one run may hold both
+                        groups = groupby(p)
+                        runs = [(v, len(list(run)) if v else list(run)) for v, run in islice(groups, room)]
+                        if next(groups, None) is None:
+                            text = "".join([(value % v) * n if v else "".join(map(value.__mod__, n)) for v, n in runs])
+                            if not mirror:
+                                kept[id(p)] = runs
+                        else:
+                            try:
+                                text = "".join(map(_Texts(room).__getitem__, p))
+                            except KeyError:
+                                repeating = False
+                    if not repeating:
+                        text = values % tuple(p)
             out.write("%d,%d,%s%s\n" % (vi, si, g, text))
+        if mirror:
+            last = None
 
     return write
 

@@ -452,6 +452,21 @@ class TestStreamedSim:
         assert link.is_symlink() and target.read_bytes() == trace_csv(trace).encode()
         assert sorted(p.name for p in target.parent.iterdir()) == ["t.csv"]
 
+    def test_a_symlink_loop_exits_2_and_stays_a_link(self, wire3, tmp_path, capsys):
+        # a link to itself, and two links to each other: neither is read as
+        # "no old file" and replaced by a regular file
+        (tmp_path / "loop").symlink_to("loop")
+        (tmp_path / "a").symlink_to("b")
+        (tmp_path / "b").symlink_to("a")
+        for name, argv in (("loop", ["gen", "wire:3"]), ("a", ["sim", wire3])):
+            path = tmp_path / name
+            assert main([*argv, "--out", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: [Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: {str(path)!r}\n"
+        assert {p.name: os.readlink(p) for p in tmp_path.iterdir() if p.is_symlink()} == {"loop": "loop", "a": "b", "b": "a"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b", "loop", "wire3.qcl"]
+
     def test_a_failed_replace_names_the_users_file(self, tmp_path, monkeypatch, capsys):
         # the rename of the finished .part file fails (as across devices):
         # the error names the user's path, and both files are as they were

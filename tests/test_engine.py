@@ -813,6 +813,39 @@ class TestReuse:
         assert all(row.split(",")[-1] == "0.000000000" for row in rows)
 
 
+class TestProductStateEnergy:
+    """U of tests/oracle.py, the energy Gauss-Seidel descends (see
+    TestCompiledSweep's descent property)."""
+
+    def test_a_two_cell_value_by_hand(self):
+        # free cells in zones 0 and 1, E_01 = 2, gammas 0.5 and 0.25:
+        # U(0.6, -0.8) = -(2/2)(0.6)(-0.8) - 0.5 sqrt(1 - 0.36) - 0.25 sqrt(1 - 0.64)
+        #              = 0.48 - 0.4 - 0.15 = -0.07
+        couplings = [[(1, 2.0)], [(0, 2.0)]]
+        gammas = (0.5, 0.25, 9.0, 9.0)
+        assert product_state_energy(couplings, {0: 0, 1: 1}, gammas, (0.6, -0.8)) == pytest.approx(-0.07, abs=1e-15)
+        # cell 0 pinned at +1: its pair counts, its gamma term does not; 0.8 - 0.15
+        assert product_state_energy(couplings, {1: 1}, gammas, (1.0, -0.8)) == pytest.approx(0.65, abs=1e-15)
+        # no free cell: no pair and no gamma term
+        assert product_state_energy(couplings, {}, gammas, (1.0, -1.0)) == 0.0
+
+    @pytest.mark.parametrize("build, mirrors", [(lambda: gen_wire(64), 1), (gen_majority, 4)], ids=["wire64", "majority"])
+    def test_a_mirrored_sample_has_its_sources_energy(self, build, mirrors):
+        # U is even in P and a mirror's P is its source's negated, so each
+        # sample read through the MirroredBlock has its source's U, bit for bit
+        layout = build()
+        couplings = coupling_map(layout)
+        inputs = {c.id for c in layout.inputs()}
+        free = {i: c.zone for i, c in enumerate(layout.cells) if c.id not in inputs}
+        blocks = [block for block, k in engine._cycles(*exhaustive(layout), True) if k is not None]
+        assert len(blocks) == mirrors
+        for block in blocks:
+            for source, sample in zip(block.block, block, strict=True):
+                assert sample.polarizations != source.polarizations
+                energies = [product_state_energy(couplings, free, s.gammas, s.polarizations) for s in (source, sample)]
+                assert energies[0].hex() == energies[1].hex()
+
+
 @st.composite
 def small_runs(draw):
     """A small valid off-grid layout, with or without a fixed cell and with
@@ -846,6 +879,61 @@ def small_runs(draw):
     return layout, clock, InputSchedule.explicit(labels, vectors)
 
 
+@st.composite
+def wire_runs(draw):
+    """A wire of 8 to 80 cells, where a trace row can be written by runs and
+    a mirror from its source's runs: at eps_r 1 or 12.9, in one zone or in
+    zones of 16 cells, a short clock, and an explicit schedule of a=+-1 that
+    repeats and complements its vectors."""
+    n = draw(st.integers(8, 80))
+    geometry = GeometryParams(relative_permittivity=draw(st.sampled_from([1.0, 12.9])))
+    layout = zoned_wire(n, draw(st.sampled_from([n, 16])), geometry)
+    clock = ClockConfig(samples_per_cycle=draw(st.sampled_from([8, 16, 128])))
+    values = draw(st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=6))
+    return layout, clock, InputSchedule.explicit(["a"], [{"a": value} for value in values])
+
+
+def wire_with_far_cell(n_cells: int) -> Layout:
+    """wire:n plus a normal cell beyond radius_of_effect: its field is an
+    empty sum, so it holds +0.0 in every sample, mirrored or not."""
+    wire = gen_wire(n_cells)
+    return Layout(wire.geometry, [*wire.cells, Cell("far", 20.0 * n_cells + 500.0, 0.0, Role.normal())])
+
+
+# runs whose mirrors the trace writer formats from the kept runs of their
+# source's P tuples (a hit), from the negated P (a miss), or both
+MIRROR_RUNS = {
+    # vector 0's first row fails both the runs and the memo: every row misses
+    "wire64": lambda: exhaustive(gen_wire(64)),
+    # 68 of the 71 distinct rows hit
+    "wire80": lambda: exhaustive(gen_wire(80)),
+    # 70 of 71 hit; sample 11, 511 runs of 18 values, took the memo and misses
+    "wire512": lambda: exhaustive(gen_wire(512)),
+    # 127 runs in 128 cells: every row took the memo, every row misses
+    "gaas_zoned128": lambda: exhaustive(zoned_gaas_wire(128)),
+    # only vector 4 mirrors the last relaxed vector, and 5-cell rows miss
+    "majority": lambda: exhaustive(gen_majority()),
+    # vector 2 mirrors vector 1; vector 3 mirrors the older vector 0
+    "two_wires": lambda: exhaustive(independent_wires(2)),
+    # two mirrors of one block, both hitting, then a repeat relaxed again
+    "wire128_mirrored_twice": lambda: explicit(gen_wire(128), [{"a": 1}, {"a": -1}, {"a": -1}, {"a": 1}]),
+    # the far cell's +0.0 is 0.0 - (+0.0) in each mirrored row, never -0.0
+    "wire128_far_cell": lambda: exhaustive(wire_with_far_cell(128)),
+}
+
+
+def sim_through_files(layout, clock, schedule, folder: Path) -> int:
+    """``sim --out t.csv --measure m.csv`` on the run, its layout and vectors
+    written to ``folder``; the exit code."""
+    (folder / "l.qcl").write_text(serialize_qcl(layout, clock))
+    lines = (" ".join(f"{label}={value:+d}" for label, value in v) for v in schedule.vectors)
+    (folder / "v.txt").write_text("\n".join(lines) + "\n")
+    argv = ["sim", str(folder / "l.qcl"), "--vectors", str(folder / "v.txt")]
+    argv += ["--out", str(folder / "t.csv"), "--measure", str(folder / "m.csv")]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
 def library_outcome(layout, clock, schedule):
     """(trace, measurement), or the error that simulate or measure raised."""
     try:
@@ -856,20 +944,13 @@ def library_outcome(layout, clock, schedule):
 
 
 class TestStreaming:
-    @settings(max_examples=60, deadline=None)
-    @given(small_runs())
+    @settings(deadline=None)  # Hypothesis's default count, or the deep profile's
+    @given(st.one_of(small_runs(), wire_runs()))
     def test_streamed_sim_writes_the_bytes_of_the_trace_api(self, run):
-        layout, clock, schedule = run
         trace, measurement = library_outcome(*run)
         with tempfile.TemporaryDirectory() as folder:
             path = Path(folder)
-            (path / "l.qcl").write_text(serialize_qcl(layout, clock))
-            lines = (" ".join(f"{label}={value:+d}" for label, value in v) for v in schedule.vectors)
-            (path / "v.txt").write_text("\n".join(lines) + "\n")
-            argv = ["sim", str(path / "l.qcl"), "--vectors", str(path / "v.txt")]
-            argv += ["--out", str(path / "t.csv"), "--measure", str(path / "m.csv")]
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(argv)
+            code = sim_through_files(*run, path)
             if measurement is None:
                 assert code == {ConvergenceFailure: 3, NoOutputError: 2}[trace]
                 assert sorted(p.name for p in path.iterdir()) == ["l.qcl", "v.txt"]
@@ -877,6 +958,15 @@ class TestStreaming:
                 assert code == 0
                 assert (path / "t.csv").read_bytes() == trace_csv(trace).encode()
                 assert (path / "m.csv").read_bytes() == measurement_csv(measurement).encode()
+
+    @pytest.mark.parametrize("run", sorted(MIRROR_RUNS))
+    def test_streamed_mirrors_write_the_bytes_of_the_trace_api(self, run, tmp_path):
+        layout, clock, schedule = MIRROR_RUNS[run]()
+        assert sim_through_files(layout, clock, schedule, tmp_path) == 0
+        written = (tmp_path / "t.csv").read_text()
+        assert written == trace_csv(simulate(layout, clock, schedule))
+        if run == "wire128_far_cell":
+            assert {row.rsplit(",", 1)[1] for row in written.splitlines()[1:]} == {"0.000000000"}
 
     @settings(max_examples=60, deadline=None)
     @given(small_runs())

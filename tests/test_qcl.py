@@ -34,7 +34,7 @@ from qcasim import (
     simulate,
     trace_csv,
 )
-from qcasim.engine import MAX_GAMMA, Measurement, OutputReading, Trace, TraceSample
+from qcasim.engine import MAX_GAMMA, Measurement, MirroredBlock, OutputReading, Trace, TraceSample
 from qcasim import qcl
 from qcasim.qcl import format_energy, format_polarization, trace_csv_writer
 
@@ -618,7 +618,7 @@ class TestCsvExports:
     @given(st.data())
     def test_runs_match_per_value_formatting(self, data):
         n = data.draw(st.integers(0, 40))
-        samples = []
+        blocks = []
         for vi in range(data.draw(st.integers(1, 3))):
             rows = [data.draw(stretched_row(n, busy=data.draw(st.booleans())))]
             for _ in range(data.draw(st.integers(0, 5))):
@@ -627,8 +627,19 @@ class TestCsvExports:
                     rows.append(data.draw(stretched_row(n)))
                 else:
                     rows.append(rows[-1] if again == "same tuple" else tuple(list(rows[-1])))
-            samples += [TraceSample(vi, si, self.GAMMAS, p, 1) for si, p in enumerate(rows)]
-        self._check([f"c{k}" for k in range(n)], samples)
+            blocks.append([TraceSample(vi, si, self.GAMMAS, p, 1) for si, p in enumerate(rows)])
+        cell_ids = [f"c{k}" for k in range(n)]
+        self._check(cell_ids, [s for block in blocks for s in block])
+        # then mirrors, one block each: of the last block, whose kept runs give
+        # the rows they can; of the first, from the negated P unless it is the
+        # last; of the last again, after an older one
+        last = len(blocks) - 1
+        mirrors = [MirroredBlock(blocks[k], k, len(blocks) + m, {}) for m, k in enumerate((last, 0, last))]
+        out = io.StringIO()
+        write = trace_csv_writer(out, cell_ids)
+        for block in (*blocks, *mirrors):
+            write(block)
+        assert out.getvalue() == per_value_trace_csv(cell_ids, [s for block in (*blocks, *mirrors) for s in block])
 
     def test_the_memo_stops_for_the_rest_of_a_vector(self, monkeypatch):
         # each row is tried as runs, then with the memo; a row that fails both
