@@ -259,6 +259,9 @@ def _sweep(p: list[float], rows: list[Row], gammas: Sequence[float]) -> int:
 # ~12,000 updates, a row ~450 and a call ~10.
 # A loop also fills the rows after a flat window by one slice store, which
 # these prices leave out: it makes a settled wire's updates cheaper still.
+# Before its first sample a run prices each sample to relax at one sweep less
+# _COMPILED_CALL: wire:512 (six rows priced, 14,400 updates) compiles from
+# sample 0 under sim, as 501 x 128 = 64,128 reaches twice that.
 _COMPILE_FIXED, _COMPILE_PER_ROW, _COMPILED_CALL, ROWS_PER_PART = 12000, 400, 10, 32
 
 
@@ -374,10 +377,13 @@ def _cycles(
     relax (up to ``stop``, counted before the first) reaches twice the
     compile cost of the rows, the samples run a loop compiled for them
     instead, with the same bytes; every vector pins the same cells, so
-    later vectors reuse it.  The margin of 2 keeps interpreted a run whose
-    heaviest samples come first, as on wire:48 at eps_r 1; on wire:64 and
-    longer, most rows form one run (``_runs``), priced as one row, and the
-    switch comes after sample 0.
+    later vectors reuse it.  Before sample 0 the mean is its floor, one
+    sweep of the rows less the allowance.  The margin of 2 keeps
+    interpreted a run whose heaviest samples come first, as on wire:48 at
+    eps_r 1.  On wire:64 and longer most rows form one run (``_runs``),
+    priced as one row: under sim, wire:64 to wire:235 switch after sample 0
+    and longer wires before it (under truth, which relaxes 64 samples of a
+    cycle, from wire:461).
 
     A sample is not relaxed where the last one took one sweep that ended
     where it began, at the same gamma in each zone a free row uses: it
@@ -421,7 +427,11 @@ def _cycles(
         block: list[TraceSample] = []
         state = fixed = None  # the last sample's P; the used gammas it is a fixed point at
         for s, gammas in enumerate(cycle):
-            if loop is _sweep and done and work * (left - done) >= 2 * cost * done:
+            # the work left, projected by the mean so far; before sample 0, by the floor of a
+            # sample: one sweep of the free rows, less a call's set-up
+            if loop is _sweep and (
+                work * (left - done) >= 2 * cost * done if done else (len(rows) - _COMPILED_CALL) * left >= 2 * cost
+            ):
                 from ._sweepgen import compile_sweep  # parsed only by runs that switch
 
                 loop = compile_sweep(rows, runs)

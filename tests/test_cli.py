@@ -352,6 +352,18 @@ def _exits_0(argv: list[str]) -> None:
     assert main(argv) == 0
 
 
+def record_opens(monkeypatch) -> list[tuple[str, dict]]:
+    """Log (file name, keyword arguments) of every file cli opens."""
+    opened: list[tuple[str, dict]] = []
+
+    def spy(file, *args, **kwargs):
+        opened.append((os.path.basename(file), kwargs))
+        return open(file, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", spy, raising=False)
+    return opened
+
+
 class TestStreamedSim:
     """sim streams: readings only without --out, rows written as they come
     with it, and the --out file appears only when the whole run succeeds."""
@@ -425,6 +437,60 @@ class TestStreamedSim:
         assert main(["sim", wire3, "--out", os.devnull, "--measure", os.devnull]) == 0
         assert main(["gen", "wire:3", "--out", os.devnull]) == 0
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_a_trace_past_the_write_buffer_keeps_its_bytes(self, tmp_path, monkeypatch, capsys):
+        # wire:64's trace fills the temporary file's 64 KiB buffer three times
+        # over; the file holds the trace API's bytes, and only the temporary
+        # file opens with that buffer
+        layout = gen_wire(64)
+        path, out = tmp_path / "wire64.qcl", tmp_path / "t.csv"
+        path.write_text(serialize_qcl(layout))
+        opened = record_opens(monkeypatch)
+        assert main(["sim", str(path), "--out", str(out)]) == 0
+        expected = trace_csv(simulate(*exhaustive(layout))).encode()
+        assert len(expected) > 3 * cli._PART_BUFFER == 3 * 65536 and out.read_bytes() == expected
+        assert [(name.endswith(".part"), kwargs.get("buffering")) for name, kwargs in opened] == [
+            (False, None), (True, cli._PART_BUFFER)
+        ]
+
+    def test_a_run_failing_past_a_written_block_keeps_the_old_file(self, tmp_path, monkeypatch, capsys):
+        # the run fails at vector 1, once vector 0's rows (about 109 kB) have
+        # sent a block of up to 64 KiB to the temporary file: the old file
+        # keeps its bytes, and the temporary file is gone
+        path, out = tmp_path / "wire64.qcl", tmp_path / "t.csv"
+        path.write_text(serialize_qcl(gen_wire(64)))
+        out.write_bytes(b"old bytes\r\n")
+        writer, written = cli.trace_csv_writer, []
+
+        def fails_at_vector_1(file, cell_ids):
+            write = writer(file, cell_ids)
+
+            def write_or_fail(block):
+                if written:
+                    written.extend(p.stat().st_size for p in tmp_path.iterdir() if p.name.endswith(".part"))
+                    raise engine.ConvergenceFailure(1.0, 1, 0)
+                written.append(write(block))
+
+            return write_or_fail
+
+        monkeypatch.setattr(cli, "trace_csv_writer", fails_at_vector_1)
+        assert main(["sim", str(path), "--out", str(out)]) == 3
+        assert "vector 1, sample 0" in capsys.readouterr().err
+        assert len(written) == 2 and written[1] > 0
+        assert out.read_bytes() == b"old bytes\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv", "wire64.qcl"]
+
+    def test_a_file_written_in_place_keeps_the_default_buffering(self, wire3, tmp_path, monkeypatch, capsys):
+        # a device, and a read-only file: opened as a plain text file, so a
+        # terminal stays line-buffered
+        path = tmp_path / "t.csv"
+        path.write_text("old\n")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: os.fspath(p) != str(path) and access(p, mode))
+        opened = record_opens(monkeypatch)
+        assert main(["sim", wire3, "--out", os.devnull, "--measure", str(path)]) == 0
+        plain = {"encoding": "utf-8", "newline": ""}
+        assert opened[1:] == [(os.path.basename(os.devnull), plain), ("t.csv", plain)]
 
     def test_out_to_a_pipe_streams_into_it(self, wire3, tmp_path, capsys):
         pipe = tmp_path / "pipe"
@@ -609,8 +675,9 @@ def _jittered_block(side: int, seed: int, geometry: GeometryParams) -> Layout:
     return Layout(geometry, cells)
 
 
-# the writer keeps no rows of its own; wire:512's 1,530 rows (about 100 kB)
-# pass the text file's 8 kB write buffer many times
+# the writer keeps no rows of its own; wire:512's 1,530 rows (56 kB) pass an
+# in-place file's 8 kB write buffer many times, and fabric 0's rows (714 kB)
+# the 64 KiB buffer of a file that replaces the old one
 KINK_LAYOUTS = {
     "empty": lambda: Layout(GeometryParams(), []),
     "wire2": lambda: gen_wire(2),

@@ -1448,11 +1448,12 @@ class TestCompiledSweep:
             # 938 sweeps x 2 rows; each count here is of loop calls, and a
             # sample at an exact fixed point makes none
             (lambda: gen_majority(), 273),
-            # 233 sweeps x 511 rows, the heaviest samples first: 506 of the
-            # rows are one run, a loop priced as one row, so sample 0's work
-            # projected over the rest reads 17.9 x the compile cost (1.25 x
-            # while each row was priced, and the run stayed interpreted)
-            (lambda: gen_wire(512), 1),
+            # 233 sweeps x 511 rows: 506 of the rows are one run, a loop
+            # priced as one row, so compiling costs 14,400 updates.  Before
+            # sample 0 the floor of the 128 samples to relax, one sweep each
+            # less a call's set-up (501 x 128 = 64,128), reads 2.2 x twice
+            # that cost, so no sample runs interpreted
+            (lambda: gen_wire(512), 0),
             # a run of 42 rows: 1.57 x the compile cost after sample 0, under
             # the margin of 2, and later samples project less
             (lambda: gen_wire(48), 71),
@@ -1479,6 +1480,48 @@ class TestCompiledSweep:
         simulate(*exhaustive(build()))
         assert log.count("interpreted") == interpreted
         assert log[:interpreted] == ["interpreted"] * interpreted
+
+    @pytest.mark.parametrize("verdicts_only", [False, True], ids=["sim", "truth"])
+    def test_a_long_wire_compiles_before_its_first_sample(self, monkeypatch, verdicts_only):
+        # sim relaxes vector 0's whole cycle and mirrors vector 1; truth
+        # relaxes each cycle only through its output's steady sample.  Along
+        # a wire every row past the first few joins one run, so each longer
+        # wire prices as many rows as wire:64.  The shortest wire whose
+        # floor, (free rows - _COMPILED_CALL) x samples to relax, reaches
+        # twice the compile cost switches before sample 0 (at the default
+        # clock, wire:236 under sim, wire:461 under truth); one cell
+        # shorter, it switches after sample 0
+        def rows_and_cost(layout):
+            pinned = engine._pinned_map(layout, {layout.inputs()[0].id: 1})
+            rows = engine._free_rows(layout, coupling_map(layout), pinned, [0.0] * len(layout.cells))
+            priced = len(rows) - sum(stop - first - 1 for first, stop in engine._runs(rows))
+            return len(rows), engine._COMPILE_FIXED + engine._COMPILE_PER_ROW * priced
+
+        outputs = engine._outputs(gen_wire(64), CLOCK.samples_per_cycle)
+        samples = 1 + max(at for _, _, at in outputs) if verdicts_only else CLOCK.samples_per_cycle
+        _, cost = rows_and_cost(gen_wire(64))
+        shortest = 1 + engine._COMPILED_CALL + -(-2 * cost // samples)  # every cell but the input is free
+        log = record_tiers(monkeypatch)
+        for n, before in ((shortest - 1, False), (shortest, True)):
+            wire = gen_wire(n)
+            rows, wire_cost = rows_and_cost(wire)
+            assert wire_cost == cost and ((rows - engine._COMPILED_CALL) * samples >= 2 * cost) is before
+            log.clear()
+            engine.stream_measurement(*exhaustive(wire), peaks=not verdicts_only)
+            assert log.index("compiled") == (0 if before else 1)
+
+    def test_a_layout_without_free_rows_never_imports_the_compiler(self):
+        # eight inputs and a fixed cell: 256 relaxed vectors of 128 samples,
+        # but with no free row every sample's floor and work are below zero
+        code = (
+            "import sys\n"
+            "from qcasim import Cell, ClockConfig, GeometryParams, InputSchedule, Layout, Role, simulate\n"
+            "cells = [Cell(f'c{k}', 100.0 * k, 0.0, Role.input(f'i{k}')) for k in range(8)]\n"
+            "layout = Layout(GeometryParams(), [*cells, Cell('f', 800.0, 0.0, Role.fixed(+1))])\n"
+            "trace = simulate(layout, ClockConfig(), InputSchedule.exhaustive(layout.input_labels()))\n"
+            "print(len(trace.samples), 'qcasim._sweepgen' in sys.modules)\n"
+        )
+        assert run_python("-c", code, capture_output=True, check=True).stdout == "32768 False\n"
 
     def test_only_a_run_that_switches_tiers_imports_the_compiler(self, tmp_path):
         # _cycles imports _sweepgen when a run first switches tiers: a CLI run
