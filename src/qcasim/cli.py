@@ -79,11 +79,11 @@ def _replacing(*paths: str | None) -> Iterator[tuple[TextIO | None, ...]]:
     """One text file per path (None for a path not given).  A new or writable
     regular file is replaced, through any symlink, only when the block
     completes and every file has been closed, in the order given; its
-    temporary file goes out in blocks of up to ``_PART_BUFFER`` (64 KiB).  A device, a
-    pipe, a read-only file or a file in a folder that takes no new file is
-    written in place, with the default buffering (so a terminal stays
-    line-buffered).  A loop of symlinks raises ELOOP naming the path as
-    given, and the links stay as they are."""
+    temporary file goes out in blocks of up to ``_PART_BUFFER`` (64 KiB).
+    A device, a pipe, a read-only file or a file in a folder that takes no
+    new file is written in place, with the default buffering (so a terminal
+    stays line-buffered).  A loop of symlinks raises ELOOP naming the path
+    as given, and the links stay as they are."""
     files: list[TextIO | None] = []
     parts: dict[str, tuple[str, str]] = {}  # temporary file -> (target, path as given)
     try:

@@ -69,13 +69,13 @@ def build(name: str):
     from qcasim import GeometryParams, Layout, gen_wire
 
     kind, _, size = name.partition(":")
+    if not size.isdigit() or kind not in ("wire", "gaas-zoned"):
+        raise SystemExit(f"unknown layout {name!r}: use wire:N or gaas-zoned:N")
     if kind == "wire":
         return gen_wire(int(size))
-    if kind == "gaas-zoned":
-        geometry = GeometryParams(relative_permittivity=12.9)
-        cells = gen_wire(int(size), geometry).cells
-        return Layout(geometry, [c._replace(zone=(i // 16) % 4) for i, c in enumerate(cells)])
-    raise SystemExit(f"unknown layout {name!r}: use wire:N or gaas-zoned:N")
+    geometry = GeometryParams(relative_permittivity=12.9)
+    cells = gen_wire(int(size), geometry).cells
+    return Layout(geometry, [c._replace(zone=(i // 16) % 4) for i, c in enumerate(cells)])
 
 
 def child(tier: str, layout: str, folder: str, mode: str) -> str:
