@@ -305,34 +305,17 @@ def kink_report_csv(report: KinkReport) -> str:
     return out.getvalue()
 
 
-class _Texts(dict):
-    """One row's P texts by value, each with its leading comma.  Each value it
-    formats counts against ``room``; one more raises KeyError.  A zero is
-    formatted each time and never kept: 0.0 and -0.0 are one key."""
-
-    def __init__(self, room: int) -> None:
-        self.room = room
-
-    def __missing__(self, value: float) -> str:
-        self.room -= 1
-        if self.room < 0:
-            raise KeyError(value)
-        text = "," + POLARIZATION_FORMAT % value
-        if value:
-            self[value] = text
-        return text
-
-
 def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable[TraceSample]], None]:
     """Write the trace CSV header to ``out``; return a function that writes one
     row per sample it is given: vector, sample, the four zone gammas, every P.
     The text of each clock sample's gammas (the first 1,024 without a zero) is
     kept, and so is the P text of the last row, for a row whose P is the same
     tuple object.  A row of at most a quarter as many runs of equal P as
-    values formats each run's P once and repeats its text; any other row
-    formats each distinct P once.  A zero is formatted on its own.  Once a row
-    of a vector has more than a quarter of its values distinct or zero, the
-    vector's later P tuples are one %-format each.
+    values formats each run's P once and repeats its text (each zero on its
+    own).  Any other row counts its distinct P once: with at most a quarter as
+    many as values it formats each of them once, or the whole row in one
+    %-format if one is a zero (0.0 and -0.0 are one member but print apart);
+    with more, the vector's later P tuples are one %-format each.
 
     The runs of each P tuple written by runs in the last vector not mirrored
     are kept as (value, count) pairs by the tuple's id, never the tuple (a
@@ -384,10 +367,14 @@ def trace_csv_writer(out: TextIO, cell_ids: Sequence[str]) -> Callable[[Iterable
                             if not mirror:
                                 kept[id(p)] = runs
                         else:
-                            try:
-                                text = "".join(map(_Texts(room).__getitem__, p))
-                            except KeyError:
+                            distinct = set(p)
+                            if len(distinct) > room:
                                 repeating = False
+                            elif 0.0 in distinct:  # 0.0 and -0.0 are one member, but print apart
+                                text = values % tuple(p)
+                            else:
+                                texts = {v: value % v for v in distinct}
+                                text = "".join(map(texts.__getitem__, p))
                     if not repeating:
                         text = values % tuple(p)
             out.write("%d,%d,%s%s\n" % (vi, si, g, text))

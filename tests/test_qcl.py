@@ -572,8 +572,9 @@ class TestCsvExports:
             assert [format_polarization(p) for p in s.polarizations] == [f"{p:.9f}" for p in s.polarizations]
 
     # Rows of 16 values; the writer formats each run of a row with at most 4
-    # runs once, and else each distinct P once while its vector's rows have at
-    # most 4 values distinct or zero.
+    # runs once, and else each distinct P of a row with at most 4 once, or the
+    # whole row if one of them is a zero; a row with more distinct P ends that
+    # for the rest of its vector.
     REPEATING = (0.25,) * 14 + (0.0, -0.0)
     ALTERNATING = (0.25, 0.5) * 8
     GAMMAS = (9.8e-22, 3.8e-23, 3.8e-23, 9.8e-22)
@@ -642,22 +643,21 @@ class TestCsvExports:
         assert out.getvalue() == per_value_trace_csv(cell_ids, [s for block in (*blocks, *mirrors) for s in block])
 
     def test_the_memo_stops_for_the_rest_of_a_vector(self, monkeypatch):
-        # each row is tried as runs, then with the memo; a row that fails both
-        # leaves the rest of its vector to the %-format, a row that fails only
-        # the runs does not
-        grouped, tried = [], []
-
-        class Counted(qcl._Texts):
-            def __init__(self, room):
-                tried.append(room)
-                super().__init__(room)
+        # each row is tried as runs, then its distinct P are counted; a row with
+        # too many leaves the rest of its vector to the %-format, a row that
+        # fails only the runs does not
+        grouped, counted = [], []
 
         def counted_groupby(p):
             grouped.append(p)
             return groupby(p)
 
-        monkeypatch.setattr(qcl, "_Texts", Counted)
+        def counted_set(p):
+            counted.append(p)
+            return set(p)
+
         monkeypatch.setattr(qcl, "groupby", counted_groupby)
+        monkeypatch.setattr(qcl, "set", counted_set, raising=False)
         distinct = tuple(k / 16 for k in range(1, 17))
         # vector 1's rows are equal but distinct tuples: the same tuple again would reuse its text
         again = [tuple(list(self.REPEATING)) for _ in range(2)]
@@ -669,11 +669,11 @@ class TestCsvExports:
         cell_ids = [f"c{k}" for k in range(16)]
         for one_per_call in (False, True):
             grouped.clear()
-            tried.clear()
+            counted.clear()
             assert self._written(cell_ids, samples, one_per_call) == per_value_trace_csv(cell_ids, samples)
             # not vector 0's third row
             assert [id(p) for p in grouped] == [id(p) for p in (self.REPEATING, distinct, again[0], self.ALTERNATING, again[1])]
-            assert tried == [4, 4]  # distinct, ALTERNATING
+            assert [id(p) for p in counted] == [id(distinct), id(self.ALTERNATING)]
 
     def test_a_repeated_tuple_is_formatted_once(self):
         # the same P tuple object again, within a vector or across one, reuses
@@ -687,8 +687,8 @@ class TestCsvExports:
 
         cell_ids = [f"c{k}" for k in range(16)]
         distinct = tuple(k / 16 for k in range(1, 17))
-        # REPEATING is formatted by runs; distinct fails the runs and the memo,
-        # then is %-formatted
+        # REPEATING is formatted by runs; distinct fails the runs, is counted
+        # (16 distinct P), then is %-formatted
         for p, formats in ((self.REPEATING, 1), (distinct, 3)):
             one = Seen(p)
             for rows in ([one] * 4, [Seen(p) for _ in range(4)]):
